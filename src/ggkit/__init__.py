@@ -10,8 +10,6 @@ from .series import (
     pochhammer_finite,
     pochhammer_infinite,
     product_triple,
-    series_inverse,
-    series_mul,
     substitute_power,
     theta_bressoud_sum,
 )

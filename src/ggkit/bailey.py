@@ -22,7 +22,6 @@ from .series import (
     euler_product,
     pochhammer_finite,
     pochhammer_infinite,
-    product_triple,
 )
 
 
@@ -277,6 +276,8 @@ def run_chain(k: int, i: int, trunc_q: int = 40) -> Chain:
         raise ChainParameterError("parameters must satisfy k > i >= 1")
     if i < 1:
         raise ChainParameterError("parameters must satisfy k > i >= 1")
+    if trunc_q < 0:
+        raise ChainParameterError(f"truncation must be >= 0, got {trunc_q}")
     stages: list[ChainStage] = []
 
     def push(pair: BaileyPair, note: str) -> BaileyPair:
@@ -337,9 +338,3 @@ def limit_identity(chain: Chain, truncation: int) -> tuple[LaurentSeries, Lauren
     rhs = acc * pochhammer_infinite(-1, 1, 1, truncation)
     rhs = (rhs * euler_product(truncation).inverse()).truncated(truncation)
     return cur, rhs
-
-
-def expected_limit_rhs(k: int, i: int, truncation: int) -> LaurentSeries:
-    """The product form the limit must equal: (-q;q)_oo (triple product)/(q;q)_oo."""
-    out = pochhammer_infinite(-1, 1, 1, truncation) * product_triple(k, i, truncation)
-    return (out * euler_product(truncation).inverse()).truncated(truncation)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import bailey as bailey_mod
@@ -108,8 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int)
     p.add_argument("--T", type=int)
     p.add_argument("--profile", help="comma-separated row profile, e.g. 2,1")
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("GGKIT_JOBS", "1")))
+    p.add_argument("--jobs", type=int, help="worker processes (default: $GGKIT_JOBS or 1)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     return ap
 
@@ -136,7 +134,11 @@ def _cmd_enumerate(args) -> int:
         if args.k is None or args.i is None:
             print("ggkit: --family needs --k and --i", file=sys.stderr)
             return USAGE_EXIT
-        spec = FamilySpec(args.family, args.k, args.i)
+        try:
+            spec = FamilySpec(args.family, args.k, args.i)
+        except ValueError as exc:
+            print(f"ggkit: {exc}", file=sys.stderr)
+            return USAGE_EXIT
     items = [op for op in enumerate_overpartitions(args.n)
              if spec is None or satisfies_family(op, spec)]
     if args.format == "json":

@@ -377,235 +377,126 @@ def count_family_bivariate(spec: FamilySpec, n: int) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Bulk enumeration sweeps (exhaustive oracles for the verifier)
+# Count tables by a size-by-size DP (exhaustive oracles for the verifier)
 #
-# The sweeps visit every (over)partition of weight <= n_max exactly once via a
-# recursion over sizes, carrying just the statistics the family clauses read:
-# the count of overlined 1s plus plain 2s, the largest even-anchored window
-# sum, and the largest plain-even count following a plain odd size.  Windows
-# that straddle the gap after the last chosen size are resolved lazily, when a
-# later size (or the end of the object) passes them.
+# Each clause reads the counts of a few consecutive sizes, so objects are built
+# one size at a time carrying a small state (O: open even window, plain odd just
+# below, smallest-part kind; B: previous count; C: open window; P, A, D: none),
+# with one {(m, n): count} table (m parts, weight n) per live state.  The walk
+# ends at n_max + 1 so that a window or a plain odd part at n_max meets the
+# size above it.  This is the transfer-matrix method (Stanley, EC1 4.7): it
+# counts from the clauses alone, never from a generating function.
 # ---------------------------------------------------------------------------
 
 
+def _count_tables(n_max: int, step, start, overlines: bool = True) -> dict:
+    """{final state: {(m, n): count}} over all objects of weight <= n_max.
+
+    `step(state, s, o, f)` is the state after o overlined and f plain parts of
+    size s, or None when a clause fails; each clause bounds a sum of counts, so
+    every larger f fails too."""
+    live = {start: {(0, 0): 1}}
+    for s in range(1, n_max + 2):
+        nxt: dict = {}
+        for state, table in live.items():
+            for o in ((0, 1) if overlines else (0,)):
+                for f in range(n_max // s - o + 1):
+                    new = step(state, s, o, f)
+                    if new is None:
+                        break
+                    c = o + f
+                    room = n_max - s * c
+                    dst = nxt.setdefault(new, {})
+                    for (m, w), cnt in table.items():
+                        if w <= room:
+                            key = (m + c, w + s * c)
+                            dst[key] = dst.get(key, 0) + cnt
+        live = nxt
+    return live
+
+
+def _merged(tables) -> dict[tuple[int, int], int]:
+    out: dict[tuple[int, int], int] = {}
+    for table in tables:
+        for key, cnt in table.items():
+            out[key] = out.get(key, 0) + cnt
+    return out
+
+
+def _window_step(k: int, i: int, odd_add):
+    """Bound the window (2t, 2t+1, 2t+2) by k-1, or by i-1 at t = 0 (fbar(1) + f(2)
+    for O, f(1) + f(2) for C); `odd_add(o, f)` is what its odd size adds."""
+
+    def step(win, s, o, f):
+        cap = i - 1 if s <= 2 else k - 1
+        if s % 2:
+            win += odd_add(o, f)
+            return win if win <= cap else None
+        return o + f if win + f <= cap else None
+
+    return step
+
+
+def _o_step(k: int, i: int):
+    """O family; state (window, plain odd below, smallest-part kind 0/F=1/H=2)."""
+    window = _window_step(k, i, lambda o, f: o)
+
+    def step(state, s, o, f):
+        win, odd_below, kind = state
+        if odd_below and f > k - 2:
+            return None
+        win = window(win, s, o, f)
+        if win is None:
+            return None
+        if not kind and o + f:
+            kind = 1 if _part_is_f_kind(Part(s, o == 1)) else 2
+        return (win, bool(s % 2 and f), kind)
+
+    return step
+
+
 def overpartition_ofh_tables(n_max: int, pairs) -> dict[tuple[str, int, int], dict[tuple[int, int], int]]:
-    """Exhaustive (m, n) count tables for the O family and its F/H smallest-part
-    split, for every (k, i) in `pairs`, over all overpartitions of weight <= n_max."""
-    pairs = sorted(set(pairs))
-    kmax = max(k for k, _ in pairs)
-    imax = max(i for _, i in pairs)
-    fbcap = imax
-    wcap = kmax
-    ccap = kmax - 1
-    span = n_max + 1
-    hist: dict[int, int] = {}
-
-    def rec(smin, rem, t1, f1, o1, t2, f2, o2, fb, mw, c3, m, w, kind):
-        for s in range(smin, rem + 1):
-            mw0, c30 = mw, c3
-            if t1:
-                if t1 % 2:
-                    if t1 + 1 < s:
-                        if t1 >= 3:  # window anchored at even t1+1 >= 4
-                            if t2 == t1 - 1:
-                                wv = o1 + o2 + f2
-                            else:
-                                wv = o1
-                            if wv > mw0:
-                                mw0 = wv
-                        if f1 and c30 < 0:
-                            c30 = 0
-                else:
-                    if t1 + 2 < s:
-                        wv = o1 + f1
-                        if wv > mw0:
-                            mw0 = wv
-            if s - 1 == t1:
-                fprev, oprev = f1, o1
-            elif s - 1 == t2:
-                fprev, oprev = f2, o2
-            else:
-                fprev = oprev = 0
-            if s - 2 == t1:
-                fpp, opp = f1, o1
-            elif s - 2 == t2:
-                fpp, opp = f2, o2
-            else:
-                fpp = opp = 0
-            maxc = rem // s
-            for o in (1, 0):
-                for f in range(1 - o, maxc - o + 1):
-                    mw1, c31 = mw0, c30
-                    if s % 2 == 0:
-                        if s >= 4:  # window (2t, 2t+1~, 2t+2) needs t >= 1
-                            wv = opp + fpp + oprev + f
-                            if wv > mw1:
-                                mw1 = wv
-                        if fprev and f > c31:
-                            c31 = f
-                    fb1 = fb
-                    if s == 1:
-                        fb1 += o
-                    elif s == 2:
-                        fb1 += f
-                    kind1 = kind if kind else (1 if (s % 2 == 1) == (o == 1) else 2)
-                    m1 = m + f + o
-                    w1 = w + s * (f + o)
-                    # emission: the object whose largest size is s
-                    mwE, c3E = mw1, c31
-                    if s % 2:
-                        wv = (o + oprev + fprev) if s >= 3 else 0
-                        if f and c3E < 0:
-                            c3E = 0
-                    else:
-                        wv = o + f
-                    if wv > mwE:
-                        mwE = wv
-                    key = ((min(fb1, fbcap) * (wcap + 1) + min(mwE, wcap)) * (ccap + 2)
-                           + min(c3E, ccap) + 1) * 3 + kind1
-                    pk = (key * span + m1) * span + w1
-                    hist[pk] = hist.get(pk, 0) + 1
-                    if w1 < n_max:
-                        rec(s + 1, n_max - w1, s, f, o, t1, f1, o1,
-                            fb1, mw1, c31, m1, w1, kind1)
-
-    tables: dict[tuple[str, int, int], dict[tuple[int, int], int]] = {
-        (fam, k, i): {} for fam in "OFH" for (k, i) in pairs
-    }
-    for (k, i) in pairs:
-        tables[("O", k, i)][(0, 0)] = 1  # the empty overpartition is in O but not F/H
-    rec(1, n_max, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0)
-    for pk, cnt in hist.items():
-        w = pk % span
-        m = (pk // span) % span
-        key = pk // (span * span)
-        kind = key % 3
-        key //= 3
-        c3 = key % (ccap + 2) - 1
-        key //= ccap + 2
-        mw = key % (wcap + 1)
-        fb = key // (wcap + 1)
-        for (k, i) in pairs:
-            if fb <= i - 1 and mw <= k - 1 and c3 <= k - 2:
-                cell = (m, w)
-                t = tables[("O", k, i)]
-                t[cell] = t.get(cell, 0) + cnt
-                t = tables[("F" if kind == 1 else "H", k, i)]
-                t[cell] = t.get(cell, 0) + cnt
+    """(m, n) count tables of the O family and its F/H smallest-part split for
+    every (k, i) in `pairs`, exact for all overpartitions of weight <= n_max."""
+    tables = {}
+    for (k, i) in sorted(set(pairs)):
+        by_state = _count_tables(n_max, _o_step(k, i), (0, False, 0))
+        tables[("O", k, i)] = _merged(by_state.values())
+        for kind, fam in ((1, "F"), (2, "H")):
+            tables[(fam, k, i)] = _merged(t for st, t in by_state.items() if st[2] == kind)
     return tables
 
 
 def overpartition_p_counts(n_max: int, pairs) -> dict[tuple[int, int], list[int]]:
-    """Exhaustive per-n counts of the modular-restriction overpartition family P."""
-    pairs = sorted(set(pairs))
-    masks = []
-    for (k, i) in pairs:
-        if i == k:
-            d = 2 * k - 1
-            bad = sum(1 << s for s in range(1, n_max + 1) if s % d == 0)
-            masks.append((k, i, bad, bad))
-        else:
-            mod = 4 * k - 2
-            res = {0, (2 * i - 1) % mod, (mod - (2 * i - 1)) % mod}
-            bad = sum(1 << s for s in range(1, n_max + 1) if s % mod in res)
-            masks.append((k, i, bad, 0))
-    counts = {(k, i): [0] * (n_max + 1) for (k, i) in pairs}
-
-    def rec(smin, rem, plain_mask, over_mask, w):
-        for (k, i, bp, bo) in masks:
-            if not (plain_mask & bp) and not (over_mask & bo):
-                counts[(k, i)][w] += 1
-        for s in range(smin, rem + 1):
-            bit = 1 << s
-            maxc = rem // s
-            for o in (1, 0):
-                for f in range(1 - o, maxc - o + 1):
-                    rec(s + 1, rem - s * (f + o),
-                        plain_mask | (bit if f else 0),
-                        over_mask | (bit if o else 0),
-                        w + s * (f + o))
-
-    rec(1, n_max, 0, 0, 0)
+    """Per-n counts, n <= n_max, of the modular-restriction overpartition family P."""
+    counts = {}
+    for (k, i) in sorted(set(pairs)):
+        # i = k bans both kinds at multiples of 2k-1; i < k bans plain parts only
+        mod = 2 * k - 1 if i == k else 4 * k - 2
+        bad = {0} if i == k else {0, (2 * i - 1) % mod, (mod - (2 * i - 1)) % mod}
+        step = lambda st, s, o, f: None if (f or (o and i == k)) and s % mod in bad else st
+        counts[(k, i)] = family_counts_by_n(_merged(_count_tables(n_max, step, ()).values()), n_max)
     return counts
 
 
 def partition_family_tables(n_max: int, pairs) -> dict[tuple[str, int, int], dict[tuple[int, int], int]]:
-    """Exhaustive (m, n) count tables for the ordinary-partition families
+    """(m, n) count tables, weight <= n_max, of the ordinary-partition families
     B, C (frequency conditions) and A, D (modular restrictions)."""
-    pairs = sorted(set(pairs))
-    tables: dict[tuple[str, int, int], dict[tuple[int, int], int]] = {
-        (fam, k, i): {(0, 0): 1} for fam in "BCAD" for (k, i) in pairs
-    }
-    amasks = {}
-    dmasks = {}
-    for (k, i) in pairs:
-        mod = 2 * k + 1
-        res = {0, i % mod, (mod - i) % mod}
-        amasks[(k, i)] = sum(1 << s for s in range(1, n_max + 1) if s % mod in res)
-        mod = 4 * k
-        res = {0, (2 * i - 1) % mod, (mod - (2 * i - 1)) % mod}
-        dmasks[(k, i)] = sum(1 << s for s in range(1, n_max + 1)
-                             if s % 4 == 2 or s % mod in res)
-
-    def rec(smin, rem, t1, g1, t2, g2, mpair, mw3, f1, f12, modd, mask, m, w):
-        for s in range(smin, rem + 1):
-            mp0, mw0 = mpair, mw3
-            if t1:
-                if t1 + 1 < s and g1 > mp0:
-                    mp0 = g1  # pair window (t1, t1+1) closes with zero
-                if t1 % 2:
-                    if t1 + 1 < s and t1 >= 3:  # 3-window at even t1+1 >= 4
-                        wv = g1 + (g2 if t2 == t1 - 1 else 0)
-                        if wv > mw0:
-                            mw0 = wv
-                else:
-                    if t1 + 2 < s and g1 > mw0:  # 3-window at even t1+2
-                        mw0 = g1
-            gprev = g1 if t1 == s - 1 else 0
-            gpp = g1 if t1 == s - 2 else (g2 if t2 == s - 2 else 0)
-            for f in range(1, rem // s + 1):
-                mp1 = mp0 if gprev + f <= mp0 else gprev + f
-                mw1 = mw0
-                if s % 2 == 0 and s >= 4:
-                    wv = gpp + gprev + f
-                    if wv > mw1:
-                        mw1 = wv
-                f1n = f1 + f if s == 1 else f1
-                f12n = f12 + f if s <= 2 else f12
-                moddn = f if (s % 2 and f > modd) else modd
-                m1 = m + f
-                w1 = w + s * f
-                mask1 = mask | (1 << s)
-                # emission with everything above s empty
-                mpE = mp1 if f <= mp1 else f
-                mwE = mw1
-                if s % 2:
-                    if s >= 3:
-                        wv = gprev + f
-                        if wv > mwE:
-                            mwE = wv
-                else:
-                    if f > mwE:
-                        mwE = f
-                cell = (m1, w1)
-                for (k, i) in pairs:
-                    if f1n <= i - 1 and mpE <= k - 1:
-                        t = tables[("B", k, i)]
-                        t[cell] = t.get(cell, 0) + 1
-                    if f12n <= i - 1 and moddn <= 1 and mwE <= k - 1:
-                        t = tables[("C", k, i)]
-                        t[cell] = t.get(cell, 0) + 1
-                    if not mask1 & amasks[(k, i)]:
-                        t = tables[("A", k, i)]
-                        t[cell] = t.get(cell, 0) + 1
-                    if not mask1 & dmasks[(k, i)]:
-                        t = tables[("D", k, i)]
-                        t[cell] = t.get(cell, 0) + 1
-                if w1 < n_max:
-                    rec(s + 1, n_max - w1, s, f, t1, g1, mp1, mw1,
-                        f1n, f12n, moddn, mask1, m1, w1)
-
-    rec(1, n_max, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+    tables = {}
+    for (k, i) in sorted(set(pairs)):
+        amod, dmod = 2 * k + 1, 4 * k
+        abad = {0, i % amod, (amod - i) % amod}
+        dbad = {0, (2 * i - 1) % dmod, (dmod - (2 * i - 1)) % dmod}
+        c_window = _window_step(k, i, lambda o, f: f)
+        steps = {
+            # f(1) <= i-1 is the pair (0, 1): nothing has size 0
+            "B": (lambda prev, s, o, f: None if prev + f > (i - 1 if s == 1 else k - 1) else f, 0),
+            "C": (lambda win, s, o, f: None if s % 2 and f > 1 else c_window(win, s, o, f), 0),
+            "A": (lambda st, s, o, f: None if f and s % amod in abad else st, ()),
+            "D": (lambda st, s, o, f: None if f and (s % 4 == 2 or s % dmod in dbad) else st, ()),
+        }
+        for fam, (step, start) in steps.items():
+            tables[(fam, k, i)] = _merged(_count_tables(n_max, step, start, overlines=False).values())
     return tables
 
 

@@ -274,14 +274,6 @@ class LaurentSeries:
         return cls(data["min_exponent"], coeffs, data["truncation"])
 
 
-def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    return a * b
-
-
-def series_inverse(a: LaurentSeries) -> LaurentSeries:
-    return a.inverse()
-
-
 def substitute_power(a: LaurentSeries, m: int) -> LaurentSeries:
     return a.substitute_power(m)
 
@@ -481,10 +473,6 @@ class BivariateSeries:
     def eval_x_one(self) -> LaurentSeries:
         terms = {e: sum(row.values()) for e, row in self.table.items()}
         return LaurentSeries.from_terms(terms, self.truncation)
-
-    def max_x_degree(self, q_exp: int) -> int | None:
-        row = self.table.get(q_exp)
-        return max(row) if row else None
 
     @classmethod
     def from_counts(cls, counts: dict[tuple[int, int], int], truncation: int) -> "BivariateSeries":

@@ -124,17 +124,7 @@ def _series_report(tag: str, params: dict, T: int | None,
 # Multisum left-hand sides and product right-hand sides
 # ---------------------------------------------------------------------------
 
-_INVPOCH_CACHE: dict[tuple[int, int, int], LaurentSeries] = {}
 _BRACKET_CACHE: dict[tuple[str, int, int], LaurentSeries] = {}
-
-
-def _inv_poch(base: int, m: int, T: int) -> LaurentSeries:
-    key = (base, m, T)
-    out = _INVPOCH_CACHE.get(key)
-    if out is None:
-        out = pochhammer_finite(1, base, base, m, T).inverse().truncated(T)
-        _INVPOCH_CACHE[key] = out
-    return out
 
 
 def _stable_bracket(n1: int, T: int) -> LaurentSeries:
@@ -216,7 +206,7 @@ def _term_series(tag: str, k: int, i: int, tup: tuple[int, ...], T: int) -> Laur
         e = sum(n * n for n in tup) + sum(tup[i - 1:])
         s = LaurentSeries.monomial(e, T)
         for d in diffs:
-            s = s * _inv_poch(1, d, T)
+            s = s * bailey_mod._inv_poch(1, d, T)
         return s.truncated(T)
     if tag in ("BRESSOUD", "BRESSOUD-X"):
         e = 2 * (sum(n * n for n in tup[1:]) + sum(tup[i - 1:]))
@@ -235,7 +225,7 @@ def _term_series(tag: str, k: int, i: int, tup: tuple[int, ...], T: int) -> Laur
             binom[2 * n_i] = binom.get(2 * n_i, 0) + 1
             s = s * LaurentSeries.from_terms(binom, T)
     for d in diffs:
-        s = s * _inv_poch(2, d, T)
+        s = s * bailey_mod._inv_poch(2, d, T)
     return s.truncated(T)
 
 
@@ -395,7 +385,7 @@ def _closed_profile_series(cls: str, profile: tuple[int, ...], i: int, T: int) -
         e = sum(n * n for n in profile) + sum(profile[i - 1:])
         s = LaurentSeries.monomial(e, T)
         for d in diffs:
-            s = s * _inv_poch(1, d, T)
+            s = s * bailey_mod._inv_poch(1, d, T)
         return s.truncated(T)
     e = 2 * (sum(n * n for n in profile) + sum(profile[i - 1:]))
     parts = [(e, lambda t, e=e: LaurentSeries.monomial(e, t))]
@@ -408,7 +398,7 @@ def _closed_profile_series(cls: str, profile: tuple[int, ...], i: int, T: int) -
                       lambda t: pochhammer_finite(-1, 2 - 2 * n1, 2, m, t)))
     s = bounded_product(parts, T)
     for d in diffs:
-        s = s * _inv_poch(2, d, T)
+        s = s * bailey_mod._inv_poch(2, d, T)
     return s.truncated(T)
 
 
@@ -494,7 +484,7 @@ def verify_identity(tag: str, k: int | None = None, i: int | None = None,
         lhs = multisum_lhs(tag, k, i, T)
         rhs = product_rhs(tag, k, i, T)
         return _series_report(tag, params, T, lhs, rhs)
-    # bivariate: multisum against exhaustive enumeration counts
+    # bivariate: multisum against the exhaustive count tables
     lhs = multisum_lhs(tag, k, i, T, x_tracking=True)
     fam = _ENUM_FAMILY[tag]
     if counts is None:
@@ -517,6 +507,8 @@ def verify_identity(tag: str, k: int | None = None, i: int | None = None,
 def verify_counting(theorem: str, k: int, i: int, n_max: int,
                     ofh_tables=None, p_counts=None, partition_tables=None) -> VerificationReport:
     """Exhaustive equality of the paired counting families up to n_max."""
+    if not k >= i >= 1:
+        raise ValueError(f"parameters must satisfy k >= i >= 1, got k={k}, i={i}")
     if theorem == "T1.5":
         if ofh_tables is None:
             ofh_tables = overpartition_ofh_tables(n_max, [(k, i)])
@@ -764,7 +756,11 @@ def run_suite(suite: str, k=None, i=None, n_max=None, T=None, profile=None,
     execution order.
     """
     if jobs is None:
-        jobs = int(os.environ.get("GGKIT_JOBS", "1"))
+        env = os.environ.get("GGKIT_JOBS", "1")
+        try:
+            jobs = int(env)
+        except ValueError:
+            raise ValueError(f"GGKIT_JOBS must be an integer, got {env!r}") from None
     reports: list[VerificationReport] = []
     if suite in ("bailey", "all"):
         t = T if T is not None else 40

@@ -1,8 +1,8 @@
-"""Shared exhaustive-enumeration fixtures.
+"""Shared exhaustive-count fixtures.
 
-The big sweeps are session-scoped: one pass over the overpartitions of weight
-up to 40 feeds both the counting theorems and the bivariate identity checks,
-and one bucketed pass feeds every profile-class comparison.
+The count tables are session-scoped: one size-by-size DP per (k, i) up to
+weight 40 feeds both the counting theorems and the bivariate identity checks,
+and one bucketed enumeration pass feeds every profile-class comparison.
 """
 
 import pytest

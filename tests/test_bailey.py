@@ -7,7 +7,6 @@ from ggkit.bailey import (
     PairFormError,
     _inv_poch,
     combine,
-    expected_limit_rhs,
     limit_identity,
     run_chain,
     transform_base_change,
@@ -17,6 +16,7 @@ from ggkit.bailey import (
     verify_pair_relation,
 )
 from ggkit.series import LaurentSeries
+from ggkit.verify import product_rhs
 
 
 def test_unit_pair_values():
@@ -146,7 +146,7 @@ def test_limit_identity_matches_product(k, i):
     chain = run_chain(k, i, 30)
     lhs, rhs = limit_identity(chain, 30)
     assert lhs == rhs
-    assert lhs == expected_limit_rhs(k, i, 30)
+    assert lhs == product_rhs("OGG", k, i, 30)
 
 
 def test_limit_identity_truncation_guard():

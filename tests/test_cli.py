@@ -187,6 +187,23 @@ def test_verify_jobs_env_default(capsys, monkeypatch):
     assert code == 0 and out.count("PASS") == 3
 
 
+@pytest.mark.parametrize("env,argv", [
+    ({}, ["enumerate", "--n", "3", "--family", "O", "--k", "1", "--i", "3"]),
+    ({}, ["bailey", "--k", "3", "--i", "1", "--T", "-5"]),
+    ({"GGKIT_JOBS": "abc"}, ["verify", "--suite", "counting"]),
+    ({}, ["verify", "--suite", "counting", "--k", "2", "--i", "5", "--n-max", "6"]),
+    ({}, ["verify", "--suite", "counting", "--k", "0", "--i", "0"]),
+])
+def test_invalid_input_is_usage_error(capsys, monkeypatch, env, argv):
+    monkeypatch.delenv("GGKIT_JOBS", raising=False)
+    for key, val in env.items():
+        monkeypatch.setenv(key, val)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ggkit: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_verify_bailey_equal_parameters_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--suite", "bailey", "--k", "2", "--i", "2")
     assert code == 2 and "chain undefined" in err

@@ -179,8 +179,8 @@ def test_bivariate_counts():
     assert got == {1: 2, 2: 2, 3: 2}
 
 
-def test_sweeps_match_object_filters():
-    n_max = 10
+@pytest.mark.parametrize("n_max", [10, 11])
+def test_sweeps_match_object_filters(n_max):
     tabs = overpartition_ofh_tables(n_max, PAIRS)
     ptabs = partition_family_tables(n_max, PAIRS)
     pc = overpartition_p_counts(n_max, PAIRS)
