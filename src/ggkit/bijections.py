@@ -29,6 +29,16 @@ from .marking import (
 from .partitions import Overpartition, Part, Partition, satisfies_family, FamilySpec
 
 
+class WeightMismatchError(ValueError):
+    """A map's output does not have the weight the map guarantees."""
+
+
+def _check_weight(step: str, got: int, want: int) -> None:
+    """The weight invariant of every map; unlike an assert it survives ``python -O``."""
+    if got != want:
+        raise WeightMismatchError(f"{step}: weight {got}, expected {want}")
+
+
 @dataclass
 class TraceStep:
     name: str
@@ -130,7 +140,7 @@ def phi_step(op: Overpartition, p: int, trace: Trace | None = None) -> Overparti
         repl[m.find(part.size + 1, True, s)] = Part(part.size + 2, False)
     _toggle_next(m, row1, p, repl)
     out = _rewrite(m, repl)
-    assert out.weight() == op.weight() + 2
+    _check_weight("phi_step", out.weight(), op.weight() + 2)
     if trace is not None:
         trace.record(f"phi[{l},{p}]", op, out)
     return out
@@ -178,7 +188,7 @@ def psi_step(op: Overpartition, p: int, trace: Trace | None = None) -> Overparti
             repl[m.find(part.size + 2, False, s)] = Part(part.size + 1, True)
     _toggle_next(m, row1, p, repl)
     out = _rewrite(m, repl)
-    assert out.weight() == op.weight() - 2
+    _check_weight("psi_step", out.weight(), op.weight() - 2)
     if trace is not None:
         trace.record(f"psi[{l},{p}]", op, out)
     return out
@@ -246,7 +256,7 @@ def phi_full(op: Overpartition, trace: Trace | None = None) -> tuple[SignedEvenP
         js.append(p)
         cur = phi_chain(cur, p, trace)
     tau = tuple(-2 * (n1 - j + 1) for j in sorted(js))
-    assert op.weight() == sum(tau) + cur.weight()
+    _check_weight("phi_full", sum(tau) + cur.weight(), op.weight())
     return tau, cur
 
 
@@ -261,7 +271,7 @@ def psi_full(tau, op: Overpartition, trace: Trace | None = None) -> Overpartitio
     for t in tau:
         j = n1 + 1 + t // 2
         cur = psi_chain(cur, j, trace)
-    assert cur.weight() == op.weight() + sum(tau)
+    _check_weight("psi_full", cur.weight(), op.weight() + sum(tau))
     return cur
 
 
@@ -309,7 +319,7 @@ def theta_step(op: Overpartition, p: int, trace: Trace | None = None) -> Overpar
             repl[m.find(part.size + 1, True, s)] = Part(part.size + 2, False)
             case = "3.2"
     out = _rewrite(m, repl)
-    assert out.weight() == op.weight() + (1 if p == n1 else 2)
+    _check_weight("theta_step", out.weight(), op.weight() + (1 if p == n1 else 2))
     if trace is not None:
         trace.record(f"theta[{case},{p}]", op, out)
     return out
@@ -367,7 +377,7 @@ def lambda_step(op: Overpartition, p: int, trace: Trace | None = None) -> Overpa
             repl[m.find(2 * t + 4, False, sp)] = Part(2 * t + 3, True)
             case = "3.2"
     out = _rewrite(m, repl)
-    assert out.weight() == op.weight() - (1 if p == n1 else 2)
+    _check_weight("lambda_step", out.weight(), op.weight() - (1 if p == n1 else 2))
     if trace is not None:
         trace.record(f"lambda[{case},{p}]", op, out)
     return out
@@ -413,7 +423,7 @@ def theta_full(op: Overpartition, trace: Trace | None = None) -> tuple[SignedOdd
         js.append(p)
         cur = theta_chain(cur, p, trace)
     eta = tuple(1 - 2 * (n1 - j + 1) for j in sorted(js))
-    assert op.weight() == sum(eta) + cur.weight()
+    _check_weight("theta_full", sum(eta) + cur.weight(), op.weight())
     return eta, cur
 
 
@@ -428,7 +438,7 @@ def lambda_full(eta, op: Overpartition, trace: Trace | None = None) -> Overparti
     for t in eta:
         j = n1 + 1 + (t - 1) // 2
         cur = lambda_chain(cur, j, trace)
-    assert cur.weight() == op.weight() + sum(eta)
+    _check_weight("lambda_full", cur.weight(), op.weight() + sum(eta))
     return cur
 
 

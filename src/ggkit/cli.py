@@ -14,6 +14,7 @@ import sys
 from . import bailey as bailey_mod
 from .bijections import (
     Trace,
+    WeightMismatchError,
     double,
     fh_toggle,
     fh_untoggle,
@@ -107,7 +108,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int)
     p.add_argument("--T", type=int)
     p.add_argument("--profile", help="comma-separated row profile, e.g. 2,1")
-    p.add_argument("--jobs", type=int, help="worker processes (default: $GGKIT_JOBS or 1)")
+    p.add_argument("--jobs", type=int,
+                   help="worker processes, at most one per task and CPU "
+                        "(default: $GGKIT_JOBS or 1)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     return ap
 
@@ -210,6 +213,9 @@ def _cmd_biject(args) -> int:
             else:
                 result = fn(tuple(p.size for p in op.parts))
                 extra = {}
+    except WeightMismatchError as exc:
+        print(f"ggkit: {exc}", file=sys.stderr)
+        return MISMATCH_EXIT
     except ValueError as exc:
         print(f"ggkit: {exc}", file=sys.stderr)
         return USAGE_EXIT
@@ -269,6 +275,9 @@ def _cmd_verify(args) -> int:
     try:
         reports = run_suite(args.suite, k=args.k, i=args.i, n_max=args.n_max,
                             T=args.T, profile=profile, jobs=args.jobs)
+    except WeightMismatchError as exc:
+        print(f"ggkit: {exc}", file=sys.stderr)
+        return MISMATCH_EXIT
     except ValueError as exc:
         print(f"ggkit: {exc}", file=sys.stderr)
         return USAGE_EXIT

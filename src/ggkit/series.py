@@ -3,17 +3,38 @@
 A series knows its coefficients for every exponent up to a truncation order T:
 below ``min_exponent`` they are zero, between ``min_exponent`` and T they are
 stored explicitly, and above T they are *unknown* (asking for one raises
-``TruncationError`` rather than returning a silent zero).  Coefficients are
-exact rationals; plain ints are kept as ints and ``fractions.Fraction`` enters
-only where a computation genuinely produces one.
+``TruncationError`` rather than returning a silent zero).
+
+Coefficients are exact rationals held as one immutable tuple of ``int``
+numerators over a single positive ``int`` denominator, in lowest terms (the
+gcd of the denominator and all numerators is 1).  Every operation works on
+the integers; ``fractions.Fraction`` appears only at the interface, when a
+caller passes one in or reads a non-integral coefficient out.
+
+Long products use Kronecker substitution: each numerator vector is packed
+into one bigint with a slot wide enough for any product coefficient, the
+two bigints are multiplied once by CPython (Karatsuba), and the coefficients
+the result keeps are read back out of the slots (Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", JSC 2009).  Short or
+sparse products use a schoolbook loop over ints.
 """
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, sub
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 Coeff = Union[int, Fraction]
+
+# Kronecker substitution beats the schoolbook loop once the sparser operand
+# has this many nonzero coefficients (see CHANGES.md for the measurement).
+_KRONECKER_MIN_TERMS = 8
+
+# signed array typecodes for the slot widths (in bytes) packed at C speed
+_TYPECODES = {array(tc).itemsize: tc for tc in "qihb"}
 
 
 class TruncationError(ValueError):
@@ -28,36 +49,143 @@ class DivergentProductError(ValueError):
     """An infinite product whose factors do not converge formally."""
 
 
-def _as_fraction(c: Coeff) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
+# ---------------------------------------------------------------------------
+# Integer kernels
+# ---------------------------------------------------------------------------
+
+
+def _lead(num: Sequence[int]) -> int:
+    """Index of the first nonzero entry (len(num) if there is none)."""
+    for j, c in enumerate(num):
+        if c:
+            return j
+    return len(num)
+
+
+def _slot_bytes(bound: int) -> int:
+    """Bytes per slot holding any integer of absolute value <= bound, plus a sign bit."""
+    wb = (bound.bit_length() + 8) // 8
+    for size in sorted(_TYPECODES):
+        if size >= wb:
+            return size
+    return wb
+
+
+def _pack(v: Sequence[int], wb: int, signed: bool) -> int:
+    """sum(v[j] * 2**(8*wb*j)): one bigint with v's entries in wb-byte slots."""
+    tc = _TYPECODES.get(wb)
+    if tc:
+        raw = array(tc, v).tobytes()
+    else:
+        raw = b"".join([c.to_bytes(wb, "little", signed=True) for c in v])
+    u = int.from_bytes(raw, "little")
+    if signed:
+        # a negative entry sits in its slot in two's complement, i.e. one unit
+        # of the next slot too high; the slot's top bit marks it
+        w = 8 * wb
+        ones = int.from_bytes((b"\x01" + bytes(wb - 1)) * len(v), "little")
+        u -= ((u >> (w - 1)) & ones) << w
+    return u
+
+
+def _unpack(p: int, n: int, wb: int) -> list[int]:
+    """The first n signed wb-byte slot values of p, with the borrows undone.
+
+    Adding half a slot to every slot makes each one nonnegative without a
+    borrow; flipping the top bit back leaves each slot's two's complement,
+    which reads out directly as a signed value.
+    """
+    half = int.from_bytes((bytes(wb - 1) + b"\x80") * n, "little")
+    raw = ((((p + half) & ((1 << (8 * wb * n)) - 1)) ^ half)
+           .to_bytes(wb * n, "little"))
+    tc = _TYPECODES.get(wb)
+    if tc:
+        return array(tc, raw).tolist()
+    return [int.from_bytes(raw[j:j + wb], "little", signed=True)
+            for j in range(0, wb * n, wb)]
+
+
+def _mul_trunc(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """The first n coefficients of a * b; both have a nonzero head and len <= n."""
+    nza = len(a) - a.count(0)
+    nzb = len(b) - b.count(0)
+    if min(nza, nzb) < _KRONECKER_MIN_TERMS:
+        if nza > nzb:
+            a, b = b, a
+        out = [0] * n
+        bnz = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if x:
+                room = n - i
+                for j, y in bnz:
+                    if j >= room:
+                        break
+                    out[i + j] += x * y
+        return out
+    alo, ahi, blo, bhi = min(a), max(a), min(b), max(b)
+    bound = min(len(a), len(b)) * max(ahi, -alo) * max(bhi, -blo)
+    wb = _slot_bytes(bound)
+    return _unpack(_pack(a, wb, alo < 0) * _pack(b, wb, blo < 0), n, wb)
+
+
+def _to_integers(coeffs: Sequence) -> tuple[tuple[int, ...], int]:
+    """Numerators over the least common denominator of exact coefficients."""
+    if set(map(type, coeffs)) <= {int}:
+        return tuple(coeffs), 1
+    fr = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+    den = lcm(*[c.denominator for c in fr])
+    return tuple(c.numerator * (den // c.denominator) for c in fr), den
+
+
+_new = object.__new__
+
+
+def _series(lo: int, num: tuple[int, ...], den: int, trunc: int) -> "LaurentSeries":
+    s = _new(LaurentSeries)
+    s._lo = lo
+    s._num = num
+    s._den = den
+    s._trunc = trunc
+    return s
+
+
+def _reduced(lo: int, num: Sequence[int], den: int, trunc: int) -> "LaurentSeries":
+    """A series from numerators over den (> 0), brought to lowest terms."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            den //= g
+            num = [c // g for c in num]
+    return _series(lo, tuple(num), den, trunc)
 
 
 class LaurentSeries:
     """Truncated Laurent series with exact rational coefficients.
 
-    ``coeffs[j]`` is the coefficient of ``q**(min_exponent + j)`` and the list
-    always spans ``[min_exponent, truncation]``; an empty list (with
+    ``coeffs[j]`` is the coefficient of ``q**(min_exponent + j)`` and the tuple
+    always spans ``[min_exponent, truncation]``; an empty tuple (with
     ``min_exponent == truncation + 1``) is the zero series at that truncation.
+    Series are immutable, so cached ones can be shared safely.
     """
 
-    __slots__ = ("min_exponent", "truncation", "coeffs")
+    __slots__ = ("_lo", "_num", "_den", "_trunc")
 
-    def __init__(self, min_exponent: int, coeffs: Sequence[Coeff], truncation: int):
-        coeffs = list(coeffs)
+    def __init__(self, min_exponent: int, coeffs: Iterable[Coeff], truncation: int):
+        coeffs = tuple(coeffs)
         if len(coeffs) != truncation - min_exponent + 1:
             raise ValueError(
                 f"coefficient list of length {len(coeffs)} does not span "
                 f"[{min_exponent}, {truncation}]"
             )
-        self.min_exponent = min_exponent
-        self.truncation = truncation
-        self.coeffs = coeffs
+        self._lo = min_exponent
+        self._trunc = truncation
+        self._num, self._den = _to_integers(coeffs)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, truncation: int) -> "LaurentSeries":
-        return cls(truncation + 1, [], truncation)
+        return _series(truncation + 1, (), 1, truncation)
 
     @classmethod
     def one(cls, truncation: int) -> "LaurentSeries":
@@ -67,9 +195,7 @@ class LaurentSeries:
     def monomial(cls, exponent: int, truncation: int, coeff: Coeff = 1) -> "LaurentSeries":
         if exponent > truncation:
             return cls.zero(truncation)
-        coeffs = [0] * (truncation - exponent + 1)
-        coeffs[0] = coeff
-        return cls(exponent, coeffs, truncation)
+        return cls(exponent, [coeff] + [0] * (truncation - exponent), truncation)
 
     @classmethod
     def from_terms(cls, terms: dict, truncation: int) -> "LaurentSeries":
@@ -84,103 +210,138 @@ class LaurentSeries:
 
     # -- inspection ---------------------------------------------------------
 
+    @property
+    def min_exponent(self) -> int:
+        return self._lo
+
+    @property
+    def truncation(self) -> int:
+        return self._trunc
+
+    @property
+    def coeffs(self) -> tuple[Coeff, ...]:
+        """The coefficients as exact values (int where integral, else Fraction)."""
+        if self._den == 1:
+            return self._num
+        return tuple(map(self._value, self._num))
+
+    def _value(self, c: int) -> Coeff:
+        den = self._den
+        if den == 1:
+            return c
+        q, r = divmod(c, den)
+        return Fraction(c, den) if r else q
+
     def coefficient(self, exponent: int) -> Coeff:
-        if exponent > self.truncation:
+        if exponent > self._trunc:
             raise TruncationError(
-                f"coefficient of q^{exponent} is beyond truncation order {self.truncation}"
+                f"coefficient of q^{exponent} is beyond truncation order {self._trunc}"
             )
-        if exponent < self.min_exponent:
+        if exponent < self._lo:
             return 0
-        return self.coeffs[exponent - self.min_exponent]
+        return self._value(self._num[exponent - self._lo])
 
     def items(self) -> Iterator[tuple[int, Coeff]]:
         """Nonzero (exponent, coefficient) pairs in increasing exponent order."""
-        lo = self.min_exponent
-        for j, c in enumerate(self.coeffs):
+        lo = self._lo
+        value = self._value
+        for j, c in enumerate(self._num):
             if c:
-                yield lo + j, c
+                yield lo + j, value(c)
 
     def effective_min(self) -> int:
         """Exponent of the first nonzero coefficient (truncation+1 if none)."""
-        for j, c in enumerate(self.coeffs):
-            if c:
-                return self.min_exponent + j
-        return self.truncation + 1
+        j = _lead(self._num)
+        return self._lo + j if j < len(self._num) else self._trunc + 1
 
     def is_zero(self) -> bool:
-        return self.effective_min() > self.truncation
+        return not any(self._num)
+
+    def _window(self, lo: int, hi: int) -> list[int]:
+        """Numerators for exponents lo..hi, for lo <= min_exponent and hi <= truncation."""
+        n = hi - lo + 1
+        if n <= 0:
+            return []
+        out = [0] * min(self._lo - lo, n)
+        out += self._num[:n - len(out)]
+        return out
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        trunc = min(self.truncation, other.truncation)
-        lo = min(self.min_exponent, other.min_exponent, trunc + 1)
-        out = [0] * (trunc - lo + 1)
-        for s in (self, other):
-            base = s.min_exponent - lo
-            for j, c in enumerate(s.coeffs):
-                if c and s.min_exponent + j <= trunc:
-                    out[base + j] += c
-        return LaurentSeries(lo, out, trunc)
+        trunc = min(self._trunc, other._trunc)
+        lo = min(self._lo, other._lo, trunc + 1)
+        a = self._window(lo, trunc)
+        b = other._window(lo, trunc)
+        da, db = self._den, other._den
+        if da == db:
+            return _reduced(lo, list(map(add, a, b)), da, trunc)
+        den = lcm(da, db)
+        fa, fb = den // da, den // db
+        return _reduced(lo, [fa * x + fb * y for x, y in zip(a, b)], den, trunc)
 
     def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(self.min_exponent, [-c for c in self.coeffs], self.truncation)
+        return _series(self._lo, tuple([-c for c in self._num]), self._den, self._trunc)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self + (-other)
 
     def scale(self, c: Coeff) -> "LaurentSeries":
-        return LaurentSeries(self.min_exponent, [c * x for x in self.coeffs], self.truncation)
+        f = c if isinstance(c, (int, Fraction)) else Fraction(c)
+        p, q = f.numerator, f.denominator
+        if not p:
+            return _series(self._lo, (0,) * len(self._num), 1, self._trunc)
+        num = self._num if p == 1 else [p * x for x in self._num]
+        return _reduced(self._lo, num, self._den * q, self._trunc)
 
     def shift(self, d: int) -> "LaurentSeries":
         """Multiply by q**d."""
-        return LaurentSeries(self.min_exponent + d, list(self.coeffs), self.truncation + d)
+        return _series(self._lo + d, self._num, self._den, self._trunc + d)
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
-        am = self.effective_min()
-        bm = other.effective_min()
-        trunc = min(self.truncation + bm, other.truncation + am)
+        a, b = self._num, other._num
+        ia, ib = _lead(a), _lead(b)
+        am = self._lo + ia if ia < len(a) else self._trunc + 1
+        bm = other._lo + ib if ib < len(b) else other._trunc + 1
+        trunc = min(self._trunc + bm, other._trunc + am)
         lo = am + bm
         if lo > trunc:
             return LaurentSeries.zero(trunc)
-        out = [0] * (trunc - lo + 1)
-        bco = other.coeffs
-        bmin = other.min_exponent
-        bhi = min(other.truncation, trunc - am)
-        for ea, ca in self.items():
-            if ea + bm > trunc:
-                break
-            base = ea - lo
-            for eb in range(max(bm, bmin), min(bhi, trunc - ea) + 1):
-                cb = bco[eb - bmin]
-                if cb:
-                    out[base + eb] += ca * cb
-        return LaurentSeries(lo, out, trunc)
+        n = trunc - lo + 1
+        out = _mul_trunc(a[ia:ia + n], b[ib:ib + n], n)
+        return _reduced(lo, out, self._den * other._den, trunc)
 
     def inverse(self) -> "LaurentSeries":
-        """Multiplicative inverse: self * self.inverse() == 1 up to truncation."""
+        """Multiplicative inverse: self * self.inverse() == 1 up to truncation.
+
+        With u the numerators from the lead u0 on, 1/u = sum_m w_m q^m / u0^(m+1)
+        where w_0 = 1 and w_m = -sum_j u_j u0^(j-1) w_(m-j) are integers; the
+        result is put over the common denominator u0^n.
+        """
         e0 = self.effective_min()
-        if e0 > self.truncation:
+        if e0 > self._trunc:
             raise NotInvertibleError("not invertible: series is zero up to its truncation")
-        a0 = self.coefficient(e0)
-        inv0 = a0 if a0 in (1, -1) else 1 / _as_fraction(a0)
-        trunc = self.truncation - 2 * e0
-        lo = -e0
-        n = trunc - lo + 1
-        if n <= 0:
-            return LaurentSeries.zero(trunc)
-        unit = [self.coefficient(e0 + j) for j in range(self.truncation - e0 + 1)]
-        out = [0] * n
-        out[0] = inv0
+        u = self._num[e0 - self._lo:]
+        n = len(u)
+        u0 = u[0]
+        terms = [(j, u[j] * u0 ** (j - 1)) for j in range(1, n) if u[j]]
+        w = [0] * n
+        w[0] = 1
         for m in range(1, n):
             acc = 0
-            for j in range(1, min(m, len(unit) - 1) + 1):
-                u = unit[j]
-                if u:
-                    acc += u * out[m - j]
-            if acc:
-                out[m] = -inv0 * acc
-        return LaurentSeries(lo, out, trunc)
+            for j, c in terms:
+                if j > m:
+                    break
+                acc += c * w[m - j]
+            w[m] = -acc
+        den, power = self._den, 1
+        for m in range(n - 1, -1, -1):
+            w[m] *= den * power
+            power *= u0
+        if power < 0:
+            power = -power
+            w = [-c for c in w]
+        return _reduced(-e0, w, power, self._trunc - 2 * e0)
 
     def substitute_power(self, m: int) -> "LaurentSeries":
         """Substitute q -> q**m (m >= 1); exponents are scaled by m."""
@@ -188,47 +349,56 @@ class LaurentSeries:
             raise ValueError("substitution power must be a positive integer")
         if m == 1:
             return self
-        trunc = m * self.truncation + (m - 1)
-        lo = m * self.min_exponent
+        trunc = m * self._trunc + (m - 1)
+        lo = m * self._lo
         if lo > trunc:
             return LaurentSeries.zero(trunc)
-        out = [0] * (trunc - lo + 1)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                out[m * j] = c
-        return LaurentSeries(lo, out, trunc)
+        out = [0] * (m * len(self._num))
+        out[::m] = self._num
+        return _series(lo, tuple(out), self._den, trunc)
 
     def truncated(self, truncation: int) -> "LaurentSeries":
-        if truncation > self.truncation:
+        if truncation > self._trunc:
             raise TruncationError(
-                f"cannot extend truncation {self.truncation} to {truncation}"
+                f"cannot extend truncation {self._trunc} to {truncation}"
             )
-        if truncation < self.min_exponent:
+        if truncation == self._trunc:
+            return self
+        if truncation < self._lo:
             return LaurentSeries.zero(truncation)
-        return LaurentSeries(
-            self.min_exponent,
-            self.coeffs[: truncation - self.min_exponent + 1],
-            truncation,
-        )
+        return _reduced(self._lo, self._num[: truncation - self._lo + 1],
+                        self._den, truncation)
 
     def project_even(self) -> "LaurentSeries":
         """Halve all exponents; every odd exponent must carry a zero coefficient."""
-        for e, c in self.items():
-            if e % 2:
-                raise ValueError(f"nonzero coefficient at odd exponent {e}")
-        trunc = self.truncation // 2
-        terms = {e // 2: c for e, c in self.items() if e // 2 <= trunc}
-        return LaurentSeries.from_terms(terms, trunc)
+        lo, num = self._lo, self._num
+        odd = (1 - lo) % 2  # index of the first odd exponent
+        for j in range(odd, len(num), 2):
+            if num[j]:
+                raise ValueError(f"nonzero coefficient at odd exponent {lo + j}")
+        trunc = self._trunc // 2
+        j = _lead(num)
+        if j == len(num):
+            return LaurentSeries.zero(trunc)
+        return _series((lo + j) // 2, num[j::2], self._den, trunc)
 
     # -- comparison ---------------------------------------------------------
 
     def first_difference(self, other: "LaurentSeries") -> int | None:
         """First exponent (within the common validity range) where the two differ."""
-        hi = min(self.truncation, other.truncation)
-        lo = min(self.min_exponent, other.min_exponent)
-        for e in range(lo, hi + 1):
-            if self.coefficient(e) != other.coefficient(e):
-                return e
+        hi = min(self._trunc, other._trunc)
+        lo = min(self._lo, other._lo)
+        a = self._window(lo, hi)
+        b = other._window(lo, hi)
+        da, db = self._den, other._den
+        if da != db:
+            a = [db * x for x in a]
+            b = [da * y for y in b]
+        if a == b:
+            return None
+        for j, (x, y) in enumerate(zip(a, b)):
+            if x != y:
+                return lo + j
         return None
 
     def __eq__(self, other: object) -> bool:
@@ -251,27 +421,22 @@ class LaurentSeries:
                 head = "" if cs == "1" else ("-" if cs == "-1" else cs + "*")
                 terms.append(f"{head}q^{e}")
         body = " + ".join(terms) if terms else "0"
-        return f"<series {body} + O(q^{self.truncation + 1})>"
+        return f"<series {body} + O(q^{self._trunc + 1})>"
 
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
+        den = self._den
         return {
-            "min_exponent": self.min_exponent,
-            "truncation": self.truncation,
-            "coeffs": [
-                f"{_as_fraction(c).numerator}/{_as_fraction(c).denominator}"
-                for c in self.coeffs
-            ],
+            "min_exponent": self._lo,
+            "truncation": self._trunc,
+            "coeffs": [f"{c // g}/{den // g}" for c in self._num for g in (gcd(c, den),)],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "LaurentSeries":
-        coeffs = []
-        for s in data["coeffs"]:
-            f = Fraction(s)
-            coeffs.append(int(f) if f.denominator == 1 else f)
-        return cls(data["min_exponent"], coeffs, data["truncation"])
+        return cls(data["min_exponent"], [Fraction(s) for s in data["coeffs"]],
+                   data["truncation"])
 
 
 def substitute_power(a: LaurentSeries, m: int) -> LaurentSeries:
@@ -281,6 +446,15 @@ def substitute_power(a: LaurentSeries, m: int) -> LaurentSeries:
 # ---------------------------------------------------------------------------
 # q-Pochhammer products
 # ---------------------------------------------------------------------------
+
+
+def _axpy(x: list[int], y: list[int], f: int) -> list[int]:
+    """[x_j + f * y_j], with the common f = +-1 done without multiplying."""
+    if f == 1:
+        return list(map(add, x, y))
+    if f == -1:
+        return list(map(sub, x, y))
+    return [a + f * b for a, b in zip(x, y)]
 
 
 def _binomial_product(exponents: Iterable[int], factor_coeff: int, truncation: int) -> LaurentSeries:
@@ -296,32 +470,23 @@ def _binomial_product(exponents: Iterable[int], factor_coeff: int, truncation: i
     cap = truncation + neg
     if cap < 0:
         return LaurentSeries.zero(truncation)
-    arr: list[Coeff] = [0] * (cap - lo + 1)
+    arr = [0] * (cap - lo + 1)
     arr[0] = 1
     for e in exps:
         if e == 0:
             if factor_coeff == -1:
                 return LaurentSeries.zero(truncation)
             arr = [(1 + factor_coeff) * c for c in arr]
-            continue
-        if e > 0:
-            for x in range(cap, lo + e - 1, -1):
-                c = arr[x - e - lo]
-                if c:
-                    arr[x - lo] += factor_coeff * c
+        elif e > 0:
+            # window [lo, cap] unchanged: arr[x] += f * arr[x - e]
+            arr[e:] = _axpy(arr[e:], arr[:-e], factor_coeff)
         else:
-            new_lo = lo + e
-            new_cap = cap + e
-            new = [0] * (new_cap - new_lo + 1)
-            for x in range(new_lo, new_cap + 1):
-                c = arr[x - lo] if lo <= x <= cap else 0
-                c2 = arr[x - e - lo] if lo <= x - e <= cap else 0
-                if c or c2:
-                    new[x - new_lo] = c + factor_coeff * c2
-            arr, lo, cap = new, new_lo, new_cap
+            # window moves down by -e: new[x] = arr[x] + f * arr[x - e]
+            arr = _axpy([0] * -e + arr[:e], arr, factor_coeff)
+            lo, cap = lo + e, cap + e
     if truncation < lo:
         return LaurentSeries.zero(truncation)
-    return LaurentSeries(lo, arr[: truncation - lo + 1], truncation)
+    return _series(lo, tuple(arr[: truncation - lo + 1]), 1, truncation)
 
 
 def pochhammer_finite(sign: int, shift: int, base: int, n: int, truncation: int) -> LaurentSeries:

@@ -748,6 +748,18 @@ def build_tasks(suite: str, k=None, i=None, n_max=None, T=None, profile=None) ->
     return tasks
 
 
+def _worker_count(jobs: int, tasks: int, cpus: int) -> int:
+    """Pool size for a run: never more workers than tasks or CPUs, at least one."""
+    return max(1, min(jobs, tasks, cpus))
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        return os.cpu_count() or 1
+
+
 def run_suite(suite: str, k=None, i=None, n_max=None, T=None, profile=None,
               jobs: int | None = None) -> list[VerificationReport]:
     """Run a verification suite, optionally fanning tasks out across processes.
@@ -771,8 +783,9 @@ def run_suite(suite: str, k=None, i=None, n_max=None, T=None, profile=None,
                 if ii < kk:
                     reports.extend(verify_bailey(kk, ii, t))
     tasks = build_tasks(suite, k, i, n_max, T, profile) if suite != "bailey" else []
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = _worker_count(jobs, len(tasks), _available_cpus())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports.extend(pool.map(_run_task, tasks))
     else:
         reports.extend(_run_task(t) for t in tasks)

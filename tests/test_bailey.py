@@ -159,3 +159,19 @@ def test_limit_constant_term():
     chain = run_chain(2, 1, 12)
     lhs, rhs = limit_identity(chain, 12)
     assert lhs.coefficient(0) == 1 and rhs.coefficient(0) == 1
+
+
+def test_cached_inverse_pochhammer_is_read_only():
+    from ggkit.series import pochhammer_finite
+
+    cached = _inv_poch(2, 3, 20)
+    with pytest.raises(TypeError):
+        cached.coeffs[0] = 5
+    with pytest.raises(TypeError):
+        cached._num[0] = 5
+    with pytest.raises(AttributeError):
+        cached.truncation = 3
+    assert _inv_poch(2, 3, 20) is cached
+    fresh = pochhammer_finite(1, 2, 2, 3, 20).inverse()
+    assert cached == fresh
+    assert cached.to_json() == fresh.to_json()

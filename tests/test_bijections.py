@@ -208,3 +208,12 @@ def test_trace_records_full_history():
     assert all(s.after.weight() - s.before.weight() == s.delta for s in tr.steps)
     data = tr.to_json()
     assert data[0]["step"].startswith("phi[")
+
+
+def test_weight_check_raises_on_mismatch():
+    from ggkit.bijections import WeightMismatchError, _check_weight
+
+    _check_weight("phi_step", 12, 12)
+    with pytest.raises(WeightMismatchError, match="phi_step: weight 11, expected 12"):
+        _check_weight("phi_step", 11, 12)
+    assert issubclass(WeightMismatchError, ValueError)

@@ -174,6 +174,16 @@ def test_verify_mismatch_exit_code(capsys, monkeypatch):
     assert code == 1 and "FAIL" in out
 
 
+def test_verify_weight_mismatch_exit_code(capsys, monkeypatch):
+    from ggkit.bijections import WeightMismatchError
+
+    def broken(*a, **kw):
+        raise WeightMismatchError("phi_step: weight 11, expected 12")
+
+    monkeypatch.setattr(cli, "run_suite", broken)
+    code, out, err = run(capsys, "verify", "--suite", "bijections")
+    assert code == 1 and out == "" and "weight 11" in err
+
 def test_verify_jobs_flag(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "counting", "--k", "2", "--n-max", "6",
                        "--jobs", "2")
@@ -215,3 +225,16 @@ def test_verify_suite_all_smoke(capsys):
     assert code == 0
     for token in ("T1.5", "OGG", "JTP", "BIJECTIONS", "LIMIT"):
         assert token in out, token
+
+
+@pytest.mark.parametrize("stage,fixture", [
+    ([], "bailey_k3_i1_T20.json"),
+    (["--stage", "5"], "bailey_k3_i1_T20_stage5.json"),
+])
+def test_bailey_json_matches_golden(capsys, stage, fixture):
+    from pathlib import Path
+
+    code, out, _ = run(capsys, "bailey", "--k", "3", "--i", "1", "--T", "20",
+                       *stage, "--format", "json")
+    assert code == 0
+    assert out.encode() == (Path(__file__).parent / "data" / fixture).read_bytes()

@@ -186,3 +186,19 @@ def test_build_tasks_validates_suite():
         build_tasks("nonsense")
     with pytest.raises(DegenerateIdentityError):
         build_tasks("identities", k=1, i=1)
+
+
+@pytest.mark.parametrize("jobs,tasks,cpus,want", [
+    (2, 44, 2, 2),
+    (64, 44, 2, 2),
+    (64, 3, 16, 3),
+    (4, 44, 8, 4),
+    (1, 44, 8, 1),
+    (0, 44, 8, 1),
+    (-3, 44, 8, 1),
+    (8, 0, 8, 1),
+])
+def test_worker_count_is_clamped(jobs, tasks, cpus, want):
+    from ggkit.verify import _worker_count
+
+    assert _worker_count(jobs, tasks, cpus) == want
