@@ -651,20 +651,14 @@ class BivariateSeries:
     def first_difference(self, other: "BivariateSeries") -> tuple[int, int] | None:
         """First (q_exp, x_deg) where the two disagree, scanning q then x."""
         hi = min(self.truncation, other.truncation)
-        for e in range(0, hi + 1):
+        for e in sorted(self.table.keys() | other.table.keys()):
+            if e > hi:
+                break
             a = self.table.get(e, {})
             b = other.table.get(e, {})
-            for m in sorted(set(a) | set(b)):
+            for m in sorted(a.keys() | b.keys()):
                 if a.get(m, 0) != b.get(m, 0):
                     return (e, m)
-        neg = sorted(e for e in set(self.table) | set(other.table) if e < 0)
-        for e in neg:
-            if e <= hi and self.table.get(e, {}) != other.table.get(e, {}):
-                a = self.table.get(e, {})
-                b = other.table.get(e, {})
-                for m in sorted(set(a) | set(b)):
-                    if a.get(m, 0) != b.get(m, 0):
-                        return (e, m)
         return None
 
     def __eq__(self, other: object) -> bool:

@@ -120,62 +120,78 @@ def _series_report(tag: str, params: dict, T: int | None,
     )
 
 
+def _check_bound(name: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {name}={value}")
+
+
 # ---------------------------------------------------------------------------
 # Multisum left-hand sides and product right-hand sides
 # ---------------------------------------------------------------------------
 
-_BRACKET_CACHE: dict[tuple[str, int, int], LaurentSeries] = {}
+# Every summed and class closed form adds up, over profiles N_1 >= ... >= N_{k-1}
+# >= N_k = 0, the term
+#   q^{g(sum_j N_j^2 + sum_{j >= i+off} N_j)} brackets(N_1) prod_j 1/(q^g; q^g)_{N_j - N_{j+1}}
+# with _FORMS[name] = (g, off, brackets).  brackets is a word over
+# "o" = (-q^{1-2N_1}; q^2)_{N_1} and "e" = (-q^{2-2N_1}; q^2)_{N_1-1}; OGG also
+# multiplies by (1 + q^{2N_i}).
+_FORMS: dict[str, tuple[int, int, str]] = {
+    "AG": (1, 0, ""), "AG-X": (1, 0, ""), "B": (1, 0, ""),
+    "BRESSOUD": (2, 0, "o"), "BRESSOUD-X": (2, 0, "o"), "G": (2, 0, "o"),
+    "E": (2, 0, ""),
+    "F-GF": (2, 0, "oe"), "F": (2, 0, "oe"),
+    "H-GF": (2, 1, "oe"), "OGG": (2, 1, "oe"), "OGG-X": (2, 1, "oe"),
+}
+
+_BRACKET_CACHE: dict[tuple[int, str, int, int], LaurentSeries] = {}
 
 
-def _stable_bracket(n1: int, T: int) -> LaurentSeries:
-    """(-q^{2-2N1}; q^2)_{N1-1} (-q^{1-2N1}; q^2)_{N1} q^{2 N1^2} for N1 >= 1."""
-    key = ("stable", n1, T)
+def _bracket_parts(brackets: str, n1: int) -> list:
+    """(lowest exponent, builder) of each Pochhammer named in brackets, at N_1 = n1."""
+    parts = []
+    for letter in brackets:
+        shift, length = (1 - 2 * n1, n1) if letter == "o" else (2 - 2 * n1, max(n1 - 1, 0))
+        parts.append((pochhammer_minimum(-1, shift, 2, length),
+                      lambda t, shift=shift, length=length:
+                      pochhammer_finite(-1, shift, 2, length, t)))
+    return parts
+
+
+def _bracket(g: int, brackets: str, n1: int, T: int) -> LaurentSeries:
+    """q^{g N_1^2} brackets(N_1), truncated at T."""
+    key = (g, brackets, n1, T)
     out = _BRACKET_CACHE.get(key)
     if out is None:
-        parts = [
-            (2 * n1 * n1, lambda t: LaurentSeries.monomial(2 * n1 * n1, t)),
-            (pochhammer_minimum(-1, 2 - 2 * n1, 2, n1 - 1),
-             lambda t: pochhammer_finite(-1, 2 - 2 * n1, 2, n1 - 1, t)),
-            (pochhammer_minimum(-1, 1 - 2 * n1, 2, n1),
-             lambda t: pochhammer_finite(-1, 1 - 2 * n1, 2, n1, t)),
-        ]
-        out = bounded_product(parts, T)
+        lead = g * n1 * n1
+        parts = [(lead, lambda t: LaurentSeries.monomial(lead, t))]
+        out = bounded_product(parts + _bracket_parts(brackets, n1), T)
         _BRACKET_CACHE[key] = out
     return out
 
 
-def _even_bracket(n1: int, T: int) -> LaurentSeries:
-    """(-q^{1-2N1}; q^2)_{N1} q^{2 N1^2} for N1 >= 0."""
-    key = ("even", n1, T)
-    out = _BRACKET_CACHE.get(key)
-    if out is None:
-        parts = [
-            (2 * n1 * n1, lambda t: LaurentSeries.monomial(2 * n1 * n1, t)),
-            (pochhammer_minimum(-1, 1 - 2 * n1, 2, n1),
-             lambda t: pochhammer_finite(-1, 1 - 2 * n1, 2, n1, t)),
-        ]
-        out = bounded_product(parts, T)
-        _BRACKET_CACHE[key] = out
-    return out
+def _profile_term(form: str, profile: tuple[int, ...], i: int, T: int) -> LaurentSeries:
+    """The term of the closed form `form` at profile (N_1, ..., N_{k-1}), truncated at T."""
+    g, off, brackets = _FORMS[form]
+    s = _bracket(g, brackets, profile[0] if profile else 0, T)
+    e = g * (sum(n * n for n in profile[1:]) + sum(profile[i - 1 + off:]))
+    s = s.shift(e).truncated(T)
+    if form in ("OGG", "OGG-X"):
+        n_i = profile[i - 1] if i <= len(profile) else 0  # an absent N_k counts as zero
+        s = s + s.shift(2 * n_i).truncated(T)
+    for j, n in enumerate(profile):
+        d = n - (profile[j + 1] if j + 1 < len(profile) else 0)
+        s = s * bailey_mod._inv_poch(g, d, T)
+    return s.truncated(T)
 
 
 def _tuple_increment(tag: str, i: int, j: int, n: int) -> int:
-    """Guaranteed-minimal order contribution of N_j = n (1-based position j)."""
-    if tag in ("AG", "AG-X"):
-        return n * n + (n if j >= i else 0)
-    if tag in ("BRESSOUD", "BRESSOUD-X"):
-        if j == 1:
-            return n * n + (2 * n if i == 1 else 0)
-        return 2 * n * n + (2 * n if j >= i else 0)
-    if tag in ("OGG", "OGG-X", "H-GF"):
-        if j == 1:
-            return n
-        return 2 * n * n + (2 * n if j >= i + 1 else 0)
-    if tag == "F-GF":
-        if j == 1:
-            return n + (2 * n if i == 1 else 0)
-        return 2 * n * n + (2 * n if j >= i else 0)
-    raise ValueError(tag)
+    """Exact order contribution of N_j = n (1-based position j) to the term's
+    lowest exponent; the brackets' lowest exponent is charged at j = 1."""
+    g, off, brackets = _FORMS[tag]
+    inc = g * n * n + (g * n if j >= i + off else 0)
+    if j == 1:
+        inc += sum(m for m, _ in _bracket_parts(brackets, n))
+    return inc
 
 
 def _iter_tuples(tag: str, k: int, i: int, T: int):
@@ -199,36 +215,6 @@ def _iter_tuples(tag: str, k: int, i: int, T: int):
     yield from rec(1, None, T)
 
 
-def _term_series(tag: str, k: int, i: int, tup: tuple[int, ...], T: int) -> LaurentSeries:
-    n1 = tup[0]
-    diffs = [tup[j] - (tup[j + 1] if j + 1 < k - 1 else 0) for j in range(k - 1)]
-    if tag in ("AG", "AG-X"):
-        e = sum(n * n for n in tup) + sum(tup[i - 1:])
-        s = LaurentSeries.monomial(e, T)
-        for d in diffs:
-            s = s * bailey_mod._inv_poch(1, d, T)
-        return s.truncated(T)
-    if tag in ("BRESSOUD", "BRESSOUD-X"):
-        e = 2 * (sum(n * n for n in tup[1:]) + sum(tup[i - 1:]))
-        s = _even_bracket(n1, T)
-        if e:
-            s = s.shift(e).truncated(T)
-    else:
-        start = i - 1 if tag == "F-GF" else i
-        e = 2 * (sum(n * n for n in tup[1:]) + sum(tup[start:]))
-        s = _stable_bracket(n1, T)
-        if e:
-            s = s.shift(e).truncated(T)
-        if tag in ("OGG", "OGG-X"):
-            n_i = tup[i - 1] if i <= k - 1 else 0  # an absent N_k counts as zero
-            binom: dict[int, int] = {0: 1}
-            binom[2 * n_i] = binom.get(2 * n_i, 0) + 1
-            s = s * LaurentSeries.from_terms(binom, T)
-    for d in diffs:
-        s = s * bailey_mod._inv_poch(2, d, T)
-    return s.truncated(T)
-
-
 def multisum_lhs(tag: str, k: int, i: int, T: int, x_tracking: bool = False):
     """The summed side of the identity named by tag, truncated at T.
 
@@ -239,6 +225,7 @@ def multisum_lhs(tag: str, k: int, i: int, T: int, x_tracking: bool = False):
         raise ValueError(f"{tag} has no multisum form")
     if not k >= i >= 1:
         raise ValueError("parameters must satisfy k >= i >= 1")
+    _check_bound("T", T)
     if k < 2:
         raise DegenerateIdentityError(f"degenerate form: {tag} needs k >= 2")
     skip_zero = tag in ("F-GF", "H-GF")
@@ -250,7 +237,7 @@ def multisum_lhs(tag: str, k: int, i: int, T: int, x_tracking: bool = False):
                 continue
             term = LaurentSeries.one(T)
         else:
-            term = _term_series(tag, k, i, tup, T)
+            term = _profile_term(tag, tup, i, T)
         if x_tracking:
             acc_bi.add_series(sum(tup), term)
         else:
@@ -262,6 +249,7 @@ def product_rhs(tag: str, k: int, i: int, T: int) -> LaurentSeries:
     """The product side of the identity named by tag, truncated at T."""
     if not k >= i >= 1:
         raise ValueError("parameters must satisfy k >= i >= 1")
+    _check_bound("T", T)
     inv_euler = euler_product(T).inverse()
     if tag in ("AG", "AG-X"):
         base = 2 * k + 1
@@ -356,11 +344,16 @@ def _trim(profile) -> tuple[int, ...]:
     return p
 
 
-def _check_profile(profile) -> tuple[int, ...]:
+def _check_class_params(profile, i: int, T: int) -> tuple[tuple[int, ...], int]:
+    """The validated profile and its k for a profile-indexed check."""
     p = tuple(int(x) for x in profile)
     if any(x < 0 for x in p) or any(p[j] < p[j + 1] for j in range(len(p) - 1)):
         raise ValueError(f"profile must be nonincreasing and nonnegative, got {p}")
-    return p
+    k = len(p) + 1
+    if not k >= i >= 1:
+        raise ValueError(f"profile length must be k-1 with k >= i >= 1, got k={k}, i={i}")
+    _check_bound("T", T)
+    return p, k
 
 
 def _enum_series(members, weight_cap: int):
@@ -377,39 +370,11 @@ def _enum_series(members, weight_cap: int):
     return build
 
 
-def _closed_profile_series(cls: str, profile: tuple[int, ...], i: int, T: int) -> LaurentSeries:
-    n1 = profile[0] if profile else 0
-    diffs = [profile[j] - (profile[j + 1] if j + 1 < len(profile) else 0)
-             for j in range(len(profile))]
-    if cls == "B":
-        e = sum(n * n for n in profile) + sum(profile[i - 1:])
-        s = LaurentSeries.monomial(e, T)
-        for d in diffs:
-            s = s * bailey_mod._inv_poch(1, d, T)
-        return s.truncated(T)
-    e = 2 * (sum(n * n for n in profile) + sum(profile[i - 1:]))
-    parts = [(e, lambda t, e=e: LaurentSeries.monomial(e, t))]
-    if cls in ("G", "F"):
-        parts.append((pochhammer_minimum(-1, 1 - 2 * n1, 2, n1),
-                      lambda t: pochhammer_finite(-1, 1 - 2 * n1, 2, n1, t)))
-    if cls == "F":
-        m = max(n1 - 1, 0)
-        parts.append((pochhammer_minimum(-1, 2 - 2 * n1, 2, m),
-                      lambda t: pochhammer_finite(-1, 2 - 2 * n1, 2, m, t)))
-    s = bounded_product(parts, T)
-    for d in diffs:
-        s = s * bailey_mod._inv_poch(2, d, T)
-    return s.truncated(T)
-
-
 def verify_class_gf(profile, i: int, T: int, cls: str,
                     buckets=None, partition_buckets=None) -> VerificationReport:
     """Compare the enumerated weight series of a profile-indexed class with its
     closed form (cls in F/G/E/B), at truncation T."""
-    profile = _check_profile(profile)
-    k = len(profile) + 1
-    if not k >= i >= 1:
-        raise ValueError("profile length must be k-1 with k >= i >= 1")
+    profile, k = _check_class_params(profile, i, T)
     n1 = profile[0] if profile else 0
     params = {"profile": profile, "k": k, "i": i}
     weight_cap = T
@@ -424,7 +389,7 @@ def verify_class_gf(profile, i: int, T: int, cls: str,
         members = [rec.weight for rec in buckets.get(_trim(profile), [])
                    if rec.in_class(cls, k, i)]
     lhs = _enum_series(members, weight_cap)(T)
-    rhs = _closed_profile_series(cls, profile, i, T)
+    rhs = _profile_term(cls, profile, i, T)
     return _series_report(f"CLASS-{cls}", params, T, lhs, rhs)
 
 
@@ -433,20 +398,15 @@ def verify_class_lemma(which: str, profile, i: int, T: int,
     """The two profile-level reduction laws: the F-class series equals a finite
     even Pochhammer times the G-class series (LEM-N1), and the G-class series
     equals a finite odd Pochhammer times the E-class series (LEM-N2)."""
-    profile = _check_profile(profile)
-    k = len(profile) + 1
+    profile, k = _check_class_params(profile, i, T)
     n1 = profile[0] if profile else 0
     if which == "LEM-N1":
-        m = max(n1 - 1, 0)
-        poch = (pochhammer_minimum(-1, 2 - 2 * n1, 2, m),
-                lambda t: pochhammer_finite(-1, 2 - 2 * n1, 2, m, t))
-        lo_cls, hi_cls = "G", "F"
+        letter, lo_cls, hi_cls = "e", "G", "F"
     elif which == "LEM-N2":
-        poch = (pochhammer_minimum(-1, 1 - 2 * n1, 2, n1),
-                lambda t: pochhammer_finite(-1, 1 - 2 * n1, 2, n1, t))
-        lo_cls, hi_cls = "E", "G"
+        letter, lo_cls, hi_cls = "o", "E", "G"
     else:
         raise ValueError(which)
+    (poch,) = _bracket_parts(letter, n1)
     weight_cap = T - poch[0]  # the inner series must reach further down-shifted
     if buckets is None:
         buckets = collect_class_buckets(max(n1, 1), max(k - 1, 1), weight_cap)
@@ -509,6 +469,7 @@ def verify_counting(theorem: str, k: int, i: int, n_max: int,
     """Exhaustive equality of the paired counting families up to n_max."""
     if not k >= i >= 1:
         raise ValueError(f"parameters must satisfy k >= i >= 1, got k={k}, i={i}")
+    _check_bound("n_max", n_max)
     if theorem == "T1.5":
         if ofh_tables is None:
             ofh_tables = overpartition_ofh_tables(n_max, [(k, i)])
@@ -546,6 +507,7 @@ def _first_row_parts(op: Overpartition):
 
 def verify_bijections(k: int, i: int, n_max: int) -> VerificationReport:
     """Run every roundtrip and weight law over all family members of weight <= n_max."""
+    _check_bound("n_max", n_max)
     params = {"k": k, "i": i, "n_max": n_max}
     ospec = FamilySpec("O", k, i)
     checks = 0

@@ -203,6 +203,10 @@ def test_verify_jobs_env_default(capsys, monkeypatch):
     ({"GGKIT_JOBS": "abc"}, ["verify", "--suite", "counting"]),
     ({}, ["verify", "--suite", "counting", "--k", "2", "--i", "5", "--n-max", "6"]),
     ({}, ["verify", "--suite", "counting", "--k", "0", "--i", "0"]),
+    ({}, ["verify", "--suite", "counting", "--n-max", "-1", "--k", "2", "--i", "1"]),
+    ({}, ["verify", "--suite", "bijections", "--n-max", "-2"]),
+    ({}, ["verify", "--suite", "identities", "--T", "-3"]),
+    ({}, ["verify", "--suite", "identities", "--profile", "1", "--T", "-3"]),
 ])
 def test_invalid_input_is_usage_error(capsys, monkeypatch, env, argv):
     monkeypatch.delenv("GGKIT_JOBS", raising=False)

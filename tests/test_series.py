@@ -244,6 +244,15 @@ def test_bivariate_collapse_and_counts():
     assert bs.first_difference(other) == (3, 1)
 
 
+def test_bivariate_first_difference_reports_lowest_exponent():
+    a = BivariateSeries(6)
+    b = BivariateSeries(6)
+    a.add_term(-2, 0, 1)
+    a.add_term(3, 1, 1)
+    assert a.first_difference(b) == (-2, 0)
+    assert b.first_difference(a) == (-2, 0)
+
+
 def test_bivariate_needs_enough_truncation():
     bs = BivariateSeries(10)
     with pytest.raises(TruncationError):

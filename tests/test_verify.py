@@ -5,7 +5,10 @@ import pytest
 from ggkit.partitions import FamilySpec, count_family
 from ggkit.series import LaurentSeries
 from ggkit.verify import (
+    SUMMED_TAGS,
     DegenerateIdentityError,
+    _profile_term,
+    _tuple_increment,
     build_tasks,
     multisum_lhs,
     product_rhs,
@@ -13,6 +16,7 @@ from ggkit.verify import (
     verify_bailey,
     verify_class_gf,
     verify_class_lemma,
+    verify_bijections,
     verify_counting,
     verify_identity,
 )
@@ -152,6 +156,57 @@ def test_class_lemmas_profile_21(class_buckets):
     for lem in ("LEM-N1", "LEM-N2"):
         rep = verify_class_lemma(lem, (2, 1), 2, 30, buckets=class_buckets)
         assert rep.ok, str(rep)
+
+
+@pytest.mark.parametrize("check", [
+    lambda: verify_class_lemma("LEM-N1", (1,), 5, 10),
+    lambda: verify_class_lemma("LEM-N2", (1,), 0, 10),
+    lambda: verify_class_gf((1,), 5, 10, "E"),
+    lambda: verify_class_gf((1,), 0, 10, "G"),
+], ids=["lemma-i-above-k", "lemma-i-zero", "gf-i-above-k", "gf-i-zero"])
+def test_class_checks_validate_k_and_i(check):
+    with pytest.raises(ValueError, match="k >= i >= 1"):
+        check()
+
+
+@pytest.mark.parametrize("check", [
+    lambda: multisum_lhs("OGG", 3, 2, -3),
+    lambda: product_rhs("AG", 2, 1, -1),
+    lambda: verify_class_gf((1,), 1, -2, "F"),
+    lambda: verify_class_lemma("LEM-N2", (1,), 1, -1),
+    lambda: verify_counting("T1.1", 2, 1, -1),
+    lambda: verify_bijections(2, 1, -2),
+], ids=["multisum", "product", "class-gf", "class-lemma", "counting", "bijections"])
+def test_negative_bounds_are_rejected(check):
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        check()
+
+
+def test_zero_bounds_stay_valid():
+    assert product_rhs("AG", 2, 1, 0) == LaurentSeries.one(0)
+    assert verify_class_gf((1,), 1, 0, "F").ok
+    assert verify_counting("T1.5", 2, 1, 0).ok
+    assert verify_bijections(2, 1, 0).ok
+
+
+@pytest.mark.parametrize("tag", SUMMED_TAGS)
+def test_tuple_pruning_bound_is_exact(tag):
+    # the pruning in multisum_lhs is sound only if no term starts below the
+    # summed increments; equality shows the bound is also tight
+    for k in range(1, 5):
+        for i in range(1, k + 1):
+            for tup in _nonincreasing(k - 1, 4):
+                bound = sum(_tuple_increment(tag, i, j, n) for j, n in enumerate(tup, 1))
+                assert _profile_term(tag, tup, i, bound).effective_min() == bound, (k, i, tup)
+
+
+def _nonincreasing(length, cap):
+    if length == 0:
+        yield ()
+        return
+    for n in range(cap + 1):
+        for rest in _nonincreasing(length - 1, n):
+            yield (n,) + rest
 
 
 def test_verify_identity_validates_tag():
