@@ -6,8 +6,9 @@ of the first row; the full maps split an overpartition into a set of distinct
 negative even parts plus a reduced overpartition, and the theta/lambda family
 does the same for overlined odd parts against distinct negative odd parts.
 ``halve``/``double`` convert all-plain-even overpartitions to ordinary
-partitions and back.  Every map re-derives the marking from scratch after each
-rewrite; nothing trusts stored marks across a rewrite.
+partitions and back.  Every rewrite builds a new Overpartition, whose marking
+``gg_mark`` derives from its parts (once, then memoized on the object); no
+mark is carried across a rewrite.
 """
 
 from __future__ import annotations

@@ -96,7 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--T", type=int, default=40)
-    p.add_argument("--stage", type=int, default=-1, help="stage index (default: final)")
+    p.add_argument("--stage", type=int, default=-1,
+                   help="stage index, or -1 for the final stage (default)")
     p.add_argument("--n-max", type=int, default=4)
     p.add_argument("--format", choices=("text", "json"), default="json")
 
@@ -132,6 +133,9 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.n < 0:
+        print(f"ggkit: --n must be >= 0, got {args.n}", file=sys.stderr)
+        return USAGE_EXIT
     spec = None
     if args.family:
         if args.k is None or args.i is None:
@@ -241,12 +245,19 @@ def _cmd_biject(args) -> int:
 
 
 def _cmd_bailey(args) -> int:
+    if args.n_max < 0:
+        print(f"ggkit: --n-max must be >= 0, got {args.n_max}", file=sys.stderr)
+        return USAGE_EXIT
+    if args.stage < -1:
+        print(f"ggkit: --stage must be a stage index or -1 (final), got {args.stage}",
+              file=sys.stderr)
+        return USAGE_EXIT
     try:
         chain = bailey_mod.run_chain(args.k, args.i, args.T)
     except bailey_mod.ChainParameterError as exc:
         print(f"ggkit: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    idx = args.stage if args.stage >= 0 else len(chain.stages) - 1
+    idx = args.stage if args.stage != -1 else len(chain.stages) - 1
     if idx >= len(chain.stages):
         print(f"ggkit: stage {idx} out of range 0..{len(chain.stages) - 1}", file=sys.stderr)
         return USAGE_EXIT

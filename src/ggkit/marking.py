@@ -105,39 +105,126 @@ class MarkedOverpartition:
         return "\n".join(lines)
 
 
+def _mark_step(by_size, prev: int, s: int, overlined: bool, plain, over) -> int:
+    """The mark of a part (s, overlined) appended after the parts marked so far.
+
+    by_size[t] holds the marks already placed at size t, prev is the previous
+    part's mark (0 for the first part), and plain[t] / over[t] count the plain
+    and overlined parts of size t; only sizes s-1 and s are read.  The part
+    order puts every part of size s-1 and the overlined s before a plain s, so
+    those counts are final when the part is placed: the marking of a prefix is
+    the prefix of the marking."""
+    if overlined != (s % 2 == 1):  # plain odd or overlined even
+        return 1
+    if overlined:  # overlined odd: blocked only by marks at size exactly s-1
+        return _mex(by_size[s - 1])
+    # plain even, s = 2t+2
+    here, below, two_below = by_size[s], by_size[s - 1], by_size[s - 2]
+    g = min(two_below) if two_below else 0
+    if g >= 2 and prev == g - 1 and (plain[s - 1] or over[s]) and not over[s - 1]:
+        return g
+    mk = 1
+    while mk in here or mk in below or mk in two_below:
+        mk += 1
+    return mk
+
+
 def gg_mark(op: Overpartition) -> MarkedOverpartition:
-    """Mark an overpartition; the marking is a deterministic function of the parts."""
-    ft = op.freq_table()
+    """Mark an overpartition; the marking is a deterministic function of the parts,
+    computed once per object and memoized on it (as the marks alone, so the
+    object and its marking form no reference cycle)."""
+    if op._marking is not None:
+        return MarkedOverpartition(op, op._marking)
+    top = op.parts[-1].size if op.parts else 0
+    plain = [0] * (top + 1)
+    over = [0] * (top + 1)
+    for s, ov in op.parts:
+        (over if ov else plain)[s] += 1
+    by_size: list[set[int]] = [set() for _ in range(top + 1)]
     marks: list[int] = []
-    by_size: dict[int, set[int]] = {}
-    for idx, p in enumerate(op.parts):
-        s, ov = p
-        if s % 2 == 1 and not ov:
-            mk = 1
-        elif s % 2 == 0 and ov:
-            mk = 1
-        elif ov:  # overlined odd: blocked only by marks at size exactly s-1
-            mk = _mex(by_size.get(s - 1, ()))
-        else:  # plain even, s = 2t+2
-            used: set[int] = set()
-            for d in (0, 1, 2):
-                used |= by_size.get(s - d, set())
-            f = _mex(used)
-            at_two_below = by_size.get(s - 2)
-            g = min(at_two_below) if at_two_below else 0
-            if (
-                g >= 2
-                and idx > 0
-                and marks[idx - 1] == g - 1
-                and (ft.f(s - 1) > 0 or ft.fbar(s) > 0)
-                and ft.fbar(s - 1) == 0
-            ):
-                mk = g
-            else:
-                mk = f
+    mk = 0
+    for s, ov in op.parts:
+        mk = _mark_step(by_size, mk, s, ov, plain, over)
         marks.append(mk)
-        by_size.setdefault(s, set()).add(mk)
-    return MarkedOverpartition(op, tuple(marks))
+        by_size[s].add(mk)
+    op._marking = tuple(marks)
+    return MarkedOverpartition(op, op._marking)
+
+
+def _walk(max_weight: int, exact: bool = False, row1_max: int | None = None,
+          rows_max: int | None = None, o_caps: tuple[int, int, int] | None = None,
+          memo: bool = False):
+    """Depth-first walk over overpartitions of weight <= max_weight (== when
+    exact) carrying the marking state, yielding (op, row counts, o_family_stats)
+    in the order of ``iter_overpartitions_bounded`` / ``enumerate_overpartitions``.
+
+    A prefix is extended one part at a time through ``_mark_step``.  Its row
+    counts, largest mark and O-family stats (fb, mw, c3) only grow as parts are
+    appended, so a subtree is cut as soon as row 1 is wider than row1_max, a mark
+    exceeds rows_max, or a stat exceeds its cap in o_caps (fb, mw, c3): nothing
+    below it could pass.  With memo, each yielded object carries its marks, as
+    ``gg_mark`` would memoize them."""
+    fb_max, mw_max, c3_max = o_caps if o_caps is not None else (max_weight,) * 3
+    row1_max = max_weight if row1_max is None else row1_max
+    rows_max = max_weight if rows_max is None else rows_max
+    parts: list[Part] = []
+    marks: list[int] = []
+    rows: list[int] = []
+    plain = [0] * (max_weight + 3)
+    over = [0] * (max_weight + 3)
+    by_size: list[set[int]] = [set() for _ in range(max_weight + 1)]
+
+    def window(t: int) -> int:  # the even window of o_family_stats
+        return over[2 * t] + plain[2 * t] + over[2 * t + 1] + plain[2 * t + 2]
+
+    def rec(rem: int, smin: int, over_ok: bool, prev: int, fb: int, mw: int, c3: int):
+        if not exact or rem == 0:
+            op = Overpartition._from_ordered(tuple(parts))
+            if memo:
+                op._marking = tuple(marks)
+            yield op, tuple(rows), (fb, mw, c3)
+        if exact:  # a remainder below the next part's size cannot be filled
+            sizes = [*range(smin, rem // 2 + 1), rem] if rem >= smin else ()
+        else:
+            sizes = range(smin, rem + 1)
+        for s in sizes:
+            for ov in ((True, False) if s > smin or over_ok else (False,)):
+                mk = _mark_step(by_size, prev, s, ov, plain, over)
+                (over if ov else plain)[s] += 1
+                if mk > len(rows):  # a mark is at most one above the largest so far
+                    rows.append(0)
+                rows[mk - 1] += 1
+                # the stats of the longer prefix: fb = fbar(1) + f(2); every window
+                # t >= 1 holding the part; c3 when the part is plain even above a
+                # plain odd, or a plain odd (f(s+1) is still 0)
+                nfb = fb + ((s, ov) in ((1, True), (2, False)))
+                nmw, nc3 = mw, c3
+                if s > 1 and (ov or s % 2 == 0):
+                    nmw = max(nmw, window(s // 2))
+                if not ov and s % 2 == 0:
+                    if s > 2:
+                        nmw = max(nmw, window(s // 2 - 1))
+                    if plain[s - 1]:
+                        nc3 = max(nc3, plain[s])
+                elif not ov:
+                    nc3 = max(nc3, 0)
+                if (rows[0] <= row1_max and len(rows) <= rows_max and nfb <= fb_max
+                        and nmw <= mw_max and nc3 <= c3_max):
+                    added = mk not in by_size[s]
+                    by_size[s].add(mk)
+                    parts.append(Part(s, ov))
+                    marks.append(mk)
+                    yield from rec(rem - s, s, False, mk, nfb, nmw, nc3)
+                    parts.pop()
+                    marks.pop()
+                    if added:
+                        by_size[s].discard(mk)
+                rows[mk - 1] -= 1
+                if not rows[-1]:
+                    rows.pop()
+                (over if ov else plain)[s] -= 1
+
+    return rec(max_weight, 1, True, 0, 0, 0, -1)
 
 
 def gordon_mark(parts: Partition) -> tuple[int, ...]:

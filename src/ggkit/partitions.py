@@ -65,9 +65,12 @@ class FrequencyTable:
 
 
 class Overpartition:
-    """An overpartition: parts nondecreasing in the part order defined above."""
+    """An overpartition: parts nondecreasing in the part order defined above.
 
-    __slots__ = ("parts",)
+    Immutable: ``_marking`` memoizes the marks of the Göllnitz-Gordon marking,
+    which ``marking.gg_mark`` computes on first use."""
+
+    __slots__ = ("parts", "_marking")
 
     def __init__(self, parts=()):
         norm = []
@@ -87,6 +90,15 @@ class Overpartition:
                     raise ParseError(f"duplicate overlined part of size {p.size}")
                 seen.add(p.size)
         self.parts = tuple(norm)
+        self._marking = None
+
+    @classmethod
+    def _from_ordered(cls, parts: tuple[Part, ...]) -> "Overpartition":
+        """Wrap Parts already valid and in part order, skipping the checks."""
+        op = cls.__new__(cls)
+        op.parts = parts
+        op._marking = None
+        return op
 
     def weight(self) -> int:
         return sum(p.size for p in self.parts)

@@ -32,6 +32,7 @@ from .bijections import (
     theta_step,
 )
 from .marking import (
+    _walk,
     classify_f,
     classify_g,
     first_row_types,
@@ -45,11 +46,8 @@ from .marking import (
 from .partitions import (
     FamilySpec,
     Overpartition,
-    enumerate_overpartitions,
     family_counts_by_n,
-    iter_overpartitions_bounded,
     iter_partitions_bounded,
-    o_family_stats,
     overpartition_ofh_tables,
     overpartition_p_counts,
     partition_family_tables,
@@ -300,12 +298,6 @@ class ClassRecord:
         raise ValueError(cls)
 
 
-def _make_record(op: Overpartition) -> ClassRecord:
-    fb, mw, c3 = o_family_stats(op.freq_table())
-    return ClassRecord(op, op.weight(), fb, mw, c3,
-                       in_stable_class(op), is_reduced(op), is_doubled(op))
-
-
 def collect_class_buckets(n1_max: int, rows_max: int, weight_max: int
                           ) -> dict[tuple[int, ...], list[ClassRecord]]:
     """All overpartitions of weight <= weight_max bucketed by marking profile,
@@ -314,13 +306,10 @@ def collect_class_buckets(n1_max: int, rows_max: int, weight_max: int
     Buckets reused for verify_class_lemma at truncation T must reach weight
     T + n1_max**2: the shifted comparison reads the inner class that far.
     """
-    buckets: dict[tuple[int, ...], list[ClassRecord]] = {(): [_make_record(Overpartition())]}
-    for op in iter_overpartitions_bounded(weight_max, n1_max * rows_max):
-        if not op.parts:
-            continue
-        rows = gg_mark(op).row_counts()
-        if len(rows) <= rows_max and rows[0] <= n1_max:
-            buckets.setdefault(rows, []).append(_make_record(op))
+    buckets: dict[tuple[int, ...], list[ClassRecord]] = {}
+    for op, rows, (fb, mw, c3) in _walk(weight_max, row1_max=n1_max, rows_max=rows_max):
+        buckets.setdefault(rows, []).append(ClassRecord(
+            op, op.weight(), fb, mw, c3, in_stable_class(op), is_reduced(op), is_doubled(op)))
     return buckets
 
 
@@ -505,20 +494,27 @@ def _first_row_parts(op: Overpartition):
     return m, [op.parts[j] for j in m.row_indices(1)]
 
 
+def _o_family_members(k: int, i: int, n: int):
+    """The O(k, i) members of weight n in ``enumerate_overpartitions`` order, each
+    with its marking memoized; the walk is cut only by the O-family stats (see
+    ``o_family_stats``), never by the row count the sweep checks."""
+    for op, _, _ in _walk(n, exact=True, o_caps=(i - 1, k - 1, k - 2), memo=True):
+        yield op
+
+
 def verify_bijections(k: int, i: int, n_max: int) -> VerificationReport:
     """Run every roundtrip and weight law over all family members of weight <= n_max."""
     _check_bound("n_max", n_max)
     params = {"k": k, "i": i, "n_max": n_max}
-    ospec = FamilySpec("O", k, i)
+    if not k >= i >= 1:
+        raise ValueError(f"parameters must satisfy k >= i >= 1, got k={k}, i={i}")
     checks = 0
 
     def fail(msg: str) -> VerificationReport:
         return VerificationReport("BIJECTIONS", params, None, False, msg)
 
     for n in range(n_max + 1):
-        for op in enumerate_overpartitions(n):
-            if not satisfies_family(op, ospec):
-                continue
+        for op in _o_family_members(k, i, n):
             m = gg_mark(op)
             rows = m.row_counts()
             if len(rows) > k - 1:

@@ -207,6 +207,10 @@ def test_verify_jobs_env_default(capsys, monkeypatch):
     ({}, ["verify", "--suite", "bijections", "--n-max", "-2"]),
     ({}, ["verify", "--suite", "identities", "--T", "-3"]),
     ({}, ["verify", "--suite", "identities", "--profile", "1", "--T", "-3"]),
+    ({}, ["enumerate", "--n", "-3"]),
+    ({}, ["bailey", "--k", "3", "--i", "1", "--T", "10", "--n-max", "-2"]),
+    ({}, ["bailey", "--k", "3", "--i", "1", "--T", "10", "--stage", "-7"]),
+    ({}, ["bailey", "--k", "3", "--i", "1", "--T", "10", "--stage", "-2"]),
 ])
 def test_invalid_input_is_usage_error(capsys, monkeypatch, env, argv):
     monkeypatch.delenv("GGKIT_JOBS", raising=False)
