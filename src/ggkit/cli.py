@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 all verdicts pass, 1 a mathematical comparison failed,
-2 usage or parse errors.  Overlined parts are written with a trailing ``~``
-in all text output; a combining overline is accepted on input.
+Exit codes: 0 all verdicts pass, 1 a mathematical comparison or an internal
+check failed, 2 usage or parse errors.  Overlined parts are written with a
+trailing ``~`` in all text output; a combining overline is accepted on input.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .bijections import (
 )
 from .marking import MarkedOverpartition, gg_mark, gordon_mark
 from .partitions import (
+    CountOverflowError,
     FamilySpec,
     Overpartition,
     ParseError,
@@ -286,7 +287,8 @@ def _cmd_verify(args) -> int:
     try:
         reports = run_suite(args.suite, k=args.k, i=args.i, n_max=args.n_max,
                             T=args.T, profile=profile, jobs=args.jobs)
-    except WeightMismatchError as exc:
+    except (WeightMismatchError, bailey_mod.LimitDiagnosticError, CountOverflowError) as exc:
+        # a failed internal check: no verdict can be trusted, but the input was valid
         print(f"ggkit: {exc}", file=sys.stderr)
         return MISMATCH_EXIT
     except ValueError as exc:

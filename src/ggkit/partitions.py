@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import add
 from typing import Iterator, NamedTuple
+
+from .series import _slot_bytes, _unpack
 
 OVERLINE_MARKS = "̄̅"  # combining macron / overline, accepted on input
 
@@ -166,13 +169,6 @@ class Overpartition:
 
 
 Partition = tuple[int, ...]
-
-
-def as_partition(parts) -> Partition:
-    t = tuple(sorted(int(x) for x in parts))
-    if t and t[0] < 1:
-        raise ValueError("partition parts must be positive")
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -393,46 +389,88 @@ def count_family_bivariate(spec: FamilySpec, n: int) -> dict[int, int]:
 #
 # Each clause reads the counts of a few consecutive sizes, so objects are built
 # one size at a time carrying a small state (O: open even window, plain odd just
-# below, smallest-part kind; B: previous count; C: open window; P, A, D: none),
-# with one {(m, n): count} table (m parts, weight n) per live state.  The walk
-# ends at n_max + 1 so that a window or a plain odd part at n_max meets the
-# size above it.  This is the transfer-matrix method (Stanley, EC1 4.7): it
+# below, smallest-part kind; B: previous count; C: open window; P, A, D: none).
+# The walk ends at n_max + 1 so that a window or a plain odd part at n_max meets
+# the size above it.  This is the transfer-matrix method (Stanley, EC1 4.7): it
 # counts from the clauses alone, never from a generating function.
+#
+# Each live state holds its (m parts, weight n) table as one packed int, the
+# count of (m, n) in slot n*(n_max+1) + m (Kronecker substitution, as in the
+# series kernel).  Appending c parts of size s is one shift by
+# s*c*(n_max+1) + c slots and one mask that drops the weights above n_max;
+# merging two states is one add.  Since m <= n, no entry reaches the next
+# weight row.  Every slot counts distinct objects of weight <= n_max, so the
+# number of all such (over)partitions bounds it and sets the slot width.
+# Beside each packed table the walk carries its per-weight totals on a plain
+# int list; the unpacked tables must reproduce them, or CountOverflowError is
+# raised, so a slot that overflowed can never reach a verdict.
 # ---------------------------------------------------------------------------
 
 
-def _count_tables(n_max: int, step, start, overlines: bool = True) -> dict:
-    """{final state: {(m, n): count}} over all objects of weight <= n_max.
+class CountOverflowError(ArithmeticError):
+    """A packed count table disagrees with its unbounded per-weight totals."""
+
+
+def _count_slot_bytes(n_max: int, overlines: bool) -> int:
+    """Slot width in bytes of the packed tables: enough for the number of all
+    (over)partitions of weight <= n_max, by a univariate DP."""
+    total = [1] + [0] * n_max
+    for s in range(1, n_max + 1):
+        for w in range(s, n_max + 1):
+            total[w] += total[w - s]
+        if overlines:
+            for w in range(n_max, s - 1, -1):
+                total[w] += total[w - s]
+    return _slot_bytes(sum(total))
+
+
+def _count_tables(n_max: int, step, start, overlines: bool = True,
+                  groups=lambda state: ("*",)) -> dict:
+    """{group: {(m, n): count}} over all objects of weight <= n_max, where an
+    object counts in every group that `groups(final state)` names.
 
     `step(state, s, o, f)` is the state after o overlined and f plain parts of
     size s, or None when a clause fails; each clause bounds a sum of counts, so
     every larger f fails too."""
-    live = {start: {(0, 0): 1}}
+    row = n_max + 1
+    wb = _count_slot_bytes(n_max, overlines)
+    bits = 8 * wb
+    full = (1 << bits * row * row) - 1
+    live = {start: (1, [1] + [0] * n_max)}
     for s in range(1, n_max + 2):
         nxt: dict = {}
-        for state, table in live.items():
+        for state, (packed, totals) in live.items():
             for o in ((0, 1) if overlines else (0,)):
                 for f in range(n_max // s - o + 1):
                     new = step(state, s, o, f)
                     if new is None:
                         break
                     c = o + f
-                    room = n_max - s * c
-                    dst = nxt.setdefault(new, {})
-                    for (m, w), cnt in table.items():
-                        if w <= room:
-                            key = (m + c, w + s * c)
-                            dst[key] = dst.get(key, 0) + cnt
+                    moved = (packed << bits * (s * c * row + c)) & full
+                    moved_totals = [0] * (s * c) + totals[:row - s * c]
+                    if new in nxt:
+                        p, t = nxt[new]
+                        nxt[new] = (p + moved, list(map(add, t, moved_totals)))
+                    else:
+                        nxt[new] = (moved, moved_totals)
         live = nxt
-    return live
-
-
-def _merged(tables) -> dict[tuple[int, int], int]:
-    out: dict[tuple[int, int], int] = {}
-    for table in tables:
-        for key, cnt in table.items():
-            out[key] = out.get(key, 0) + cnt
-    return out
+    packed_by: dict = {}
+    totals_by: dict = {}
+    for state, (packed, totals) in live.items():
+        for g in groups(state):
+            packed_by[g] = packed_by.get(g, 0) + packed
+            totals_by[g] = list(map(add, totals_by.get(g, [0] * row), totals))
+    tables = {}
+    for g, packed in packed_by.items():
+        slots = _unpack(packed, row * row, wb)
+        for n, want in enumerate(totals_by[g]):
+            got = sum(slots[n * row:n * row + row])
+            if got != want:
+                raise CountOverflowError(
+                    f"packed count table overflowed its {wb}-byte slots at n_max={n_max}: "
+                    f"weight {n} totals {got}, want {want}")
+        tables[g] = {(j % row, j // row): cnt for j, cnt in enumerate(slots) if cnt}
+    return tables
 
 
 def _window_step(k: int, i: int, odd_add):
@@ -467,15 +505,19 @@ def _o_step(k: int, i: int):
     return step
 
 
+# the families an O-family object counts in, by its smallest-part kind (0 = empty)
+_OFH_GROUPS = (("O",), ("O", "F"), ("O", "H"))
+
+
 def overpartition_ofh_tables(n_max: int, pairs) -> dict[tuple[str, int, int], dict[tuple[int, int], int]]:
     """(m, n) count tables of the O family and its F/H smallest-part split for
     every (k, i) in `pairs`, exact for all overpartitions of weight <= n_max."""
     tables = {}
     for (k, i) in sorted(set(pairs)):
-        by_state = _count_tables(n_max, _o_step(k, i), (0, False, 0))
-        tables[("O", k, i)] = _merged(by_state.values())
-        for kind, fam in ((1, "F"), (2, "H")):
-            tables[(fam, k, i)] = _merged(t for st, t in by_state.items() if st[2] == kind)
+        by_family = _count_tables(n_max, _o_step(k, i), (0, False, 0),
+                                  groups=lambda st: _OFH_GROUPS[st[2]])
+        for fam in "OFH":
+            tables[(fam, k, i)] = by_family.get(fam, {})
     return tables
 
 
@@ -487,7 +529,7 @@ def overpartition_p_counts(n_max: int, pairs) -> dict[tuple[int, int], list[int]
         mod = 2 * k - 1 if i == k else 4 * k - 2
         bad = {0} if i == k else {0, (2 * i - 1) % mod, (mod - (2 * i - 1)) % mod}
         step = lambda st, s, o, f: None if (f or (o and i == k)) and s % mod in bad else st
-        counts[(k, i)] = family_counts_by_n(_merged(_count_tables(n_max, step, ()).values()), n_max)
+        counts[(k, i)] = family_counts_by_n(_count_tables(n_max, step, ())["*"], n_max)
     return counts
 
 
@@ -508,7 +550,7 @@ def partition_family_tables(n_max: int, pairs) -> dict[tuple[str, int, int], dic
             "D": (lambda st, s, o, f: None if f and (s % 4 == 2 or s % dmod in dbad) else st, ()),
         }
         for fam, (step, start) in steps.items():
-            tables[(fam, k, i)] = _merged(_count_tables(n_max, step, start, overlines=False).values())
+            tables[(fam, k, i)] = _count_tables(n_max, step, start, overlines=False)["*"]
     return tables
 
 

@@ -731,6 +731,10 @@ def run_suite(suite: str, k=None, i=None, n_max=None, T=None, profile=None,
             jobs = int(env)
         except ValueError:
             raise ValueError(f"GGKIT_JOBS must be an integer, got {env!r}") from None
+        if jobs < 1:
+            raise ValueError(f"GGKIT_JOBS must be >= 1, got {env!r}")
+    elif jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     reports: list[VerificationReport] = []
     if suite in ("bailey", "all"):
         t = T if T is not None else 40

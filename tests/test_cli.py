@@ -3,6 +3,7 @@ import json
 import pytest
 
 from ggkit import cli
+from ggkit.bailey import LimitDiagnosticError
 from ggkit.verify import VerificationReport
 
 
@@ -211,6 +212,9 @@ def test_verify_jobs_env_default(capsys, monkeypatch):
     ({}, ["bailey", "--k", "3", "--i", "1", "--T", "10", "--n-max", "-2"]),
     ({}, ["bailey", "--k", "3", "--i", "1", "--T", "10", "--stage", "-7"]),
     ({}, ["bailey", "--k", "3", "--i", "1", "--T", "10", "--stage", "-2"]),
+    ({}, ["verify", "--suite", "counting", "--k", "2", "--n-max", "4", "--jobs", "0"]),
+    ({}, ["verify", "--suite", "counting", "--k", "2", "--n-max", "4", "--jobs", "-3"]),
+    ({"GGKIT_JOBS": "0"}, ["verify", "--suite", "counting", "--k", "2", "--n-max", "4"]),
 ])
 def test_invalid_input_is_usage_error(capsys, monkeypatch, env, argv):
     monkeypatch.delenv("GGKIT_JOBS", raising=False)
@@ -246,3 +250,23 @@ def test_bailey_json_matches_golden(capsys, stage, fixture):
                        *stage, "--format", "json")
     assert code == 0
     assert out.encode() == (Path(__file__).parent / "data" / fixture).read_bytes()
+
+
+def _raise_limit_diagnostic(chain, truncation):
+    raise LimitDiagnosticError(f"beta side did not stabilize at truncation {truncation}")
+
+
+@pytest.mark.parametrize("patch,argv", [
+    (("ggkit.bailey.limit_identity", _raise_limit_diagnostic),
+     ["verify", "--suite", "bailey", "--k", "3", "--i", "1", "--T", "10"]),
+    # 1-byte slots overflow: B(4, 4) has 145 partitions of weight 24 into 5 parts
+    (("ggkit.partitions._count_slot_bytes", lambda n_max, overlines: 1),
+     ["verify", "--suite", "counting", "--k", "4", "--i", "4", "--n-max", "24"]),
+])
+def test_internal_diagnostic_is_exit_1_without_traceback(capsys, monkeypatch, patch, argv):
+    monkeypatch.delenv("GGKIT_JOBS", raising=False)
+    monkeypatch.setattr(*patch)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("ggkit: ") and err.count("\n") == 1 and "Traceback" not in err

@@ -1,0 +1,74 @@
+"""The packed transfer matrix against the dict DP it replaced.
+
+`dict_count_tables` moves one {(m, n): count} entry at a time; patched in for
+`partitions._count_tables`, it runs the three public sweeps with the same
+steps, states and groups.  Each sweep is exact for every weight up to its
+bound, so one oracle run at n = 40, cut down to weight n, is the table at n.
+"""
+
+import pytest
+from dict_count_dp import dict_count_tables
+
+from ggkit import partitions
+from ggkit.partitions import (
+    CountOverflowError,
+    overpartition_ofh_tables,
+    overpartition_p_counts,
+    partition_family_tables,
+)
+
+PAIRS = [(k, i) for k in range(1, 5) for i in range(1, k + 1)]
+N = 40
+SWEEPS = [overpartition_ofh_tables, overpartition_p_counts, partition_family_tables]
+
+
+def _cut(tables: dict, n: int) -> dict:
+    """Every table of a sweep cut down to the weights <= n."""
+    out = {}
+    for key, table in tables.items():
+        if isinstance(table, list):  # per-n counts
+            out[key] = table[:n + 1]
+        else:
+            out[key] = {mn: c for mn, c in table.items() if mn[1] <= n}
+    return out
+
+
+@pytest.mark.parametrize("sweep", SWEEPS, ids=lambda f: f.__name__)
+def test_packed_sweeps_match_dict_dp(monkeypatch, sweep):
+    with monkeypatch.context() as m:
+        m.setattr(partitions, "_count_tables", dict_count_tables)
+        oracle = sweep(N, PAIRS)
+    for n in range(N + 1):
+        assert sweep(n, PAIRS) == _cut(oracle, n), n
+
+
+@pytest.mark.parametrize("sweep", SWEEPS, ids=lambda f: f.__name__)
+def test_narrow_slots_raise_and_return_no_tables(monkeypatch, sweep):
+    n, pairs = 24, [(4, 4)]
+    widest = []
+
+    def recording(*args, **kwargs):
+        tables = dict_count_tables(*args, **kwargs)
+        widest.extend(max(t.values()) for t in tables.values())
+        return tables
+
+    with monkeypatch.context() as m:
+        m.setattr(partitions, "_count_tables", recording)
+        sweep(n, pairs)
+    assert max(widest) > 127  # some slot cannot fit one signed byte
+    monkeypatch.setattr(partitions, "_count_slot_bytes", lambda n_max, overlines: 1)
+    got = None
+    with pytest.raises(CountOverflowError):
+        got = sweep(n, pairs)
+    assert got is None
+    assert not issubclass(CountOverflowError, ValueError)
+
+
+def test_slot_width_bounds_every_count():
+    # 1-byte slots hold up to 127: 1+2+4+8+14+24+40 = 93 overpartitions of
+    # weight <= 6, but 93 + 64 = 157 of weight <= 7
+    assert partitions._count_slot_bytes(6, True) == 1
+    assert partitions._count_slot_bytes(7, True) == 2
+    # 1+1+2+3+5+7+11+15+22+30+42 = 139 partitions of weight <= 10
+    assert partitions._count_slot_bytes(9, False) == 1
+    assert partitions._count_slot_bytes(10, False) == 2

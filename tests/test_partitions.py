@@ -1,4 +1,8 @@
+import json
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ggkit.partitions import (
     FamilyKindError,
@@ -204,3 +208,21 @@ def test_family_counts_by_n_collapse():
     tabs = overpartition_ofh_tables(6, [(2, 2)])
     by_n = family_counts_by_n(tabs[("O", 2, 2)], 6)
     assert by_n[3] == 6 and by_n[0] == 1
+
+
+overpartitions = st.builds(
+    lambda plain, over: Overpartition([Part(s, False) for s in plain] + [Part(s, True) for s in over]),
+    st.lists(st.integers(1, 40), max_size=12),
+    st.sets(st.integers(1, 40), max_size=8),
+)
+
+
+@given(overpartitions)
+def test_overpartition_text_roundtrip(op):
+    assert Overpartition.from_text(op.to_text()) == op
+
+
+@given(overpartitions)
+def test_overpartition_json_roundtrip(op):
+    assert Overpartition.from_json(op.to_json()) == op
+    assert Overpartition.from_json(json.loads(json.dumps(op.to_json()))) == op
