@@ -533,9 +533,11 @@ def overpartition_p_counts(n_max: int, pairs) -> dict[tuple[int, int], list[int]
     return counts
 
 
-def partition_family_tables(n_max: int, pairs) -> dict[tuple[str, int, int], dict[tuple[int, int], int]]:
+def partition_family_tables(n_max: int, pairs, families: str = "BCAD"
+                            ) -> dict[tuple[str, int, int], dict[tuple[int, int], int]]:
     """(m, n) count tables, weight <= n_max, of the ordinary-partition families
-    B, C (frequency conditions) and A, D (modular restrictions)."""
+    B, C (frequency conditions) and A, D (modular restrictions); only those
+    named in `families` are built."""
     tables = {}
     for (k, i) in sorted(set(pairs)):
         amod, dmod = 2 * k + 1, 4 * k
@@ -549,7 +551,8 @@ def partition_family_tables(n_max: int, pairs) -> dict[tuple[str, int, int], dic
             "A": (lambda st, s, o, f: None if f and s % amod in abad else st, ()),
             "D": (lambda st, s, o, f: None if f and (s % 4 == 2 or s % dmod in dbad) else st, ()),
         }
-        for fam, (step, start) in steps.items():
+        for fam in families:
+            step, start = steps[fam]
             tables[(fam, k, i)] = _count_tables(n_max, step, start, overlines=False)["*"]
     return tables
 

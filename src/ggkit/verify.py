@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import bailey as bailey_mod
 from .bijections import (
@@ -46,6 +47,7 @@ from .marking import (
 from .partitions import (
     FamilySpec,
     Overpartition,
+    Part,
     family_counts_by_n,
     iter_partitions_bounded,
     overpartition_ofh_tables,
@@ -141,8 +143,6 @@ _FORMS: dict[str, tuple[int, int, str]] = {
     "H-GF": (2, 1, "oe"), "OGG": (2, 1, "oe"), "OGG-X": (2, 1, "oe"),
 }
 
-_BRACKET_CACHE: dict[tuple[int, str, int, int], LaurentSeries] = {}
-
 
 def _bracket_parts(brackets: str, n1: int) -> list:
     """(lowest exponent, builder) of each Pochhammer named in brackets, at N_1 = n1."""
@@ -155,16 +155,12 @@ def _bracket_parts(brackets: str, n1: int) -> list:
     return parts
 
 
+@lru_cache(maxsize=4096)  # the test suite fills 458 entries, a benchmark run 74
 def _bracket(g: int, brackets: str, n1: int, T: int) -> LaurentSeries:
     """q^{g N_1^2} brackets(N_1), truncated at T."""
-    key = (g, brackets, n1, T)
-    out = _BRACKET_CACHE.get(key)
-    if out is None:
-        lead = g * n1 * n1
-        parts = [(lead, lambda t: LaurentSeries.monomial(lead, t))]
-        out = bounded_product(parts + _bracket_parts(brackets, n1), T)
-        _BRACKET_CACHE[key] = out
-    return out
+    lead = g * n1 * n1
+    parts = [(lead, lambda t: LaurentSeries.monomial(lead, t))]
+    return bounded_product(parts + _bracket_parts(brackets, n1), T)
 
 
 def _profile_term(form: str, profile: tuple[int, ...], i: int, T: int) -> LaurentSeries:
@@ -468,9 +464,9 @@ def verify_counting(theorem: str, k: int, i: int, n_max: int,
         right = p_counts[(k, i)]
         names = ("O", "P")
     elif theorem in ("T1.1", "T1.2"):
-        if partition_tables is None:
-            partition_tables = partition_family_tables(n_max, [(k, i)])
         a, b = ("C", "D") if theorem == "T1.1" else ("B", "A")
+        if partition_tables is None:
+            partition_tables = partition_family_tables(n_max, [(k, i)], families=a + b)
         left = family_counts_by_n(partition_tables[(a, k, i)], n_max)
         right = family_counts_by_n(partition_tables[(b, k, i)], n_max)
         names = (a, b)
@@ -502,6 +498,120 @@ def _o_family_members(k: int, i: int, n: int):
         yield op
 
 
+# The reductions, the odd removal and halve/double read the object alone, and
+# the families nest (O(k, i) lies in O(k, i+1) and in O(k+1, i)), so a process
+# checks each object once, whatever pairs it sweeps.  The memo is keyed on the
+# parts' ranks in part order (2s-1 for an overlined s, 2s for a plain s) as one
+# str, so it keeps no Overpartition or marking alive.  Entries outlive any
+# change to the maps: code that swaps a map in must call cache_clear().
+_OBJECT_MEMO_SIZE = 16384  # above the 11 631 members of O(4, 4) up to weight 18
+
+
+def _object_key(op: Overpartition) -> str:
+    return "".join([chr(2 * s - ov) for s, ov in op.parts])
+
+
+def _object_from_key(key: str) -> Overpartition:
+    return Overpartition._from_ordered(tuple(Part((c + 1) // 2, c % 2 == 1) for c in map(ord, key)))
+
+
+@lru_cache(maxsize=_OBJECT_MEMO_SIZE)
+def _object_checks(key: str) -> tuple[int, str | None]:
+    """(checks made, failure message or None) of the sweep's checks that do not
+    depend on (k, i), in the sweep's order, for the object encoded by key."""
+    op = _object_from_key(key)
+    m = gg_mark(op)
+    rows = m.row_counts()
+    n1 = rows[0] if rows else 0
+    checks = 0
+    if in_stable_class(op):
+        tau, red = phi_full(op)
+        checks += 1
+        if not is_reduced(red):
+            return checks, f"{op!r}: reduction left a clearable part in {red!r}"
+        if gg_mark(red).row_counts() != rows:
+            return checks, f"{op!r}: reduction changed the marking profile"
+        if op.weight() != sum(tau) + red.weight():
+            return checks, f"{op!r}: weight split violated by {tau} + {red!r}"
+        if psi_full(tau, red) != op:
+            return checks, f"{op!r}: inverse of the full reduction differs"
+        _, row1 = _first_row_parts(op)
+        for p in range(2, n1 + 1):
+            rep = classify_f(m, p)
+            if not rep.pending:
+                continue
+            out = phi_step(op, p)
+            checks += 1
+            if out.weight() != op.weight() + 2:
+                return checks, f"{op!r}: step at {p} changed weight by {out.weight() - op.weight()}"
+            mo = gg_mark(out)
+            orep = classify_f(mo, p)
+            if not orep.advanced or orep.subcase != rep.subcase:
+                return checks, f"{op!r}: step at {p} landed outside its class"
+            if mo.row_counts() != rows:
+                return checks, f"{op!r}: step at {p} changed the profile"
+            _, row1o = _first_row_parts(out)
+            if any(row1[j] != row1o[j] for j in range(n1) if j not in (p - 1, p)):
+                return checks, f"{op!r}: step at {p} moved an untouched first-row part"
+            if psi_step(out, p) != op:
+                return checks, f"{op!r}: inverse step at {p} differs"
+            ch = phi_chain(op, p)
+            checks += 1
+            if ch.weight() != op.weight() + 2 * (n1 - p) + 2:
+                return checks, f"{op!r}: chain at {p} broke the weight law"
+            if not classify_f(gg_mark(ch), p).cleared:
+                return checks, f"{op!r}: chain at {p} did not clear the tail"
+            if psi_chain(ch, p) != op:
+                return checks, f"{op!r}: inverse chain at {p} differs"
+    if is_reduced(op):
+        eta, doubled = theta_full(op)
+        checks += 1
+        if not is_doubled(doubled):
+            return checks, f"{op!r}: odd removal left an overlined part"
+        if gg_mark(doubled).row_counts() != rows:
+            return checks, f"{op!r}: odd removal changed the profile"
+        if op.weight() != sum(eta) + doubled.weight():
+            return checks, f"{op!r}: odd: weight split violated"
+        if lambda_full(eta, doubled) != op:
+            return checks, f"{op!r}: inverse of the odd removal differs"
+        types = first_row_types(m)
+        for p in range(1, n1 + 1):
+            rep = classify_g(m, p)
+            if not rep.pending:
+                continue
+            out = theta_step(op, p)
+            checks += 1
+            want = 1 if p == n1 else 2
+            if out.weight() != op.weight() + want:
+                return checks, f"{op!r}: type step at {p} changed weight wrongly"
+            mo = gg_mark(out)
+            if not classify_g(mo, p).advanced:
+                return checks, f"{op!r}: type step at {p} landed outside its class"
+            if mo.row_counts() != rows:
+                return checks, f"{op!r}: type step at {p} changed the profile"
+            types_o = first_row_types(mo)
+            if any(types[j] != types_o[j] for j in range(n1) if j not in (p - 1, p)):
+                return checks, f"{op!r}: type step at {p} flipped an untouched type"
+            if lambda_step(out, p) != op:
+                return checks, f"{op!r}: inverse type step at {p} differs"
+            ch = theta_chain(op, p)
+            checks += 1
+            if ch.weight() != op.weight() + 2 * (n1 - p) + 1:
+                return checks, f"{op!r}: type chain at {p} broke the weight law"
+            if lambda_chain(ch, p) != op:
+                return checks, f"{op!r}: inverse type chain at {p} differs"
+    if is_doubled(op):
+        halves = halve(op)
+        checks += 1
+        if double(halves) != op:
+            return checks, f"{op!r}: halve/double roundtrip differs"
+        if op.weight() != 2 * sum(halves):
+            return checks, f"{op!r}: halving broke the weight law"
+        if gordon_mark(halves) != m.marks:
+            return checks, f"{op!r}: halving changed the marks"
+    return checks, None
+
+
 def verify_bijections(k: int, i: int, n_max: int) -> VerificationReport:
     """Run every roundtrip and weight law over all family members of weight <= n_max."""
     _check_bound("n_max", n_max)
@@ -515,96 +625,13 @@ def verify_bijections(k: int, i: int, n_max: int) -> VerificationReport:
 
     for n in range(n_max + 1):
         for op in _o_family_members(k, i, n):
-            m = gg_mark(op)
-            rows = m.row_counts()
+            rows = gg_mark(op).row_counts()
             if len(rows) > k - 1:
                 return fail(f"{op!r}: {len(rows)} marking rows exceed k-1={k - 1}")
-            n1 = rows[0] if rows else 0
-            if in_stable_class(op):
-                tau, red = phi_full(op)
-                checks += 1
-                if not is_reduced(red):
-                    return fail(f"{op!r}: reduction left a clearable part in {red!r}")
-                if gg_mark(red).row_counts() != rows:
-                    return fail(f"{op!r}: reduction changed the marking profile")
-                if op.weight() != sum(tau) + red.weight():
-                    return fail(f"{op!r}: weight split violated by {tau} + {red!r}")
-                if psi_full(tau, red) != op:
-                    return fail(f"{op!r}: inverse of the full reduction differs")
-                _, row1 = _first_row_parts(op)
-                for p in range(2, n1 + 1):
-                    rep = classify_f(m, p)
-                    if not rep.pending:
-                        continue
-                    out = phi_step(op, p)
-                    checks += 1
-                    if out.weight() != op.weight() + 2:
-                        return fail(f"{op!r}: step at {p} changed weight by {out.weight() - op.weight()}")
-                    mo = gg_mark(out)
-                    orep = classify_f(mo, p)
-                    if not orep.advanced or orep.subcase != rep.subcase:
-                        return fail(f"{op!r}: step at {p} landed outside its class")
-                    if mo.row_counts() != rows:
-                        return fail(f"{op!r}: step at {p} changed the profile")
-                    _, row1o = _first_row_parts(out)
-                    if any(row1[j] != row1o[j] for j in range(n1) if j not in (p - 1, p)):
-                        return fail(f"{op!r}: step at {p} moved an untouched first-row part")
-                    if psi_step(out, p) != op:
-                        return fail(f"{op!r}: inverse step at {p} differs")
-                    ch = phi_chain(op, p)
-                    checks += 1
-                    if ch.weight() != op.weight() + 2 * (n1 - p) + 2:
-                        return fail(f"{op!r}: chain at {p} broke the weight law")
-                    if not classify_f(gg_mark(ch), p).cleared:
-                        return fail(f"{op!r}: chain at {p} did not clear the tail")
-                    if psi_chain(ch, p) != op:
-                        return fail(f"{op!r}: inverse chain at {p} differs")
-            if is_reduced(op):
-                eta, doubled = theta_full(op)
-                checks += 1
-                if not is_doubled(doubled):
-                    return fail(f"{op!r}: odd removal left an overlined part")
-                if gg_mark(doubled).row_counts() != rows:
-                    return fail(f"{op!r}: odd removal changed the profile")
-                if op.weight() != sum(eta) + doubled.weight():
-                    return fail(f"{op!r}: odd: weight split violated")
-                if lambda_full(eta, doubled) != op:
-                    return fail(f"{op!r}: inverse of the odd removal differs")
-                types = first_row_types(m)
-                for p in range(1, n1 + 1):
-                    rep = classify_g(m, p)
-                    if not rep.pending:
-                        continue
-                    out = theta_step(op, p)
-                    checks += 1
-                    want = 1 if p == n1 else 2
-                    if out.weight() != op.weight() + want:
-                        return fail(f"{op!r}: type step at {p} changed weight wrongly")
-                    mo = gg_mark(out)
-                    if not classify_g(mo, p).advanced:
-                        return fail(f"{op!r}: type step at {p} landed outside its class")
-                    if mo.row_counts() != rows:
-                        return fail(f"{op!r}: type step at {p} changed the profile")
-                    types_o = first_row_types(mo)
-                    if any(types[j] != types_o[j] for j in range(n1) if j not in (p - 1, p)):
-                        return fail(f"{op!r}: type step at {p} flipped an untouched type")
-                    if lambda_step(out, p) != op:
-                        return fail(f"{op!r}: inverse type step at {p} differs")
-                    ch = theta_chain(op, p)
-                    checks += 1
-                    if ch.weight() != op.weight() + 2 * (n1 - p) + 1:
-                        return fail(f"{op!r}: type chain at {p} broke the weight law")
-                    if lambda_chain(ch, p) != op:
-                        return fail(f"{op!r}: inverse type chain at {p} differs")
-            if is_doubled(op):
-                halves = halve(op)
-                checks += 1
-                if double(halves) != op:
-                    return fail(f"{op!r}: halve/double roundtrip differs")
-                if op.weight() != 2 * sum(halves):
-                    return fail(f"{op!r}: halving broke the weight law")
-                if gordon_mark(halves) != m.marks:
-                    return fail(f"{op!r}: halving changed the marks")
+            done, msg = _object_checks(_object_key(op))
+            checks += done
+            if msg is not None:
+                return fail(msg)
             if op.parts and satisfies_family(op, FamilySpec("F", k, i)):
                 out = fh_toggle(op, k, i)
                 checks += 1

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ggkit import cli
 from ggkit.bailey import LimitDiagnosticError
@@ -270,3 +274,70 @@ def test_internal_diagnostic_is_exit_1_without_traceback(capsys, monkeypatch, pa
     assert code == 1
     assert out == ""
     assert err.startswith("ggkit: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+# -- argv fuzz of the exit-code contract ------------------------------------
+
+_INT = st.integers(-1, 5).map(str)
+_VALUE = st.sampled_from([str(v) for v in range(-1, 6)] + ["x", "1.5"])
+_TOKENS = st.sampled_from(["", "x", "-", "2~", "1,1", "-2", "-2,-4", "-1,-3", "3,2~", ","])
+_OVERPARTITIONS = st.sampled_from(["-", "1,1,2~,2,3~,4~,6,7,8,8", "2~,4,5,6", "1~,2", "3,3,5~",
+                                   "2,2,4", "1,3~,4,4", "6~,8", "0", "1~,1~", "a", ""])
+_FORMAT = st.sampled_from(["text", "json", "xml"])
+
+
+def _flags(draw, spec: dict) -> list[str]:
+    argv = []
+    for flag, values in spec.items():
+        if draw(st.booleans()):
+            argv += [flag] if values is None else [flag, draw(values)]
+    return argv
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    """A random command line with small bounds; options come in any subset."""
+    command = draw(st.sampled_from(["enumerate", "mark", "biject", "bailey", "verify", "bogus"]))
+    if command == "enumerate":
+        return [command, "--n", draw(st.integers(-2, 8).map(str))] + _flags(draw, {
+            "--family": st.sampled_from(list("OPFHX")), "--k": _VALUE, "--i": _VALUE,
+            "--format": _FORMAT})
+    if command == "mark":
+        return [command, draw(_OVERPARTITIONS)] + _flags(draw, {
+            "--gordon": None, "--format": _FORMAT})
+    if command == "biject":
+        return [command, draw(_OVERPARTITIONS), "--map",
+                draw(st.sampled_from(sorted(cli._MAPS) + ["nope"]))] + _flags(draw, {
+            "--p": _VALUE, "--k": _VALUE, "--i": _VALUE, "--tau": _TOKENS, "--eta": _TOKENS,
+            "--format": _FORMAT})
+    if command == "bailey":
+        return [command, "--k", draw(_INT), "--i", draw(_INT),
+                "--T", draw(st.integers(-1, 8).map(str))] + _flags(draw, {
+            "--stage": st.integers(-3, 9).map(str), "--n-max": _VALUE, "--format": _FORMAT})
+    if command == "verify":
+        # --n-max and --T are always given: their defaults are the full acceptance bounds
+        return [command, "--suite",
+                draw(st.sampled_from(["identities", "counting", "bijections", "bailey", "all",
+                                      "none"])),
+                "--n-max", draw(st.integers(-1, 6).map(str)),
+                "--T", draw(st.integers(-1, 8).map(str))] + _flags(draw, {
+            "--k": _VALUE, "--i": _VALUE, "--profile": _TOKENS,
+            "--jobs": st.sampled_from(["-1", "0", "1", "x"]), "--format": _FORMAT})
+    return [command] + _flags(draw, {"--n": _VALUE})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+def test_fuzzed_argv_keeps_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        verdicts = [line for line in out.getvalue().splitlines()
+                    if line.startswith(("PASS", "FAIL")) or '"verdict"' in line]
+        assert not verdicts, argv

@@ -1,8 +1,16 @@
 import json
+from functools import lru_cache
 
 import pytest
 
-from ggkit.partitions import FamilySpec, count_family
+from ggkit import bailey, partitions, verify
+from ggkit.partitions import (
+    FamilySpec,
+    Overpartition,
+    count_family,
+    enumerate_overpartitions,
+    partition_family_tables,
+)
 from ggkit.series import LaurentSeries
 from ggkit.verify import (
     SUMMED_TAGS,
@@ -257,3 +265,101 @@ def test_worker_count_is_clamped(jobs, tasks, cpus, want):
     from ggkit.verify import _worker_count
 
     assert _worker_count(jobs, tasks, cpus) == want
+
+
+# -- the bijection sweep's object memo -------------------------------------
+
+BIJECTION_RUNS = [(k, i, n) for k in range(1, 4) for i in range(1, k + 1) for n in (4, 7, 10)]
+
+
+@pytest.fixture
+def cold_object_memo():
+    """Empty the sweep's object memo before and after the test, so a patched
+    map leaves no verdict behind."""
+    verify._object_checks.cache_clear()
+    yield
+    verify._object_checks.cache_clear()
+
+
+def _cold_reports(runs):
+    cold = {}
+    for run in runs:
+        verify._object_checks.cache_clear()
+        cold[run] = verify_bijections(*run)
+    return cold
+
+
+# check counts of the sweep at n_max = 10, from the sweep before it had a memo
+CHECKS_AT_10 = {(1, 1): 3, (2, 1): 94, (2, 2): 678, (3, 1): 116, (3, 2): 837, (3, 3): 1108}
+
+
+def test_memoized_sweeps_equal_cold_sweeps(cold_object_memo):
+    cold = _cold_reports(BIJECTION_RUNS)
+    assert all(rep.ok for rep in cold.values())
+    assert {(k, i): cold[(k, i, 10)].detail for k, i in CHECKS_AT_10} == \
+        {pair: f"{checks} checks" for pair, checks in CHECKS_AT_10.items()}
+    for order in (BIJECTION_RUNS, BIJECTION_RUNS[::-1]):
+        verify._object_checks.cache_clear()
+        for run in order:
+            assert verify_bijections(*run) == cold[run], run
+        assert verify._object_checks.cache_info().hits > 0
+
+
+def test_memo_does_not_hide_a_broken_inverse(cold_object_memo, monkeypatch):
+    monkeypatch.setattr(verify, "psi_full", lambda tau, red: red)
+    rep = verify_bijections(2, 2, 8)
+    assert not rep.ok
+    assert rep.detail.endswith("inverse of the full reduction differs")
+
+
+def test_object_memo_is_bounded(cold_object_memo, monkeypatch):
+    assert verify._object_checks.cache_info().maxsize == verify._OBJECT_MEMO_SIZE >= 11631
+    runs = [(k, i, 8) for k in range(1, 4) for i in range(1, k + 1)]
+    cold = _cold_reports(runs)
+    assert verify._object_checks.cache_info().currsize <= verify._OBJECT_MEMO_SIZE
+    small = lru_cache(maxsize=16)(verify._object_checks.__wrapped__)
+    monkeypatch.setattr(verify, "_object_checks", small)
+    for run in runs:
+        assert verify_bijections(*run) == cold[run], run
+        assert small.cache_info().currsize <= 16
+    assert small.cache_info().misses > 16  # entries were evicted and recomputed
+
+
+def test_every_module_level_cache_is_bounded():
+    cached = [fn for mod in (bailey, partitions, verify) for fn in vars(mod).values()
+              if hasattr(fn, "cache_info")]
+    assert {fn.__name__ for fn in cached} >= {"_inv_poch", "_bracket", "_object_checks"}
+    assert all(fn.cache_info().maxsize is not None for fn in cached)
+    assert not [name for mod in (bailey, partitions, verify) for name in vars(mod)
+                if name.endswith("_CACHE")]
+
+
+def test_object_key_roundtrip():
+    ops = [op for n in range(9) for op in enumerate_overpartitions(n)]
+    ops.append(Overpartition([(200, True), (200, False), (300, False), (1, True)]))
+    keys = [verify._object_key(op) for op in ops]
+    assert len(set(keys)) == len(ops)
+    assert [verify._object_from_key(key) for key in keys] == ops
+
+
+# -- counting tables --------------------------------------------------------
+
+def test_counting_suite_builds_only_the_tables_it_compares(monkeypatch):
+    runs = []
+    real = partitions._count_tables
+
+    def counted(*args, **kwargs):
+        runs.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(partitions, "_count_tables", counted)
+    reports = run_suite("counting", k=4, n_max=60, jobs=1)
+    assert len(reports) == 12 and all(rep.ok for rep in reports)
+    assert len(runs) == 24  # two family tables for T1.1 and T1.2, O/F/H and P for T1.5
+
+
+def test_partition_family_tables_builds_the_named_families():
+    full = partition_family_tables(12, [(3, 2)])
+    some = partition_family_tables(12, [(3, 2)], families="DB")
+    assert sorted(some) == [("B", 3, 2), ("D", 3, 2)]
+    assert all(some[key] == full[key] for key in some)
