@@ -1,14 +1,17 @@
 """Weight-tracked maps on marked overpartitions.
 
 ``phi_step``/``psi_step`` trade the clearable part at a first-row position for
-stable parts two units heavier (and back); chains sweep a position to the top
-of the first row; the full maps split an overpartition into a set of distinct
-negative even parts plus a reduced overpartition, and the theta/lambda family
-does the same for overlined odd parts against distinct negative odd parts.
-``halve``/``double`` convert all-plain-even overpartitions to ordinary
-partitions and back.  Every rewrite builds a new Overpartition, whose marking
-``gg_mark`` derives from its parts (once, then memoized on the object); no
-mark is carried across a rewrite.
+stable parts two units heavier (and back); ``theta_step``/``lambda_step`` turn
+a type-O first-row part into type E (and back).  Each of the two reductions is
+one ``_Reduction`` record of ``marking`` (``_PHI``, ``_THETA``), which drives
+one chain loop (``_chain``: a position swept to the top of the first row), one
+full map (``_full``: an overpartition split into distinct negative parts of the
+record's parity plus a reduced overpartition) and one inverse
+(``_inverse_full``); the public chains and full maps wrap them and keep their
+own domain checks.  ``halve``/``double`` convert all-plain-even overpartitions
+to ordinary partitions and back.  Every rewrite builds a new Overpartition,
+whose marking ``gg_mark`` derives from its parts (once, then memoized on the
+object); no mark is carried across a rewrite.
 """
 
 from __future__ import annotations
@@ -18,12 +21,13 @@ from dataclasses import dataclass, field
 from .marking import (
     MarkedOverpartition,
     PreconditionError,
+    _PHI,
+    _Reduction,
+    _THETA,
     classify_f,
     classify_g,
-    first_row_types,
     gg_mark,
     in_stable_class,
-    is_clearable,
     is_doubled,
     is_reduced,
 )
@@ -195,47 +199,67 @@ def psi_step(op: Overpartition, p: int, trace: Trace | None = None) -> Overparti
     return out
 
 
-def _first_row_size(op: Overpartition) -> int:
-    rows = gg_mark(op).row_counts()
-    return rows[0] if rows else 0
+def _chain(step, op: Overpartition, p: int, up: bool, trace: Trace | None) -> Overpartition:
+    n1 = len(gg_mark(op).row_indices(1))
+    if not 1 <= p <= n1:
+        raise PreconditionError(f"position {p} out of range 1..{n1}")
+    cur = op
+    for q in range(p, n1 + 1) if up else range(n1, p - 1, -1):
+        cur = step(cur, q, trace)
+    return cur
 
 
 def phi_chain(op: Overpartition, p: int, trace: Trace | None = None) -> Overpartition:
     """Sweep position p to the top: phi_step at p, p+1, ..., N1 (weight +2(N1-p+1))."""
-    n1 = _first_row_size(op)
-    if not 1 <= p <= n1:
-        raise PreconditionError(f"position {p} out of range 1..{n1}")
-    cur = op
-    for q in range(p, n1 + 1):
-        cur = phi_step(cur, q, trace)
-    return cur
+    return _chain(phi_step, op, p, True, trace)
 
 
 def psi_chain(op: Overpartition, p: int, trace: Trace | None = None) -> Overpartition:
     """Inverse sweep: psi_step at N1, N1-1, ..., p."""
-    n1 = _first_row_size(op)
-    if not 1 <= p <= n1:
-        raise PreconditionError(f"position {p} out of range 1..{n1}")
-    cur = op
-    for q in range(n1, p - 1, -1):
-        cur = psi_step(cur, q, trace)
-    return cur
+    return _chain(psi_step, op, p, False, trace)
 
 
 SignedEvenPartition = tuple[int, ...]
 SignedOddPartition = tuple[int, ...]
 
 
-def _check_signed(parts, n_max: int, parity: int, label: str) -> tuple[int, ...]:
-    t = tuple(sorted(parts))
-    if len(set(t)) != len(t):
+def _full(red: _Reduction, chain, op: Overpartition,
+          trace: Trace | None) -> tuple[tuple[int, ...], Overpartition]:
+    """Sweep the last flagged first-row position to the top until none is left."""
+    flags = red.flags(gg_mark(op))
+    n1 = len(flags)
+    js: list[int] = []
+    cur = op
+    while any(flags):
+        p = max(j for j, flag in enumerate(flags, 1) if flag)
+        js.append(p)
+        cur = chain(cur, p, trace)
+        flags = red.flags(gg_mark(cur))
+    signed = tuple(red.parity - 2 * (n1 - j + 1) for j in sorted(js))
+    _check_weight(f"{red.forward}_full", sum(signed) + cur.weight(), op.weight())
+    return signed, cur
+
+
+def _inverse_full(red: _Reduction, chain, signed, op: Overpartition, trace: Trace | None) -> Overpartition:
+    """Reinsert one part per signed entry, by the chain that emits it; the
+    entries must be distinct negative parts that a chain from position 2 - parity
+    or above emits (phi never starts at position 1, which holds a stable part)."""
+    n1 = len(gg_mark(op).row_indices(1))
+    label = "negative odd" if red.parity else "negative even"
+    low = red.parity - 2 * (n1 - 1 + red.parity)
+    signed = tuple(sorted(signed))
+    if len(set(signed)) != len(signed):
         raise PreconditionError(f"{label} parts must be distinct")
-    for x in t:
-        if x >= 0 or x % 2 != parity or x < parity - 2 * n_max:
+    for t in signed:
+        if t >= 0 or t % 2 != red.parity or t < low:
             raise PreconditionError(
-                f"{label} part {x} outside the allowed range [{parity - 2 * n_max}, {parity - 2}]"
+                f"{label} part {t} outside the allowed range [{low}, {red.parity - 2}]"
             )
-    return t
+    cur = op
+    for t in signed:
+        cur = chain(cur, n1 + 1 + (t - red.parity) // 2, trace)
+    _check_weight(f"{red.inverse}_full", cur.weight(), op.weight() + sum(signed))
+    return cur
 
 
 def phi_full(op: Overpartition, trace: Trace | None = None) -> tuple[SignedEvenPartition, Overpartition]:
@@ -243,37 +267,14 @@ def phi_full(op: Overpartition, trace: Trace | None = None) -> tuple[SignedEvenP
     even part per removal; weights satisfy |input| = |evens| + |output|."""
     if not in_stable_class(op):
         raise PreconditionError("smallest part must be overlined odd or plain even")
-    m = gg_mark(op)
-    n1 = m.row_counts()[0] if m.marks else 0
-    js: list[int] = []
-    cur = op
-    while True:
-        m = gg_mark(cur)
-        row1 = m.row_indices(1)
-        clear = [j + 1 for j, idx in enumerate(row1) if is_clearable(cur.parts[idx])]
-        if not clear:
-            break
-        p = max(clear)
-        js.append(p)
-        cur = phi_chain(cur, p, trace)
-    tau = tuple(-2 * (n1 - j + 1) for j in sorted(js))
-    _check_weight("phi_full", sum(tau) + cur.weight(), op.weight())
-    return tau, cur
+    return _full(_PHI, phi_chain, op, trace)
 
 
 def psi_full(tau, op: Overpartition, trace: Trace | None = None) -> Overpartition:
     """Inverse of phi_full: reinsert one part per negative even entry of tau."""
     if not is_reduced(op):
         raise PreconditionError("target overpartition may not contain plain odd or overlined even parts")
-    m = gg_mark(op)
-    n1 = m.row_counts()[0] if m.marks else 0
-    tau = _check_signed(tau, n1 - 1, 0, "negative even")
-    cur = op
-    for t in tau:
-        j = n1 + 1 + t // 2
-        cur = psi_chain(cur, j, trace)
-    _check_weight("psi_full", cur.weight(), op.weight() + sum(tau))
-    return cur
+    return _inverse_full(_PHI, psi_chain, tau, op, trace)
 
 
 def theta_step(op: Overpartition, p: int, trace: Trace | None = None) -> Overpartition:
@@ -386,23 +387,12 @@ def lambda_step(op: Overpartition, p: int, trace: Trace | None = None) -> Overpa
 
 def theta_chain(op: Overpartition, p: int, trace: Trace | None = None) -> Overpartition:
     """theta_step at p, p+1, ..., N1 (weight +2(N1-p)+1)."""
-    n1 = _first_row_size(op)
-    if not 1 <= p <= n1:
-        raise PreconditionError(f"position {p} out of range 1..{n1}")
-    cur = op
-    for q in range(p, n1 + 1):
-        cur = theta_step(cur, q, trace)
-    return cur
+    return _chain(theta_step, op, p, True, trace)
 
 
 def lambda_chain(op: Overpartition, p: int, trace: Trace | None = None) -> Overpartition:
-    n1 = _first_row_size(op)
-    if not 1 <= p <= n1:
-        raise PreconditionError(f"position {p} out of range 1..{n1}")
-    cur = op
-    for q in range(n1, p - 1, -1):
-        cur = lambda_step(cur, q, trace)
-    return cur
+    """Inverse of theta_chain: lambda_step at N1, N1-1, ..., p."""
+    return _chain(lambda_step, op, p, False, trace)
 
 
 def theta_full(op: Overpartition, trace: Trace | None = None) -> tuple[SignedOddPartition, Overpartition]:
@@ -410,37 +400,14 @@ def theta_full(op: Overpartition, trace: Trace | None = None) -> tuple[SignedOdd
     per removal; weights satisfy |input| = |odds| + |output|."""
     if not is_reduced(op):
         raise PreconditionError("input may not contain plain odd or overlined even parts")
-    m = gg_mark(op)
-    n1 = m.row_counts()[0] if m.marks else 0
-    js: list[int] = []
-    cur = op
-    while True:
-        m = gg_mark(cur)
-        types = first_row_types(m)
-        opos = [j + 1 for j, t in enumerate(types) if t == "O"]
-        if not opos:
-            break
-        p = max(opos)
-        js.append(p)
-        cur = theta_chain(cur, p, trace)
-    eta = tuple(1 - 2 * (n1 - j + 1) for j in sorted(js))
-    _check_weight("theta_full", sum(eta) + cur.weight(), op.weight())
-    return eta, cur
+    return _full(_THETA, theta_chain, op, trace)
 
 
 def lambda_full(eta, op: Overpartition, trace: Trace | None = None) -> Overpartition:
     """Inverse of theta_full: reinsert one overlined odd part per entry of eta."""
     if not is_doubled(op):
         raise PreconditionError("target overpartition must consist of plain even parts")
-    m = gg_mark(op)
-    n1 = m.row_counts()[0] if m.marks else 0
-    eta = _check_signed(eta, n1, 1, "negative odd")
-    cur = op
-    for t in eta:
-        j = n1 + 1 + (t - 1) // 2
-        cur = lambda_chain(cur, j, trace)
-    _check_weight("lambda_full", cur.weight(), op.weight() + sum(eta))
-    return cur
+    return _inverse_full(_THETA, lambda_chain, eta, op, trace)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ nonincreasing.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .partitions import Overpartition, Part, Partition, part_text
@@ -60,7 +61,7 @@ class MarkedOverpartition:
         """The parts marked r, in part order (empty when no part is r-marked)."""
         if r < 1:
             raise ValueError("mark index must be >= 1")
-        return tuple(p for p, mk in zip(self.base.parts, self.marks) if mk == r)
+        return tuple([p for p, mk in zip(self.base.parts, self.marks) if mk == r])
 
     def row_indices(self, r: int) -> list[int]:
         return [j for j, mk in enumerate(self.marks) if mk == r]
@@ -292,21 +293,52 @@ def is_doubled(op: Overpartition) -> bool:
 def part_type(m: MarkedOverpartition, j: int) -> str:
     """Type of the j-th first-row part (1-based): "O" when it is an overlined odd
     part or an overlined odd part of size one larger occurs; otherwise "E"."""
+    types = first_row_types(m)
+    if not 1 <= j <= len(types):
+        raise PreconditionError(f"first-row position {j} out of range 1..{len(types)}")
+    return types[j - 1]
+
+
+def first_row_types(m: MarkedOverpartition) -> list[str]:
+    """The part types of the first row, in position order (see ``part_type``)."""
     if not is_reduced(m.base):
         raise PreconditionError(
             "part types are defined only without overlined even or plain odd parts"
         )
-    row1 = m.row_indices(1)
-    if not 1 <= j <= len(row1):
-        raise PreconditionError(f"first-row position {j} out of range 1..{len(row1)}")
-    p = m.base.parts[row1[j - 1]]
-    if p.overlined:
-        return "O"
-    return "O" if m.base.freq_table().fbar(p.size + 1) else "E"
+    ft = m.base.freq_table()
+    return ["O" if p.overlined or ft.fbar(p.size + 1) else "E" for p in m.sub_overpartition(1)]
 
 
-def first_row_types(m: MarkedOverpartition) -> list[str]:
-    return [part_type(m, j) for j in range(1, len(m.row_indices(1)) + 1)]
+@dataclass(frozen=True)
+class _Reduction:
+    """One of the two reductions: phi/psi trades plain-odd and overlined-even
+    parts for distinct negative even parts, theta/lambda overlined odd parts for
+    distinct negative odd parts.  Each sweeps the last first-row part its flags
+    mark up to position N1, one step at a time; every step adds weight 2 but the
+    one at N1, which adds 2 - parity, so the chain from j emits parity - 2(N1-j+1).
+
+    The maps ``<forward>_step`` ... ``<inverse>_full`` and the classifier are
+    held by name: each caller looks them up in its own module at call time, so a
+    rebound or patched map is the one that runs."""
+
+    forward: str
+    inverse: str
+    classify: str
+    domain: Callable[[Overpartition], bool]  # where the forward full map applies
+    target: Callable[[Overpartition], bool]  # where it lands and the inverse applies
+    flags: Callable[[MarkedOverpartition], list[bool]]  # first-row parts still to move
+    fixed: Callable[[MarkedOverpartition], Sequence]  # first-row facts a step keeps off p, p+1
+    parity: int
+    removal: str  # the full map, in the sweep's failure messages
+    kind: str  # the prefix of "step" and "chain" there
+
+
+_PHI = _Reduction("phi", "psi", "classify_f", in_stable_class, is_reduced,
+                  lambda m: [is_clearable(q) for q, mk in zip(m.base.parts, m.marks) if mk == 1],
+                  lambda m: m.sub_overpartition(1), 0, "full reduction", "")
+_THETA = _Reduction("theta", "lambda", "classify_g", is_reduced, is_doubled,
+                    lambda m: [t == "O" for t in first_row_types(m)],
+                    first_row_types, 1, "odd removal", "type ")
 
 
 @dataclass(frozen=True)
@@ -326,13 +358,6 @@ class PositionReport:
     subcase: int | None = None
 
 
-def _stable_size(m: MarkedOverpartition, row1: list[int], j: int) -> int | None:
-    """Size of the j-th first-row part, or None beyond N1 (treated as infinite)."""
-    if j <= len(row1):
-        return m.base.parts[row1[j - 1]].size
-    return None
-
-
 def _f_subcase(m: MarkedOverpartition, row1: list[int], p: int) -> int:
     op = m.base
     ft = op.freq_table()
@@ -350,7 +375,7 @@ def _fbar_subcase(m: MarkedOverpartition, row1: list[int], p: int) -> int:
     op = m.base
     ft = op.freq_table()
     part = op.parts[row1[p - 1]]
-    nxt = _stable_size(m, row1, p + 1)
+    nxt = op.parts[row1[p]].size if p < len(row1) else None  # None above N1
     if part.overlined:  # overlined odd
         if ft.f(part.size + 1) > 0 and (nxt is None or nxt >= part.size + 2):
             return 4
@@ -363,27 +388,28 @@ def _fbar_subcase(m: MarkedOverpartition, row1: list[int], p: int) -> int:
     return 2
 
 
+def _positions(flags: list[bool], p: int) -> tuple[bool, bool, bool]:
+    """(pending, advanced, cleared) of first-row position p, given per position
+    whether its part is still to move (see ``PositionReport``)."""
+    n1 = len(flags)
+    if not 1 <= p <= n1:
+        raise PreconditionError(f"position {p} out of range 1..{n1}")
+    pending = flags[p - 1] and not any(flags[p:])
+    advanced = not flags[p - 1] and (p >= n1 or flags[p]) and not any(flags[p + 1 :])
+    cleared = not any(flags[p - 1 :])
+    return pending, advanced, cleared
+
+
 def classify_f(m: MarkedOverpartition, p: int) -> PositionReport:
     """Positional classification of a stable-class overpartition at first-row p."""
     if not in_stable_class(m.base):
         raise PreconditionError("smallest part must be overlined odd or plain even")
-    row1 = m.row_indices(1)
-    n1 = len(row1)
-    if not 1 <= p <= n1:
-        raise PreconditionError(f"position {p} out of range 1..{n1}")
-    kinds = [is_clearable(m.base.parts[j]) for j in row1]
-    pending = kinds[p - 1] and not any(kinds[p:])
-    advanced = (
-        not kinds[p - 1]
-        and (p >= n1 or kinds[p])
-        and not any(kinds[p + 1 :])
-    )
-    cleared = not any(kinds[p - 1 :])
+    pending, advanced, cleared = _positions(_PHI.flags(m), p)
     sub = None
     if pending:
-        sub = _f_subcase(m, row1, p)
+        sub = _f_subcase(m, m.row_indices(1), p)
     elif advanced:
-        sub = _fbar_subcase(m, row1, p)
+        sub = _fbar_subcase(m, m.row_indices(1), p)
     return PositionReport(p, pending, advanced, cleared, sub)
 
 
@@ -394,16 +420,4 @@ def classify_g(m: MarkedOverpartition, p: int) -> PositionReport:
             "type classification needs an overpartition without overlined even "
             "or plain odd parts"
         )
-    types = first_row_types(m)
-    n1 = len(types)
-    if not 1 <= p <= n1:
-        raise PreconditionError(f"position {p} out of range 1..{n1}")
-    is_o = [t == "O" for t in types]
-    pending = is_o[p - 1] and not any(is_o[p:])
-    advanced = (
-        not is_o[p - 1]
-        and (p >= n1 or is_o[p])
-        and not any(is_o[p + 1 :])
-    )
-    cleared = not any(is_o[p - 1 :])
-    return PositionReport(p, pending, advanced, cleared)
+    return PositionReport(p, *_positions(_THETA.flags(m), p))

@@ -132,6 +132,20 @@ def test_signed_part_validation():
         lambda_full((-9,), dbl)
 
 
+def test_signed_part_range_edges():
+    # N1 = 5: the reduction reinserts at positions 2..5 (parts -8..-2), the odd
+    # removal at positions 1..5 (parts -9..-1)
+    tau, red = phi_full(OP("1~,2,4~,4,4,7,8,8,10,11~,13~"))
+    assert gg_mark(red).row_counts()[0] == 5
+    with pytest.raises(PreconditionError):
+        psi_full((-10,), red)
+    assert psi_full((-8,), red).weight() == red.weight() - 8
+    eta, dbl = theta_full(red)
+    with pytest.raises(PreconditionError):
+        lambda_full((-11,), dbl)
+    assert lambda_full((-9,), dbl).weight() == dbl.weight() - 9
+
+
 def test_step_precondition_errors():
     with pytest.raises(PreconditionError):
         phi_step(OP("1~,4,6"), 2)  # nothing to clear

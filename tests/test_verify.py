@@ -1,4 +1,5 @@
 import json
+import re
 from functools import lru_cache
 
 import pytest
@@ -310,6 +311,43 @@ def test_memo_does_not_hide_a_broken_inverse(cold_object_memo, monkeypatch):
     rep = verify_bijections(2, 2, 8)
     assert not rep.ok
     assert rep.detail.endswith("inverse of the full reduction differs")
+
+
+# each inverse the sweep checks, with the failure a map that returns its input
+# unchanged must produce: the sweep has to look every map up in verify when it
+# calls it, as test_memo_does_not_hide_a_broken_inverse does for psi_full
+@pytest.mark.parametrize("name, message", [
+    ("psi_step", r"inverse step at \d+ differs"),
+    ("psi_chain", r"inverse chain at \d+ differs"),
+    ("lambda_full", r"inverse of the odd removal differs"),
+    ("lambda_step", r"inverse type step at \d+ differs"),
+    ("lambda_chain", r"inverse type chain at \d+ differs"),
+])
+def test_sweep_looks_up_each_inverse_at_call_time(cold_object_memo, monkeypatch, name, message):
+    if name.endswith("_full"):
+        monkeypatch.setattr(verify, name, lambda signed, op, trace=None: op)
+    else:
+        monkeypatch.setattr(verify, name, lambda op, p, trace=None: op)
+    rep = verify_bijections(2, 2, 8)
+    assert not rep.ok
+    assert re.search(f": {message}$", rep.detail), rep.detail
+
+
+def test_sweep_looks_up_the_classifiers_at_call_time(cold_object_memo, monkeypatch):
+    calls = {"classify_f": 0, "classify_g": 0}
+
+    def counted(name):
+        orig = getattr(verify, name)
+
+        def classify(m, p):
+            calls[name] += 1
+            return orig(m, p)
+        return classify
+
+    for name in calls:
+        monkeypatch.setattr(verify, name, counted(name))
+    assert verify_bijections(3, 3, 8).ok
+    assert all(calls.values()), calls
 
 
 def test_object_memo_is_bounded(cold_object_memo, monkeypatch):
