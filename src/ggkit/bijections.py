@@ -4,14 +4,17 @@
 stable parts two units heavier (and back); ``theta_step``/``lambda_step`` turn
 a type-O first-row part into type E (and back).  Each of the two reductions is
 one ``_Reduction`` record of ``marking`` (``_PHI``, ``_THETA``), which drives
-one chain loop (``_chain``: a position swept to the top of the first row), one
-full map (``_full``: an overpartition split into distinct negative parts of the
-record's parity plus a reduced overpartition) and one inverse
-(``_inverse_full``); the public chains and full maps wrap them and keep their
-own domain checks.  ``halve``/``double`` convert all-plain-even overpartitions
-to ordinary partitions and back.  Every rewrite builds a new Overpartition,
-whose marking ``gg_mark`` derives from its parts (once, then memoized on the
-object); no mark is carried across a rewrite.
+one step frame (``_step``: check the position, rewrite the parts a case function
+names, check the weight law, record the trace), one chain loop (``_chain``: a
+position swept to the top of the first row), one full map (``_full``: an
+overpartition split into distinct negative parts of the record's parity plus a
+reduced overpartition) and one inverse (``_inverse_full``).  The public maps
+wrap them: each step passes its classifier and its case analysis
+(``_phi_cases`` ... ``_lambda_cases``), each full map keeps its domain check.
+``halve``/``double`` convert all-plain-even overpartitions to ordinary
+partitions and back.  Every rewrite builds a new Overpartition, whose marking
+``gg_mark`` derives from its parts (once, then memoized on the object); no mark
+is carried across a rewrite.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .marking import (
     _PHI,
     _Reduction,
     _THETA,
+    _last_flagged,
     classify_f,
     classify_g,
     gg_mark,
@@ -74,13 +78,6 @@ class Trace:
         return [s.to_json() for s in self.steps]
 
 
-def _rewrite(m: MarkedOverpartition, repl: dict[int, Part]) -> Overpartition:
-    parts = list(m.base.parts)
-    for idx, new in repl.items():
-        parts[idx] = new
-    return Overpartition(parts)
-
-
 def _toggle_next(m: MarkedOverpartition, row1: list[int], p: int, repl: dict[int, Part]) -> None:
     # flip the overline of the first-row part at position p+1 (no-op at the top)
     if p < len(row1):
@@ -107,18 +104,31 @@ def _reuse_index(m: MarkedOverpartition, row1: list[int], p: int, size: int) -> 
     return max(m.marks_at_size(size))
 
 
-def phi_step(op: Overpartition, p: int, trace: Trace | None = None) -> Overpartition:
-    """Clear the first-row part at position p (1 < p <= N1), raising weight by 2."""
+def _step(red: _Reduction, forward: bool, classify, cases, op: Overpartition, p: int, trace):
+    """One step of a reduction at first-row position p (of its inverse unless
+    forward): check that p holds the part to move, rewrite the parts that
+    ``cases(m, row1, p, part, subcase)`` returns with its case label, then check
+    the record's weight law and record the trace."""
     m = gg_mark(op)
-    rep = classify_f(m, p)
-    if not rep.pending:
-        raise PreconditionError(
-            f"first-row position {p} must hold the last plain-odd/overlined-even part"
-        )
+    rep = classify(m, p)
+    if not (rep.pending if forward else rep.advanced):
+        raise PreconditionError(f"first-row position {p} must hold {red.holds[0 if forward else 1]}")
     row1 = m.row_indices(1)
-    part = op.parts[row1[p - 1]]
+    case, repl = cases(m, row1, p, op.parts[row1[p - 1]], rep.subcase)
+    parts = list(op.parts)
+    for idx, new in repl.items():
+        parts[idx] = new
+    out = Overpartition(parts)
+    name = red.forward if forward else red.inverse
+    law = 2 if p < len(row1) else 2 - red.parity
+    _check_weight(f"{name}_step", out.weight(), op.weight() + (law if forward else -law))
+    if trace is not None:
+        trace.record(f"{name}[{case},{p}]", op, out)
+    return out
+
+
+def _phi_cases(m: MarkedOverpartition, row1: list[int], p: int, part: Part, l: int):
     repl: dict[int, Part] = {}
-    l = rep.subcase
     if l == 1:
         repl[row1[p - 1]] = Part(part.size + 2, True)
     elif l == 2:
@@ -144,25 +154,16 @@ def phi_step(op: Overpartition, p: int, trace: Trace | None = None) -> Overparti
             repl[m.find(part.size, False, r)] = Part(part.size + 1, True)
         repl[m.find(part.size + 1, True, s)] = Part(part.size + 2, False)
     _toggle_next(m, row1, p, repl)
-    out = _rewrite(m, repl)
-    _check_weight("phi_step", out.weight(), op.weight() + 2)
-    if trace is not None:
-        trace.record(f"phi[{l},{p}]", op, out)
-    return out
+    return l, repl
 
 
-def psi_step(op: Overpartition, p: int, trace: Trace | None = None) -> Overpartition:
-    """Inverse of phi_step at position p, lowering weight by 2."""
-    m = gg_mark(op)
-    rep = classify_f(m, p)
-    if not rep.advanced:
-        raise PreconditionError(
-            f"first-row position {p} must hold a stable part followed by the part to restore"
-        )
-    row1 = m.row_indices(1)
-    part = op.parts[row1[p - 1]]
+def phi_step(op: Overpartition, p: int, trace: Trace | None = None) -> Overpartition:
+    """Clear the first-row part at position p (1 < p <= N1), raising weight by 2."""
+    return _step(_PHI, True, classify_f, _phi_cases, op, p, trace)
+
+
+def _psi_cases(m: MarkedOverpartition, row1: list[int], p: int, part: Part, l: int):
     repl: dict[int, Part] = {}
-    l = rep.subcase
     if l == 1:
         repl[row1[p - 1]] = Part(part.size - 2, False)
     elif l == 2:
@@ -170,9 +171,8 @@ def psi_step(op: Overpartition, p: int, trace: Trace | None = None) -> Overparti
         repl[row1[p - 1]] = Part(part.size - 1, False)
         repl[m.find(part.size + 1, True, r)] = Part(part.size, False)
     elif l == 3:
-        nxt = row1[p] if p < len(row1) else None
-        nxt_size = op.parts[nxt].size if nxt is not None else None
-        if (nxt_size is not None and nxt_size <= part.size + 2) or not m.marks_at_size(
+        nxt = m.base.parts[row1[p]].size if p < len(row1) else None
+        if (nxt is not None and nxt <= part.size + 2) or not m.marks_at_size(
             part.size + 2, overlined=False
         ):
             repl[row1[p - 1]] = Part(part.size - 2, True)
@@ -192,11 +192,12 @@ def psi_step(op: Overpartition, p: int, trace: Trace | None = None) -> Overparti
             repl[m.find(part.size + 1, True, r)] = Part(part.size, False)
             repl[m.find(part.size + 2, False, s)] = Part(part.size + 1, True)
     _toggle_next(m, row1, p, repl)
-    out = _rewrite(m, repl)
-    _check_weight("psi_step", out.weight(), op.weight() - 2)
-    if trace is not None:
-        trace.record(f"psi[{l},{p}]", op, out)
-    return out
+    return l, repl
+
+
+def psi_step(op: Overpartition, p: int, trace: Trace | None = None) -> Overpartition:
+    """Inverse of phi_step at position p, lowering weight by 2."""
+    return _step(_PHI, False, classify_f, _psi_cases, op, p, trace)
 
 
 def _chain(step, op: Overpartition, p: int, up: bool, trace: Trace | None) -> Overpartition:
@@ -230,8 +231,7 @@ def _full(red: _Reduction, chain, op: Overpartition,
     n1 = len(flags)
     js: list[int] = []
     cur = op
-    while any(flags):
-        p = max(j for j, flag in enumerate(flags, 1) if flag)
+    while p := _last_flagged(flags):
         js.append(p)
         cur = chain(cur, p, trace)
         flags = red.flags(gg_mark(cur))
@@ -277,71 +277,48 @@ def psi_full(tau, op: Overpartition, trace: Trace | None = None) -> Overpartitio
     return _inverse_full(_PHI, psi_chain, tau, op, trace)
 
 
-def theta_step(op: Overpartition, p: int, trace: Trace | None = None) -> Overpartition:
-    """Convert the type-O first-row part at position p to type E
-    (weight +2, or +1 at the top position)."""
-    m = gg_mark(op)
-    rep = classify_g(m, p)
-    if not rep.pending:
-        raise PreconditionError(f"first-row position {p} must hold the last type-O part")
-    row1 = m.row_indices(1)
-    n1 = len(row1)
-    part = op.parts[row1[p - 1]]
+def _theta_cases(m: MarkedOverpartition, row1: list[int], p: int, part: Part, _):
     repl: dict[int, Part] = {}
-    if p < n1:
-        nxt = op.parts[row1[p]]
+    if p < len(row1):
+        nxt = m.base.parts[row1[p]]
         if part.overlined:
             t2 = part.size + 1  # 2t+2
             if nxt.size == part.size + 3:
                 repl[row1[p - 1]] = Part(t2, False)
                 repl[row1[p]] = Part(nxt.size + 1, True)
-                case = "1.1"
-            else:
-                r = max(m.marks_at_size(nxt.size, overlined=False))
-                repl[row1[p - 1]] = Part(t2, False)
-                repl[m.find(nxt.size, False, r)] = Part(nxt.size + 1, True)
-                case = "1.2"
-        else:
-            s = min(m.marks_at_size(part.size + 1, overlined=True))
-            if s in m.marks_at_size(part.size + 4, overlined=False):
-                repl[m.find(part.size + 1, True, s)] = Part(part.size + 2, False)
-                repl[m.find(part.size + 4, False, s)] = Part(part.size + 5, True)
-                case = "2.1"
-            else:
-                r = max(m.marks_at_size(nxt.size, overlined=False))
-                repl[m.find(part.size + 1, True, s)] = Part(part.size + 2, False)
-                repl[m.find(nxt.size, False, r)] = Part(nxt.size + 1, True)
-                case = "2.2"
-    else:
-        if part.overlined:
-            repl[row1[p - 1]] = Part(part.size + 1, False)
-            case = "3.1"
-        else:
-            s = min(m.marks_at_size(part.size + 1, overlined=True))
+                return "1.1", repl
+            r = max(m.marks_at_size(nxt.size, overlined=False))
+            repl[row1[p - 1]] = Part(t2, False)
+            repl[m.find(nxt.size, False, r)] = Part(nxt.size + 1, True)
+            return "1.2", repl
+        s = min(m.marks_at_size(part.size + 1, overlined=True))
+        if s in m.marks_at_size(part.size + 4, overlined=False):
             repl[m.find(part.size + 1, True, s)] = Part(part.size + 2, False)
-            case = "3.2"
-    out = _rewrite(m, repl)
-    _check_weight("theta_step", out.weight(), op.weight() + (1 if p == n1 else 2))
-    if trace is not None:
-        trace.record(f"theta[{case},{p}]", op, out)
-    return out
+            repl[m.find(part.size + 4, False, s)] = Part(part.size + 5, True)
+            return "2.1", repl
+        r = max(m.marks_at_size(nxt.size, overlined=False))
+        repl[m.find(part.size + 1, True, s)] = Part(part.size + 2, False)
+        repl[m.find(nxt.size, False, r)] = Part(nxt.size + 1, True)
+        return "2.2", repl
+    if part.overlined:  # at the top position N1
+        repl[row1[p - 1]] = Part(part.size + 1, False)
+        return "3.1", repl
+    s = min(m.marks_at_size(part.size + 1, overlined=True))
+    repl[m.find(part.size + 1, True, s)] = Part(part.size + 2, False)
+    return "3.2", repl
 
 
-def lambda_step(op: Overpartition, p: int, trace: Trace | None = None) -> Overpartition:
-    """Inverse of theta_step at position p."""
-    m = gg_mark(op)
-    rep = classify_g(m, p)
-    if not rep.advanced:
-        raise PreconditionError(
-            f"first-row position {p} must hold a type-E part followed by the type-O part"
-        )
-    row1 = m.row_indices(1)
-    n1 = len(row1)
-    part = op.parts[row1[p - 1]]  # plain even, size 2t+2
-    t = part.size // 2 - 1
+def theta_step(op: Overpartition, p: int, trace: Trace | None = None) -> Overpartition:
+    """Convert the type-O first-row part at position p to type E
+    (weight +2, or +1 at the top position)."""
+    return _step(_THETA, True, classify_g, _theta_cases, op, p, trace)
+
+
+def _lambda_cases(m: MarkedOverpartition, row1: list[int], p: int, part: Part, _):
+    t = part.size // 2 - 1  # part is plain even, size 2t+2
     repl: dict[int, Part] = {}
-    if p < n1:
-        nxt = op.parts[row1[p]]
+    if p < len(row1):
+        nxt = m.base.parts[row1[p]]
         if nxt.overlined:  # 2b+3 overlined
             b = (nxt.size - 3) // 2
             if t > b - 1:
@@ -349,40 +326,36 @@ def lambda_step(op: Overpartition, p: int, trace: Trace | None = None) -> Overpa
             if t == b - 1:
                 repl[row1[p]] = Part(nxt.size - 1, False)
                 repl[row1[p - 1]] = Part(part.size - 1, True)
-                case = "1.1"
-            elif not m.marks_at_size(2 * t + 4, overlined=False):
-                repl[row1[p - 1]] = Part(2 * t + 1, True)
-                repl[row1[p]] = Part(nxt.size - 1, False)
-                case = "1.2"
-            else:
-                sp = min(m.marks_at_size(2 * t + 4, overlined=False))
-                repl[row1[p]] = Part(nxt.size - 1, False)
-                repl[m.find(2 * t + 4, False, sp)] = Part(2 * t + 3, True)
-                case = "1.3"
-        else:  # plain even 2b+2 of type O via an overlined 2b+3
-            rp = min(m.marks_at_size(nxt.size + 1, overlined=True))
+                return "1.1", repl
             if not m.marks_at_size(2 * t + 4, overlined=False):
-                repl[m.find(nxt.size + 1, True, rp)] = Part(nxt.size, False)
                 repl[row1[p - 1]] = Part(2 * t + 1, True)
-                case = "2.1"
-            else:
-                sp = min(m.marks_at_size(2 * t + 4, overlined=False))
-                repl[m.find(nxt.size + 1, True, rp)] = Part(nxt.size, False)
-                repl[m.find(2 * t + 4, False, sp)] = Part(2 * t + 3, True)
-                case = "2.2"
-    else:
-        if not m.marks_at_size(2 * t + 4, overlined=False):
-            repl[row1[p - 1]] = Part(2 * t + 1, True)
-            case = "3.1"
-        else:
+                repl[row1[p]] = Part(nxt.size - 1, False)
+                return "1.2", repl
             sp = min(m.marks_at_size(2 * t + 4, overlined=False))
+            repl[row1[p]] = Part(nxt.size - 1, False)
             repl[m.find(2 * t + 4, False, sp)] = Part(2 * t + 3, True)
-            case = "3.2"
-    out = _rewrite(m, repl)
-    _check_weight("lambda_step", out.weight(), op.weight() - (1 if p == n1 else 2))
-    if trace is not None:
-        trace.record(f"lambda[{case},{p}]", op, out)
-    return out
+            return "1.3", repl
+        # plain even 2b+2 of type O via an overlined 2b+3
+        rp = min(m.marks_at_size(nxt.size + 1, overlined=True))
+        if not m.marks_at_size(2 * t + 4, overlined=False):
+            repl[m.find(nxt.size + 1, True, rp)] = Part(nxt.size, False)
+            repl[row1[p - 1]] = Part(2 * t + 1, True)
+            return "2.1", repl
+        sp = min(m.marks_at_size(2 * t + 4, overlined=False))
+        repl[m.find(nxt.size + 1, True, rp)] = Part(nxt.size, False)
+        repl[m.find(2 * t + 4, False, sp)] = Part(2 * t + 3, True)
+        return "2.2", repl
+    if not m.marks_at_size(2 * t + 4, overlined=False):  # at the top position N1
+        repl[row1[p - 1]] = Part(2 * t + 1, True)
+        return "3.1", repl
+    sp = min(m.marks_at_size(2 * t + 4, overlined=False))
+    repl[m.find(2 * t + 4, False, sp)] = Part(2 * t + 3, True)
+    return "3.2", repl
+
+
+def lambda_step(op: Overpartition, p: int, trace: Trace | None = None) -> Overpartition:
+    """Inverse of theta_step at position p."""
+    return _step(_THETA, False, classify_g, _lambda_cases, op, p, trace)
 
 
 def theta_chain(op: Overpartition, p: int, trace: Trace | None = None) -> Overpartition:

@@ -210,14 +210,16 @@ def _cmd_biject(args) -> int:
                 return USAGE_EXIT
             result = fn(op, args.k, args.i, trace)
             extra = {}
-        else:  # plain: halve / double
-            if args.map == "halve":
-                result = fn(op)
-                extra = {"partition": list(result)}
-                result = None
-            else:
-                result = fn(tuple(p.size for p in op.parts))
-                extra = {}
+        elif args.map == "halve":
+            result = fn(op)
+            extra = {"partition": list(result)}
+            result = None
+        elif any(p.overlined for p in op.parts):
+            print("ggkit: doubling takes a plain partition", file=sys.stderr)
+            return USAGE_EXIT
+        else:  # double
+            result = fn(tuple(p.size for p in op.parts))
+            extra = {}
     except WeightMismatchError as exc:
         print(f"ggkit: {exc}", file=sys.stderr)
         return MISMATCH_EXIT

@@ -25,6 +25,11 @@ class PreconditionError(ValueError):
     """A map or classifier was applied outside its stated domain."""
 
 
+def _row_counts(marks: tuple[int, ...]) -> tuple[int, ...]:
+    """How many marks equal 1, 2, ..., up to the largest mark."""
+    return tuple(marks.count(r) for r in range(1, max(marks, default=0) + 1))
+
+
 def _mex(used) -> int:
     m = 1
     while m in used:
@@ -42,13 +47,7 @@ class MarkedOverpartition:
 
     def row_counts(self) -> tuple[int, ...]:
         """(N_1, N_2, ...): how many parts carry each mark, up to the largest mark."""
-        if not self.marks:
-            return ()
-        top = max(self.marks)
-        out = [0] * top
-        for mk in self.marks:
-            out[mk - 1] += 1
-        return tuple(out)
+        return _row_counts(self.marks)
 
     def profile(self, k: int) -> tuple[int, ...]:
         """Row counts padded to length k-1; error if any mark reaches k."""
@@ -243,13 +242,7 @@ def gordon_mark(parts: Partition) -> tuple[int, ...]:
 
 
 def gordon_row_counts(parts: Partition) -> tuple[int, ...]:
-    marks = gordon_mark(parts)
-    if not marks:
-        return ()
-    out = [0] * max(marks)
-    for mk in marks:
-        out[mk - 1] += 1
-    return tuple(out)
+    return _row_counts(gordon_mark(parts))
 
 
 def row_counts(m: MarkedOverpartition) -> tuple[int, ...]:
@@ -316,6 +309,7 @@ class _Reduction:
     distinct negative odd parts.  Each sweeps the last first-row part its flags
     mark up to position N1, one step at a time; every step adds weight 2 but the
     one at N1, which adds 2 - parity, so the chain from j emits parity - 2(N1-j+1).
+    The part to move next sits at the last flagged position (``_last_flagged``).
 
     The maps ``<forward>_step`` ... ``<inverse>_full`` and the classifier are
     held by name: each caller looks them up in its own module at call time, so a
@@ -331,14 +325,18 @@ class _Reduction:
     parity: int
     removal: str  # the full map, in the sweep's failure messages
     kind: str  # the prefix of "step" and "chain" there
+    holds: tuple[str, str]  # what position p must hold for the step, for its inverse
 
 
 _PHI = _Reduction("phi", "psi", "classify_f", in_stable_class, is_reduced,
                   lambda m: [is_clearable(q) for q, mk in zip(m.base.parts, m.marks) if mk == 1],
-                  lambda m: m.sub_overpartition(1), 0, "full reduction", "")
+                  lambda m: m.sub_overpartition(1), 0, "full reduction", "",
+                  ("the last plain-odd/overlined-even part",
+                   "a stable part followed by the part to restore"))
 _THETA = _Reduction("theta", "lambda", "classify_g", is_reduced, is_doubled,
                     lambda m: [t == "O" for t in first_row_types(m)],
-                    first_row_types, 1, "odd removal", "type ")
+                    first_row_types, 1, "odd removal", "type ",
+                    ("the last type-O part", "a type-E part followed by the type-O part"))
 
 
 @dataclass(frozen=True)
@@ -388,15 +386,25 @@ def _fbar_subcase(m: MarkedOverpartition, row1: list[int], p: int) -> int:
     return 2
 
 
+def _last_flagged(flags: list[bool]) -> int:
+    """The first-row position a reduction moves next: its last flagged position
+    (1-based), or 0 when no part is left to move."""
+    for j in range(len(flags), 0, -1):
+        if flags[j - 1]:
+            return j
+    return 0
+
+
 def _positions(flags: list[bool], p: int) -> tuple[bool, bool, bool]:
     """(pending, advanced, cleared) of first-row position p, given per position
     whether its part is still to move (see ``PositionReport``)."""
     n1 = len(flags)
     if not 1 <= p <= n1:
         raise PreconditionError(f"position {p} out of range 1..{n1}")
-    pending = flags[p - 1] and not any(flags[p:])
-    advanced = not flags[p - 1] and (p >= n1 or flags[p]) and not any(flags[p + 1 :])
-    cleared = not any(flags[p - 1 :])
+    last = _last_flagged(flags)
+    pending = last == p
+    advanced = not flags[p - 1] and (p == n1 or last == p + 1)
+    cleared = last < p
     return pending, advanced, cleared
 
 

@@ -176,66 +176,51 @@ Partition = tuple[int, ...]
 # ---------------------------------------------------------------------------
 
 
-def enumerate_partitions(n: int) -> Iterator[Partition]:
-    """All ordinary partitions of n, nondecreasing parts, in lexicographic order."""
+def _enumerate(max_weight: int, exact: bool, max_parts: int | None, overlines: bool) -> Iterator[tuple]:
+    """Pre-order depth-first walk over part lists of weight <= max_weight (== when
+    exact) and at most max_parts parts, in lexicographic part order: a list comes
+    before its extensions and a part before any larger one.  Yields tuples of
+    Parts with overlines, of ints without."""
+    parts: list = []
 
     def rec(rem: int, smin: int):
-        if rem == 0:
-            yield ()
+        if not exact or rem == 0:
+            yield tuple(parts)
+        if len(parts) == max_parts:
             return
         for s in range(smin, rem + 1):
-            for tail in rec(rem - s, s):
-                yield (s,) + tail
+            if not overlines:
+                kinds: tuple = (s,)
+            elif s > smin or not parts:  # an overlined s must exceed the last part
+                kinds = (Part(s, True), Part(s, False))
+            else:
+                kinds = (Part(s, False),)
+            for part in kinds:
+                parts.append(part)
+                yield from rec(rem - s, s)
+                parts.pop()
 
-    return rec(n, 1)
+    return rec(max_weight, 1)
+
+
+def enumerate_partitions(n: int) -> Iterator[Partition]:
+    """All ordinary partitions of n, nondecreasing parts, in lexicographic order."""
+    return _enumerate(n, True, None, False)
 
 
 def enumerate_overpartitions(n: int) -> Iterator[Overpartition]:
     """Every overpartition of weight n exactly once, in lexicographic part order."""
-
-    def rec(rem: int, smin: int, over_ok: bool):
-        if rem == 0:
-            yield ()
-            return
-        for s in range(smin, rem + 1):
-            if s > smin or over_ok:
-                for tail in rec(rem - s, s, False):
-                    yield (Part(s, True),) + tail
-            for tail in rec(rem - s, s, False):
-                yield (Part(s, False),) + tail
-
-    for parts in rec(n, 1, True):
-        yield Overpartition(parts)
+    return map(Overpartition._from_ordered, _enumerate(n, True, None, True))
 
 
 def iter_overpartitions_bounded(max_weight: int, max_parts: int) -> Iterator[Overpartition]:
     """All overpartitions of weight <= max_weight with at most max_parts parts."""
-
-    def rec(rem: int, smin: int, over_ok: bool, count: int):
-        yield ()
-        if count == max_parts:
-            return
-        for s in range(smin, rem + 1):
-            if s > smin or over_ok:
-                for tail in rec(rem - s, s, False, count + 1):
-                    yield (Part(s, True),) + tail
-            for tail in rec(rem - s, s, False, count + 1):
-                yield (Part(s, False),) + tail
-
-    for parts in rec(max_weight, 1, True, 0):
-        yield Overpartition(parts)
+    return map(Overpartition._from_ordered, _enumerate(max_weight, False, max_parts, True))
 
 
 def iter_partitions_bounded(max_weight: int, max_parts: int) -> Iterator[Partition]:
-    def rec(rem: int, smin: int, count: int):
-        yield ()
-        if count == max_parts:
-            return
-        for s in range(smin, rem + 1):
-            for tail in rec(rem - s, s, count + 1):
-                yield (s,) + tail
-
-    return rec(max_weight, 1, 0)
+    """All partitions of weight <= max_weight with at most max_parts parts."""
+    return _enumerate(max_weight, False, max_parts, False)
 
 
 # ---------------------------------------------------------------------------

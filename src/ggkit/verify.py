@@ -38,6 +38,7 @@ from .bijections import (
 from .marking import (
     _PHI,
     _THETA,
+    _last_flagged,
     _walk,
     classify_f,
     classify_g,
@@ -47,6 +48,7 @@ from .marking import (
     in_stable_class,
     is_doubled,
     is_reduced,
+    is_stable,
 )
 from .partitions import (
     FamilySpec,
@@ -540,11 +542,9 @@ def _object_checks(key: str) -> tuple[int, str | None]:
             return checks, f"{op!r}: weight split violated by {signed} + {out!r}"
         if inverse_full(signed, out) != op:
             return checks, f"{op!r}: inverse of the {red.removal} differs"
-        fixed = red.fixed(m)
-        for p in range(1, n1 + 1):
+        if p := _last_flagged(red.flags(m)):  # the one pending position, where the step applies
             rep = classify(m, p)
-            if not rep.pending:
-                continue
+            fixed = red.fixed(m)
             step_name, chain_name = f"{red.kind}step at {p}", f"{red.kind}chain at {p}"
             out = step(op, p)
             checks += 1
@@ -601,7 +601,8 @@ def verify_bijections(k: int, i: int, n_max: int) -> VerificationReport:
             checks += done
             if msg is not None:
                 return fail(msg)
-            if op.parts and satisfies_family(op, FamilySpec("F", k, i)):
+            # a walked member is in O(k, i); F(k, i) adds a stable smallest part
+            if op.parts and is_stable(op.smallest()):
                 out = fh_toggle(op, k, i)
                 checks += 1
                 tgt = FamilySpec("H", k, i - 1 if i >= 2 else k)

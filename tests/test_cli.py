@@ -219,6 +219,7 @@ def test_verify_jobs_env_default(capsys, monkeypatch):
     ({}, ["verify", "--suite", "counting", "--k", "2", "--n-max", "4", "--jobs", "0"]),
     ({}, ["verify", "--suite", "counting", "--k", "2", "--n-max", "4", "--jobs", "-3"]),
     ({"GGKIT_JOBS": "0"}, ["verify", "--suite", "counting", "--k", "2", "--n-max", "4"]),
+    ({}, ["biject", "--map", "double", "1~,2"]),
 ])
 def test_invalid_input_is_usage_error(capsys, monkeypatch, env, argv):
     monkeypatch.delenv("GGKIT_JOBS", raising=False)
