@@ -6,8 +6,11 @@ on the half-integer grid (grid = 2) because the seed pair and its iterates
 involve half-integer powers; the final base-change step lands on the plain
 grid (grid = 1) after checking that every surviving exponent is even.
 
-Sequences are evaluated lazily and memoized, so deep beta evaluations only pay
-for the indices a given truncation can see.
+Sequences are evaluated lazily and memoized through one ``lru_cache`` per
+sequence, so deep beta evaluations only pay for the indices a given truncation
+can see.  The theta terms (the seed pair's alpha, the shift transform's closed
+form) come from ``series.theta_term``.  Transforms take no label: each names its
+output after its input, and ``run_chain`` names every stage by its position.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .series import (
     euler_product,
     pochhammer_finite,
     pochhammer_infinite,
+    theta_term,
 )
 
 
@@ -45,7 +49,8 @@ def _inv_poch(step: int, m: int, trunc: int) -> LaurentSeries:
 
 
 class BaileyPair:
-    """Sequences n -> alpha_n, beta_n with a grid denominator and truncation."""
+    """Sequences n -> alpha_n, beta_n with a grid denominator and truncation;
+    each term is computed once per pair."""
 
     def __init__(self, label: str, grid: int, trunc: int,
                  alpha_fn: Callable[[int], LaurentSeries],
@@ -53,24 +58,14 @@ class BaileyPair:
         self.label = label
         self.grid = grid
         self.trunc = trunc
-        self._alpha_fn = alpha_fn
-        self._beta_fn = beta_fn
-        self._alpha: dict[int, LaurentSeries] = {}
-        self._beta: dict[int, LaurentSeries] = {}
+        self._alpha = lru_cache(maxsize=None)(alpha_fn)
+        self._beta = lru_cache(maxsize=None)(beta_fn)
 
     def alpha(self, n: int) -> LaurentSeries:
-        s = self._alpha.get(n)
-        if s is None:
-            s = self._alpha_fn(n)
-            self._alpha[n] = s
-        return s
+        return self._alpha(n)
 
     def beta(self, n: int) -> LaurentSeries:
-        s = self._beta.get(n)
-        if s is None:
-            s = self._beta_fn(n)
-            self._beta[n] = s
-        return s
+        return self._beta(n)
 
 
 def unit_pair(trunc_q: int) -> BaileyPair:
@@ -79,12 +74,7 @@ def unit_pair(trunc_q: int) -> BaileyPair:
     trunc = 2 * trunc_q
 
     def alpha(n: int) -> LaurentSeries:
-        if n == 0:
-            return LaurentSeries.one(trunc)
-        sign = -1 if n % 2 else 1
-        return LaurentSeries.from_terms(
-            {n * n - n: sign, n * n + n: sign}, trunc
-        )
+        return theta_term(1, 1, n, trunc)
 
     def beta(n: int) -> LaurentSeries:
         return LaurentSeries.one(trunc) if n == 0 else LaurentSeries.zero(trunc)
@@ -92,7 +82,7 @@ def unit_pair(trunc_q: int) -> BaileyPair:
     return BaileyPair("P0", 2, trunc, alpha, beta)
 
 
-def transform_iterate(pair: BaileyPair, label: str = "") -> BaileyPair:
+def transform_iterate(pair: BaileyPair) -> BaileyPair:
     """The limiting form of the Bailey transform at a = 1:
     alpha_n picks up q**(n^2); beta_n becomes sum_j q**(j^2)/(q;q)_{n-j} beta_j."""
     g, trunc = pair.grid, pair.trunc
@@ -110,24 +100,10 @@ def transform_iterate(pair: BaileyPair, label: str = "") -> BaileyPair:
             acc = acc + term.shift(e).truncated(trunc)
         return acc
 
-    return BaileyPair(label or f"{pair.label}+iter", g, trunc, alpha, beta)
+    return BaileyPair(f"{pair.label}+iter", g, trunc, alpha, beta)
 
 
-def _theta_alpha(a2: int, inner2: int, grid: int, n: int, trunc: int) -> LaurentSeries:
-    """(-1)^n q^{(a2/2) n^2} (q^{(inner2/2) n} + q^{-(inner2/2) n}) on the grid."""
-    if n == 0:
-        return LaurentSeries.one(trunc)
-    sign = -1 if n % 2 else 1
-    half = grid // 2  # grid units per q^(1/2)
-    base = a2 * half * n * n
-    off = inner2 * half * n
-    terms: dict[int, Coeff] = {}
-    for e in (base - off, base + off):
-        terms[e] = terms.get(e, 0) + sign
-    return LaurentSeries.from_terms(terms, trunc)
-
-
-def transform_shift(pair: BaileyPair, a_num2: int, label: str = "") -> BaileyPair:
+def transform_shift(pair: BaileyPair, a_num2: int) -> BaileyPair:
     """The exponent-shift transform: valid only when alpha_n has the closed form
     (-1)^n q^{A n^2}(q^{(A-1)n} + q^{-(A-1)n}) with A = a_num2/2; then alpha's
     inner exponent moves from A-1 to A and beta_n gains a factor q**n.
@@ -137,25 +113,25 @@ def transform_shift(pair: BaileyPair, a_num2: int, label: str = "") -> BaileyPai
     g, trunc = pair.grid, pair.trunc
     if (a_num2 * g) % 2:
         raise PairFormError("the exponent parameter must live on the stored grid")
+    a = a_num2 * g // 2  # A in stored grid units
     check_depth = 8
     for n in range(check_depth + 1):
-        want = _theta_alpha(a_num2, a_num2 - 2, g, n, trunc)
-        if pair.alpha(n) != want:
+        if pair.alpha(n) != theta_term(a, a - g, n, trunc):
             raise PairFormError(
                 f"alpha precondition violated at n={n}: pair {pair.label} does not "
                 f"match the required closed form with parameter {Fraction(a_num2, 2)}"
             )
 
     def alpha(n: int) -> LaurentSeries:
-        return _theta_alpha(a_num2, a_num2, g, n, trunc)
+        return theta_term(a, a, n, trunc)
 
     def beta(n: int) -> LaurentSeries:
         return pair.beta(n).shift(g * n).truncated(trunc)
 
-    return BaileyPair(label or f"{pair.label}+shift", g, trunc, alpha, beta)
+    return BaileyPair(f"{pair.label}+shift", g, trunc, alpha, beta)
 
 
-def combine(pairs: list[BaileyPair], weights: list[Coeff], label: str = "") -> BaileyPair:
+def combine(pairs: list[BaileyPair], weights: list[Coeff]) -> BaileyPair:
     """Componentwise linear combination; the defining relation is linear."""
     if len(pairs) != len(weights) or not pairs:
         raise ValueError("need equally many pairs and weights")
@@ -163,22 +139,18 @@ def combine(pairs: list[BaileyPair], weights: list[Coeff], label: str = "") -> B
     if any(p.grid != g or p.trunc != trunc for p in pairs):
         raise ValueError("pairs must share grid and truncation")
 
-    def alpha(n: int) -> LaurentSeries:
-        acc = LaurentSeries.zero(trunc)
-        for p, w in zip(pairs, weights):
-            acc = acc + p.alpha(n).scale(w)
-        return acc
+    def mix(seq: Callable[[BaileyPair, int], LaurentSeries]) -> Callable[[int], LaurentSeries]:
+        def term(n: int) -> LaurentSeries:
+            acc = LaurentSeries.zero(trunc)
+            for p, w in zip(pairs, weights):
+                acc = acc + seq(p, n).scale(w)
+            return acc
+        return term
 
-    def beta(n: int) -> LaurentSeries:
-        acc = LaurentSeries.zero(trunc)
-        for p, w in zip(pairs, weights):
-            acc = acc + p.beta(n).scale(w)
-        return acc
-
-    return BaileyPair(label or "combined", g, trunc, alpha, beta)
+    return BaileyPair("combined", g, trunc, mix(BaileyPair.alpha), mix(BaileyPair.beta))
 
 
-def transform_base_change(pair: BaileyPair, label: str = "") -> BaileyPair:
+def transform_base_change(pair: BaileyPair) -> BaileyPair:
     """Move a half-integer-grid pair to the plain grid:
 
         alpha'_n = 2 q^n / (1 + q^{2n}) * alpha_n(q^2)
@@ -211,7 +183,7 @@ def transform_base_change(pair: BaileyPair, label: str = "") -> BaileyPair:
             acc = acc + term.shift(2 * k).truncated(trunc)
         return acc.project_even()
 
-    return BaileyPair(label or f"{pair.label}+base", 1, trunc_q, alpha, beta)
+    return BaileyPair(f"{pair.label}+base", 1, trunc_q, alpha, beta)
 
 
 def verify_pair_relation(pair: BaileyPair, n_max: int) -> tuple[bool, str]:
@@ -234,7 +206,6 @@ def verify_pair_relation(pair: BaileyPair, n_max: int) -> tuple[bool, str]:
 
 @dataclass
 class ChainStage:
-    index: int
     note: str
     pair: BaileyPair
 
@@ -276,7 +247,7 @@ def run_chain(k: int, i: int, trunc_q: int = 40) -> Chain:
 
     def push(pair: BaileyPair, note: str) -> BaileyPair:
         pair.label = f"P{len(stages)}"
-        stages.append(ChainStage(len(stages), note, pair))
+        stages.append(ChainStage(note, pair))
         return pair
 
     cur = push(unit_pair(trunc_q), "unit")

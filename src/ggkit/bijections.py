@@ -108,10 +108,11 @@ def _step(red: _Reduction, forward: bool, classify, cases, op: Overpartition, p:
     """One step of a reduction at first-row position p (of its inverse unless
     forward): check that p holds the part to move, rewrite the parts that
     ``cases(m, row1, p, part, subcase)`` returns with its case label, then check
-    the record's weight law and record the trace."""
+    the record's weight law and record the trace.  Neither direction acts below
+    position 2 - parity, where phi never starts (position 1 holds a stable part)."""
     m = gg_mark(op)
     rep = classify(m, p)
-    if not (rep.pending if forward else rep.advanced):
+    if p < 2 - red.parity or not (rep.pending if forward else rep.advanced):
         raise PreconditionError(f"first-row position {p} must hold {red.holds[0 if forward else 1]}")
     row1 = m.row_indices(1)
     case, repl = cases(m, row1, p, op.parts[row1[p - 1]], rep.subcase)

@@ -268,7 +268,7 @@ def _cmd_bailey(args) -> int:
     payload = {
         "k": args.k,
         "i": args.i,
-        "stage": st.index,
+        "stage": idx,
         "note": st.note,
         "exponent_denominator": st.pair.grid,
         "alpha": {n: st.pair.alpha(n).to_json() for n in range(args.n_max + 1)},
@@ -277,7 +277,7 @@ def _cmd_bailey(args) -> int:
     if args.format == "json":
         print(json.dumps(payload))
     else:
-        print(f"stage {st.index} ({st.note}), exponents in q^(1/{st.pair.grid})")
+        print(f"stage {idx} ({st.note}), exponents in q^(1/{st.pair.grid})")
         for n in range(args.n_max + 1):
             print(f"alpha_{n}: {st.pair.alpha(n)!r}")
             print(f"beta_{n} : {st.pair.beta(n)!r}")

@@ -564,34 +564,40 @@ def inverse_euler_product(truncation: int) -> LaurentSeries:
 # ---------------------------------------------------------------------------
 
 
+def theta_term(a: int, b: int, n: int, truncation: int) -> LaurentSeries:
+    """(-1)^n q^{a n^2} (q^{-b n} + q^{b n}) with exponents in stored grid units,
+    truncated; 1 at n = 0, and 2 (-1)^n q^{a n^2} when b = 0."""
+    if n == 0:
+        return LaurentSeries.one(truncation)
+    sign = -1 if n % 2 else 1
+    lo, hi = a * n * n - b * n, a * n * n + b * n
+    return LaurentSeries.from_terms({lo: sign, hi: sign} if b else {lo: 2 * sign}, truncation)
+
+
+def triple_product(a: int, base: int, truncation: int) -> LaurentSeries:
+    """(q^a, q^{base-a}, q^base; q^base)_oo, truncated (0 < a < base)."""
+    out = pochhammer_infinite(1, a, base, truncation)
+    out = out * pochhammer_infinite(1, base - a, base, truncation)
+    return out * pochhammer_infinite(1, base, base, truncation)
+
+
 def theta_bressoud_sum(k: int, i: int, truncation: int) -> LaurentSeries:
     """1 + sum_{n>=1} (-1)^n q^{(2k-1)n^2} (q^{-2(k-i)n} + q^{2(k-i)n}), truncated."""
     if not k >= i >= 1:
         raise ValueError("parameters must satisfy k >= i >= 1")
-    terms: dict[int, Coeff] = {0: 1}
+    out = LaurentSeries.one(truncation)
     n = 1
-    while True:
-        lo = (2 * k - 1) * n * n - 2 * (k - i) * n
-        if lo > truncation:
-            break
-        sg = -1 if n % 2 else 1
-        hi = (2 * k - 1) * n * n + 2 * (k - i) * n
-        terms[lo] = terms.get(lo, 0) + sg
-        if hi <= truncation:
-            terms[hi] = terms.get(hi, 0) + sg
+    while (2 * k - 1) * n * n - 2 * (k - i) * n <= truncation:
+        out = out + theta_term(2 * k - 1, 2 * (k - i), n, truncation)
         n += 1
-    return LaurentSeries.from_terms(terms, truncation)
+    return out
 
 
 def product_triple(k: int, i: int, truncation: int) -> LaurentSeries:
     """(q^{2i-1}, q^{4k-2i-1}, q^{4k-2}; q^{4k-2})_oo, truncated."""
     if not k >= i >= 1:
         raise ValueError("parameters must satisfy k >= i >= 1")
-    base = 4 * k - 2
-    out = pochhammer_infinite(1, 2 * i - 1, base, truncation)
-    out = out * pochhammer_infinite(1, 4 * k - 2 * i - 1, base, truncation)
-    out = out * pochhammer_infinite(1, base, base, truncation)
-    return out.truncated(truncation)
+    return triple_product(2 * i - 1, 4 * k - 2, truncation)
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,7 @@ from .series import (
     pochhammer_minimum,
     product_triple,
     theta_bressoud_sum,
+    triple_product,
 )
 
 IDENTITY_TAGS = (
@@ -250,24 +251,15 @@ def product_rhs(tag: str, k: int, i: int, T: int) -> LaurentSeries:
     if not k >= i >= 1:
         raise ValueError("parameters must satisfy k >= i >= 1")
     _check_bound("T", T)
-    inv_euler = euler_product(T).inverse()
     if tag in ("AG", "AG-X"):
-        base = 2 * k + 1
-        out = pochhammer_infinite(1, i, base, T)
-        out = out * pochhammer_infinite(1, base - i, base, T)
-        out = out * pochhammer_infinite(1, base, base, T)
-        return (out * inv_euler).truncated(T)
-    if tag in ("BRESSOUD", "BRESSOUD-X"):
-        base = 4 * k
-        out = pochhammer_infinite(1, 2, 4, T)
-        out = out * pochhammer_infinite(1, base, base, T)
-        out = out * pochhammer_infinite(1, 2 * i - 1, base, T)
-        out = out * pochhammer_infinite(1, base - (2 * i - 1), base, T)
-        return (out * inv_euler).truncated(T)
-    if tag in ("OGG", "OGG-X"):
+        out = triple_product(i, 2 * k + 1, T)
+    elif tag in ("BRESSOUD", "BRESSOUD-X"):
+        out = pochhammer_infinite(1, 2, 4, T) * triple_product(2 * i - 1, 4 * k, T)
+    elif tag in ("OGG", "OGG-X"):
         out = pochhammer_infinite(-1, 1, 1, T) * product_triple(k, i, T)
-        return (out * inv_euler).truncated(T)
-    raise ValueError(f"{tag} has no product form")
+    else:
+        raise ValueError(f"{tag} has no product form")
+    return (out * euler_product(T).inverse()).truncated(T)
 
 
 # ---------------------------------------------------------------------------
@@ -650,11 +642,16 @@ def verify_bailey(k: int, i: int, T: int = 40, n_depth: int = 6) -> list[Verific
 
 
 def _default_pairs(k, i, kmax):
+    """(k, i) when both are given; otherwise every pair with 1 <= i <= k, where k
+    is the given one (or runs over 1..kmax) and i the given one (or any)."""
     if k is not None and i is not None:
         return [(k, i)]
-    if k is not None:
-        return [(k, j) for j in range(1, k + 1)]
-    return [(a, b) for a in range(1, kmax + 1) for b in range(1, a + 1)]
+    ks = [k] if k is not None else range(1, kmax + 1)
+    pairs = [(a, b) for a in ks for b in range(1, a + 1) if i in (None, b)]
+    if not pairs:
+        raise ValueError(f"no pair (k, i) with 1 <= i <= k to check for k={k}, i={i} "
+                         f"(k runs up to {kmax} when not given)")
+    return pairs
 
 
 def _run_task(task) -> VerificationReport:
@@ -732,16 +729,16 @@ def run_suite(suite: str, k=None, i=None, n_max=None, T=None, profile=None,
             raise ValueError(f"GGKIT_JOBS must be >= 1, got {env!r}")
     elif jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    reports: list[VerificationReport] = []
+    chains: list[tuple[int, int]] = []
     if suite in ("bailey", "all"):
-        t = T if T is not None else 40
-        if k is not None and i is not None:
-            reports.extend(verify_bailey(k, i, t))  # raises for i >= k
-        else:
-            for (kk, ii) in _default_pairs(k, i, 3):
-                if ii < kk:
-                    reports.extend(verify_bailey(kk, ii, t))
+        # a pair given in full stays, so that verify_bailey rejects i >= k
+        chains = [(kk, ii) for kk, ii in _default_pairs(k, i, 3) if ii < kk or (kk, ii) == (k, i)]
     tasks = build_tasks(suite, k, i, n_max, T, profile) if suite != "bailey" else []
+    if not chains and not tasks:
+        raise ValueError(f"suite {suite!r} has nothing to check for these parameters")
+    reports: list[VerificationReport] = []
+    for (kk, ii) in chains:
+        reports.extend(verify_bailey(kk, ii, T if T is not None else 40))
     workers = _worker_count(jobs, len(tasks), _available_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ggkit.bailey import (
+    BaileyPair,
     ChainParameterError,
     PairFormError,
     _inv_poch,
@@ -63,6 +64,24 @@ def test_shift_rejects_wrong_alpha_form():
     with pytest.raises(PairFormError) as err:
         transform_shift(seed, 5)  # the seed carries parameter 3/2, not 5/2
     assert "n=" in str(err.value)
+
+
+def _plain_theta(a: int, b: int, n: int, T: int) -> LaurentSeries:
+    # (-1)^n q^{a n^2}(q^{-b n} + q^{b n}) on the plain grid, written out
+    if n == 0:
+        return LaurentSeries.one(T)
+    return LaurentSeries.from_terms({a * n * n - b * n: (-1) ** n, a * n * n + b * n: (-1) ** n}, T)
+
+
+def test_shift_accepts_the_closed_form_on_the_plain_grid():
+    T = 40
+    pair = BaileyPair("plain", 1, T, lambda n: _plain_theta(2, 1, n, T),
+                      lambda n: LaurentSeries.zero(T))
+    shifted = transform_shift(pair, 4)  # parameter 2: alpha's inner exponent 1 -> 2
+    for n in range(8):
+        assert shifted.alpha(n) == _plain_theta(2, 2, n, T), n
+    with pytest.raises(PairFormError):
+        transform_shift(pair, 6)
 
 
 def test_combine_identity_and_linearity():

@@ -220,6 +220,9 @@ def test_verify_jobs_env_default(capsys, monkeypatch):
     ({}, ["verify", "--suite", "counting", "--k", "2", "--n-max", "4", "--jobs", "-3"]),
     ({"GGKIT_JOBS": "0"}, ["verify", "--suite", "counting", "--k", "2", "--n-max", "4"]),
     ({}, ["biject", "--map", "double", "1~,2"]),
+    ({}, ["biject", "--map", "psi-p", "--p", "1", "3~"]),
+    ({}, ["verify", "--suite", "bailey", "--k", "1"]),
+    ({}, ["verify", "--suite", "counting", "--i", "5"]),
 ])
 def test_invalid_input_is_usage_error(capsys, monkeypatch, env, argv):
     monkeypatch.delenv("GGKIT_JOBS", raising=False)
@@ -229,6 +232,14 @@ def test_invalid_input_is_usage_error(capsys, monkeypatch, env, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("ggkit: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_verify_i_alone_selects_every_k_from_i_to_3(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "counting", "--i", "2", "--n-max", "4",
+                       "--format", "json")
+    assert code == 0
+    runs = sorted({(r["params"]["k"], r["params"]["i"]) for r in json.loads(out)})
+    assert runs == [(2, 2), (3, 2)]
 
 
 def test_verify_bailey_equal_parameters_is_usage_error(capsys):

@@ -17,6 +17,8 @@ from ggkit.series import (
     product_triple,
     substitute_power,
     theta_bressoud_sum,
+    theta_term,
+    triple_product,
 )
 
 
@@ -139,6 +141,28 @@ def test_theta_sum_small():
 @pytest.mark.parametrize("k,i", [(2, 1), (3, 2), (4, 4)])
 def test_theta_equals_triple_product(k, i):
     assert theta_bressoud_sum(k, i, 200) == product_triple(k, i, 200)
+
+
+@pytest.mark.parametrize("a,b,n,terms", [
+    (3, 2, 0, {0: 1}),
+    (3, 2, 1, {1: -1, 5: -1}),
+    (3, 2, 2, {8: 1, 16: 1}),
+    (5, 0, 1, {5: -2}),  # b = 0: the two exponents coincide
+    (1, 3, 1, {-2: -1, 4: -1}),
+])
+def test_theta_term_values(a, b, n, terms):
+    assert theta_term(a, b, n, 20) == poly(terms, 20)
+
+
+@pytest.mark.parametrize("a,base", [(1, 2), (2, 5), (3, 7), (3, 8)])
+def test_triple_product_matches_its_theta_series(a, base):
+    # Jacobi: (q^a, q^{base-a}, q^base; q^base)_oo = sum_n (-1)^n q^{base n(n-1)/2 + a n}
+    T = 60
+    terms: dict[int, int] = {}
+    for n in range(-T, T + 1):
+        e = base * n * (n - 1) // 2 + a * n
+        terms[e] = terms.get(e, 0) + (-1) ** n
+    assert triple_product(a, base, T) == poly(terms, T)
 
 
 def test_product_triple_small_values():

@@ -46,6 +46,10 @@ def test_step_case_replays(case):
     ("phi", "1~,1", 1, "first-row position 1 must hold the last plain-odd/overlined-even part"),
     ("psi", "1~,1", 2,
      "first-row position 2 must hold a stable part followed by the part to restore"),
+    ("psi", "3~", 1,
+     "first-row position 1 must hold a stable part followed by the part to restore"),
+    ("psi_chain", "3~", 1,
+     "first-row position 1 must hold a stable part followed by the part to restore"),
     ("theta", "2,4", 1, "first-row position 1 must hold the last type-O part"),
     ("lambda", "1~", 1,
      "first-row position 1 must hold a type-E part followed by the type-O part"),
@@ -55,6 +59,7 @@ def test_step_case_replays(case):
 def test_step_at_a_wrong_position_raises(name, text, p, message):
     trace = bijections.Trace()
     with pytest.raises(PreconditionError) as exc:
-        getattr(bijections, f"{name}_step")(Overpartition.from_text(text), p, trace)
+        getattr(bijections, name if name.endswith("_chain") else f"{name}_step")(
+            Overpartition.from_text(text), p, trace)
     assert str(exc.value) == message
     assert trace.steps == []
