@@ -493,7 +493,8 @@ def _o_family_members(k: int, i: int, n: int):
 
 # The reductions, the odd removal and halve/double read the object alone, and
 # the families nest (O(k, i) lies in O(k, i+1) and in O(k+1, i)), so a process
-# checks each object once, whatever pairs it sweeps.  The memo is keyed on the
+# checks each object once, whatever pairs it sweeps (verify_bijection_pairs
+# walks every pair at once and needs no memo).  The memo is keyed on the
 # parts' ranks in part order (2s-1 for an overlined s, 2s for a plain s) as one
 # str, so it keeps no Overpartition or marking alive.  Entries outlive any
 # change to the maps: code that swaps a map in must call cache_clear().
@@ -573,41 +574,104 @@ def _object_checks(key: str) -> tuple[int, str | None]:
     return checks, None
 
 
+def _pair_checks(op: Overpartition, rows: tuple[int, ...], k: int, i: int,
+                 pair_free: tuple[int, str | None]) -> tuple[int, str | None]:
+    """(checks made, failure message or None) of the sweep for the pair (k, i) on a
+    walked O(k, i) member with marking row counts rows: the row count, then the
+    object's pair-free result (see _object_checks), then the F -> H toggle."""
+    if len(rows) > k - 1:
+        return 0, f"{op!r}: {len(rows)} marking rows exceed k-1={k - 1}"
+    checks, msg = pair_free
+    if msg is not None:
+        return checks, msg
+    # a walked member is in O(k, i); F(k, i) adds a stable smallest part
+    if op.parts and is_stable(op.smallest()):
+        out = fh_toggle(op, k, i)
+        checks += 1
+        tgt = FamilySpec("H", k, i - 1 if i >= 2 else k)
+        if not satisfies_family(out, tgt):
+            return checks, f"{op!r}: toggle missed the H family at i={tgt.i}"
+        if len(out) != len(op):
+            return checks, f"{op!r}: toggle changed the part count"
+        want = op.weight() - (2 * len(op) if i == 1 else 0)
+        if out.weight() != want:
+            return checks, f"{op!r}: toggle changed the weight wrongly"
+        if fh_untoggle(out, k, i) != op:
+            return checks, f"{op!r}: inverse toggle differs"
+    return checks, None
+
+
+def _check_pair(k: int, i: int) -> None:
+    if not k >= i >= 1:
+        raise ValueError(f"parameters must satisfy k >= i >= 1, got k={k}, i={i}")
+
+
 def verify_bijections(k: int, i: int, n_max: int) -> VerificationReport:
     """Run every roundtrip and weight law over all family members of weight <= n_max."""
     _check_bound("n_max", n_max)
     params = {"k": k, "i": i, "n_max": n_max}
-    if not k >= i >= 1:
-        raise ValueError(f"parameters must satisfy k >= i >= 1, got k={k}, i={i}")
+    _check_pair(k, i)
     checks = 0
-
-    def fail(msg: str) -> VerificationReport:
-        return VerificationReport("BIJECTIONS", params, None, False, msg)
-
     for n in range(n_max + 1):
         for op in _o_family_members(k, i, n):
-            rows = gg_mark(op).row_counts()
-            if len(rows) > k - 1:
-                return fail(f"{op!r}: {len(rows)} marking rows exceed k-1={k - 1}")
-            done, msg = _object_checks(_object_key(op))
+            done, msg = _pair_checks(op, gg_mark(op).row_counts(), k, i,
+                                     _object_checks(_object_key(op)))
             checks += done
             if msg is not None:
-                return fail(msg)
-            # a walked member is in O(k, i); F(k, i) adds a stable smallest part
-            if op.parts and is_stable(op.smallest()):
-                out = fh_toggle(op, k, i)
-                checks += 1
-                tgt = FamilySpec("H", k, i - 1 if i >= 2 else k)
-                if not satisfies_family(out, tgt):
-                    return fail(f"{op!r}: toggle missed the H family at i={tgt.i}")
-                if len(out) != len(op):
-                    return fail(f"{op!r}: toggle changed the part count")
-                want = op.weight() - (2 * len(op) if i == 1 else 0)
-                if out.weight() != want:
-                    return fail(f"{op!r}: toggle changed the weight wrongly")
-                if fh_untoggle(out, k, i) != op:
-                    return fail(f"{op!r}: inverse toggle differs")
+                return VerificationReport("BIJECTIONS", params, None, False, msg)
     return VerificationReport("BIJECTIONS", params, None, True, f"{checks} checks")
+
+
+def verify_bijection_pairs(pairs, n: int) -> dict[tuple[int, int], tuple[int, str | None]]:
+    """The checks of verify_bijections at the one weight n, for every (k, i) in pairs:
+    (checks made, first failure message or None) per pair.
+
+    One walk covers the smallest family that contains every pair, O(max k,
+    max i).  A member is checked for each pair whose O-family caps its stats meet
+    and that has not failed yet; its pair-free checks run once, without the
+    object memo, and not at all when no pair takes the member."""
+    _check_bound("n", n)
+    if not pairs:
+        raise ValueError("no pair (k, i) to check")
+    caps = {}
+    for k, i in pairs:
+        _check_pair(k, i)
+        caps[(k, i)] = (i - 1, k - 1, k - 2)
+    checks = dict.fromkeys(caps, 0)
+    failures: dict[tuple[int, int], str] = {}
+    bound = tuple(map(max, zip(*caps.values())))
+    for op, rows, (fb, mw, c3) in _walk(n, exact=True, o_caps=bound, memo=True):
+        live = [pair for pair, (fb_max, mw_max, c3_max) in caps.items()
+                if pair not in failures and fb <= fb_max and mw <= mw_max and c3 <= c3_max]
+        if not live:
+            continue
+        pair_free = _object_checks.__wrapped__(_object_key(op))
+        for k, i in live:
+            done, msg = _pair_checks(op, rows, k, i, pair_free)
+            checks[(k, i)] += done
+            if msg is not None:
+                failures[(k, i)] = msg
+    return {pair: (checks[pair], failures.get(pair)) for pair in caps}
+
+
+def _bijection_reports(by_weight: dict[int, dict]) -> list[VerificationReport]:
+    """One BIJECTIONS report per pair from verify_bijection_pairs' results at every
+    weight 0..n_max, as verify_bijections gives it: the failure at the lowest
+    weight, or the sum of the checks."""
+    n_max = max(by_weight)
+    reports = []
+    for k, i in by_weight[0]:
+        params = {"k": k, "i": i, "n_max": n_max}
+        checks = 0
+        for n in range(n_max + 1):
+            done, msg = by_weight[n][(k, i)]
+            if msg is not None:
+                reports.append(VerificationReport("BIJECTIONS", params, None, False, msg))
+                break
+            checks += done
+        else:
+            reports.append(VerificationReport("BIJECTIONS", params, None, True, f"{checks} checks"))
+    return reports
 
 
 def verify_bailey(k: int, i: int, T: int = 40, n_depth: int = 6) -> list[VerificationReport]:
@@ -663,13 +727,21 @@ def _run_task(task) -> VerificationReport:
         _, theorem, k, i, n_max = task
         return verify_counting(theorem, k, i, n_max)
     if kind == "bijections":
-        _, k, i, n_max = task
-        return verify_bijections(k, i, n_max)
+        _, pairs, n = task
+        return verify_bijection_pairs(pairs, n)
     raise ValueError(task)
 
 
 def build_tasks(suite: str, k=None, i=None, n_max=None, T=None, profile=None) -> list[tuple]:
+    """The suite's pool tasks, longest first: one bijection task per weight, from
+    n_max down, for every selected pair at once, then the identity and counting
+    tasks.  Under "all", a k below 2 leaves the summed identities out."""
     tasks: list[tuple] = []
+    if suite in ("bijections", "all"):
+        nm = n_max if n_max is not None else 12
+        _check_bound("n_max", nm)
+        pairs = _default_pairs(k, i, 3)
+        tasks.extend(("bijections", pairs, n) for n in range(nm, -1, -1))
     if suite in ("identities", "all"):
         t = T if T is not None else 40
         if profile is not None:
@@ -679,7 +751,7 @@ def build_tasks(suite: str, k=None, i=None, n_max=None, T=None, profile=None) ->
         else:
             for (kk, ii) in _default_pairs(k, i, 3):
                 if kk < 2:
-                    if k is not None:
+                    if k is not None and suite == "identities":
                         raise DegenerateIdentityError(
                             "degenerate form: summed identities need k >= 2")
                     continue
@@ -691,10 +763,6 @@ def build_tasks(suite: str, k=None, i=None, n_max=None, T=None, profile=None) ->
         for (kk, ii) in _default_pairs(k, i, 3):
             for theorem in ("T1.1", "T1.2", "T1.5"):
                 tasks.append(("counting", theorem, kk, ii, nm))
-    if suite in ("bijections", "all"):
-        nm = n_max if n_max is not None else 12
-        for (kk, ii) in _default_pairs(k, i, 3):
-            tasks.append(("bijections", kk, ii, nm))
     if not tasks and suite not in ("bailey",):
         raise ValueError(f"unknown suite {suite!r}")
     return tasks
@@ -712,9 +780,30 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _run_tasks(tasks: list[tuple], workers: int) -> list[VerificationReport]:
+    """The reports of build_tasks' tasks, run in order in a pool of workers
+    processes (in this one when workers is 1); the per-weight bijection results
+    are merged into one report per pair."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_task, tasks))
+    else:
+        results = [_run_task(t) for t in tasks]
+    reports, by_weight = [], {}
+    for task, result in zip(tasks, results):
+        if task[0] == "bijections":
+            by_weight[task[2]] = result
+        else:
+            reports.append(result)
+    if by_weight:
+        reports.extend(_bijection_reports(by_weight))
+    return reports
+
+
 def run_suite(suite: str, k=None, i=None, n_max=None, T=None, profile=None,
               jobs: int | None = None) -> list[VerificationReport]:
     """Run a verification suite, optionally fanning tasks out across processes.
+    The Bailey chains run first, in this process.
 
     Reports come back sorted by identity tag and parameters regardless of the
     execution order.
@@ -739,11 +828,6 @@ def run_suite(suite: str, k=None, i=None, n_max=None, T=None, profile=None,
     reports: list[VerificationReport] = []
     for (kk, ii) in chains:
         reports.extend(verify_bailey(kk, ii, T if T is not None else 40))
-    workers = _worker_count(jobs, len(tasks), _available_cpus())
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports.extend(pool.map(_run_task, tasks))
-    else:
-        reports.extend(_run_task(t) for t in tasks)
+    reports.extend(_run_tasks(tasks, _worker_count(jobs, len(tasks), _available_cpus())))
     reports.sort(key=lambda r: (r.identity, repr(sorted(r.params.items(), key=str))))
     return reports

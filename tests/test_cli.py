@@ -154,6 +154,21 @@ def test_verify_degenerate_usage(capsys):
     assert code == 2 and "degenerate" in err
 
 
+def test_verify_all_at_k_1_runs_the_counting_and_bijection_checks(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "all", "--k", "1", "--n-max", "6",
+                         "--format", "json")
+    assert code == 0 and err == ""
+    runs = sorted((r["identity"], r["params"]["k"], r["params"]["i"], r["verdict"])
+                  for r in json.loads(out))
+    assert runs == [("BIJECTIONS", 1, 1, "pass"), ("T1.1", 1, 1, "pass"),
+                    ("T1.2", 1, 1, "pass"), ("T1.5", 1, 1, "pass")]
+
+
+def test_verify_identities_at_k_1_stays_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "identities", "--k", "1")
+    assert code == 2 and out == "" and "degenerate" in err
+
+
 def test_verify_profile_checks(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "identities", "--profile", "1",
                        "--i", "1", "--T", "12")

@@ -250,6 +250,8 @@ def test_build_tasks_validates_suite():
         build_tasks("nonsense")
     with pytest.raises(DegenerateIdentityError):
         build_tasks("identities", k=1, i=1)
+    # under "all" the summed identities are left out at k = 1, not refused
+    assert {task[0] for task in build_tasks("all", k=1, n_max=4)} == {"bijections", "counting"}
 
 
 @pytest.mark.parametrize("jobs,tasks,cpus,want", [
@@ -378,6 +380,108 @@ def test_object_key_roundtrip():
     keys = [verify._object_key(op) for op in ops]
     assert len(set(keys)) == len(ops)
     assert [verify._object_from_key(key) for key in keys] == ops
+
+
+# -- the suite's bijection path: one walk for every pair, one task per weight --
+
+PAIRS4 = [(k, i) for k in range(1, 5) for i in range(1, k + 1)]
+INVERSES = ("psi_full", "psi_step", "psi_chain", "lambda_full", "lambda_step",
+            "lambda_chain", "fh_untoggle", "double")
+
+
+def _weight_tasks(pairs, n_max):
+    return [("bijections", pairs, n) for n in range(n_max, -1, -1)]
+
+
+def _as_json(reports):
+    return [json.dumps(rep.to_json()) for rep in reports]
+
+
+def _cold_pair_json(pairs, n_max):
+    cold = _cold_reports([(k, i, n_max) for k, i in pairs])
+    return _as_json(cold[(k, i, n_max)] for k, i in pairs)
+
+
+@pytest.fixture(scope="module")
+def cold_pair_json():
+    """Cold per-pair reports of every k <= 4, i <= k, by n_max."""
+    verify._object_checks.cache_clear()
+    return {n_max: _cold_pair_json(PAIRS4, n_max) for n_max in (0, 1, 7, 12)}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pairs_path_equals_cold_per_pair_sweeps(cold_object_memo, cold_pair_json, workers):
+    for n_max, want in cold_pair_json.items():
+        merged = verify._run_tasks(_weight_tasks(PAIRS4, n_max), workers)
+        assert _as_json(merged) == want, n_max
+    assert verify._object_checks.cache_info().currsize == 0  # the pairs path keeps no memo
+
+
+def _break(monkeypatch, name, broken_at):
+    """Make verify.<name> drop the largest part of each result broken_at accepts."""
+    orig = getattr(verify, name)
+
+    def broken(*args, **kwargs):
+        out = orig(*args, **kwargs)
+        return Overpartition(out.parts[:-1]) if broken_at(out) else out
+
+    monkeypatch.setattr(verify, name, broken)
+    verify._object_checks.cache_clear()
+
+
+@pytest.mark.parametrize("name", INVERSES)
+def test_pairs_path_reports_a_broken_inverse_as_the_per_pair_path(
+        cold_object_memo, monkeypatch, name):
+    _break(monkeypatch, name, lambda out: len(out) >= 3 and out.weight() % 4 == 2)
+    want = _cold_pair_json(PAIRS4, 8)
+    assert any('"fail"' in rep for rep in want) and any('"pass"' in rep for rep in want)
+    assert _as_json(verify._run_tasks(_weight_tasks(PAIRS4, 8), 1)) == want
+
+
+@pytest.mark.parametrize("weights", [(7,), (7, 9)])
+def test_weight_split_keeps_the_first_failure(cold_object_memo, monkeypatch, weights):
+    # the tasks run from n_max down, so a later weight's failure comes back first
+    _break(monkeypatch, "psi_step", lambda out: out.weight() in weights)
+    want = _cold_pair_json(PAIRS4, 10)
+    merged = verify._run_tasks(_weight_tasks(PAIRS4, 10), 1)
+    assert _as_json(merged) == want
+    failed = [Overpartition.from_text(rep.detail.split("'")[1]) for rep in merged if not rep.ok]
+    assert failed and {op.weight() for op in failed} == {7}
+
+
+def test_pairs_path_checks_no_object_outside_the_selected_pairs(cold_object_memo, monkeypatch):
+    # O(3, 2) bounds the walk but is not selected: its other members are walked
+    # and must be neither checked nor reported
+    pairs = [(3, 1), (2, 2)]
+    n_max = 10
+    members = {pair: {op for n in range(n_max + 1) for op in verify._o_family_members(*pair, n)}
+               for pair in pairs}
+    wanted = members[(3, 1)] | members[(2, 2)]
+    assert any(op not in wanted for n in range(n_max + 1)
+               for op in verify._o_family_members(3, 2, n))
+    want = _cold_pair_json(pairs, n_max)
+    checked, toggled = [], []
+    body, toggle = verify._object_checks.__wrapped__, verify.fh_toggle
+    monkeypatch.setattr(verify._object_checks, "__wrapped__",
+                        lambda key: checked.append(verify._object_from_key(key)) or body(key))
+    monkeypatch.setattr(verify, "fh_toggle",
+                        lambda op, k, i: toggled.append((op, (k, i))) or toggle(op, k, i))
+    assert _as_json(verify._run_tasks(_weight_tasks(pairs, n_max), 1)) == want
+    assert len(checked) == len(set(checked)) and set(checked) == wanted
+    assert toggled and all(op in members[pair] for op, pair in toggled)
+
+
+def test_run_suite_bijections_sequential_and_parallel():
+    seq = run_suite("bijections", k=3, n_max=10, jobs=1)
+    par = run_suite("bijections", k=3, n_max=10, jobs=2)
+    assert _as_json(seq) == _as_json(par)
+    assert [rep.detail for rep in seq] == [f"{CHECKS_AT_10[(3, i)]} checks" for i in (1, 2, 3)]
+
+
+def test_build_tasks_puts_the_bijection_weights_first_largest_first():
+    tasks = build_tasks("all", k=2, n_max=3, T=5)
+    assert tasks[:4] == [("bijections", [(2, 1), (2, 2)], n) for n in (3, 2, 1, 0)]
+    assert all(task[0] != "bijections" for task in tasks[4:])
 
 
 # -- counting tables --------------------------------------------------------
