@@ -7,6 +7,7 @@ from ggkit.bailey import (
     ChainParameterError,
     PairFormError,
     _inv_poch,
+    _inv_poch_built,
     combine,
     limit_identity,
     run_chain,
@@ -194,3 +195,17 @@ def test_cached_inverse_pochhammer_is_read_only():
     fresh = pochhammer_finite(1, 2, 2, 3, 20).inverse()
     assert cached == fresh
     assert cached.to_json() == fresh.to_json()
+
+
+def test_inverse_pochhammer_cut_from_a_coarser_build_equals_a_fresh_one():
+    from ggkit.series import pochhammer_finite
+
+    for step in (1, 2, 4):
+        for m in range(7):
+            for trunc in (0, 1, 5, 17, 33, 64):
+                fresh = pochhammer_finite(1, step, step, m, trunc).inverse()
+                assert _inv_poch(step, m, trunc).to_json() == fresh.to_json(), (step, m, trunc)
+    before = _inv_poch_built.cache_info().misses
+    for trunc in (33, 50, 64):  # one build, at 64, serves all three
+        _inv_poch(3, 5, trunc)
+    assert _inv_poch_built.cache_info().misses - before <= 1

@@ -169,6 +169,21 @@ def test_verify_identities_at_k_1_stays_a_usage_error(capsys):
     assert code == 2 and out == "" and "degenerate" in err
 
 
+def test_verify_all_at_i_equal_k_leaves_the_chain_out(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "all", "--k", "2", "--i", "2",
+                         "--n-max", "4", "--T", "10", "--format", "json")
+    assert code == 0 and err == ""
+    runs = sorted((r["identity"], r["params"]["k"], r["params"]["i"], r["verdict"])
+                  for r in json.loads(out))
+    assert runs == [(tag, 2, 2, "pass") for tag in
+                    ("AG", "BIJECTIONS", "BRESSOUD", "JTP", "OGG", "T1.1", "T1.2", "T1.5")]
+
+
+def test_verify_bailey_at_i_equal_k_stays_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "bailey", "--k", "2", "--i", "2")
+    assert code == 2 and out == "" and "chain undefined for i = k" in err
+
+
 def test_verify_profile_checks(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "identities", "--profile", "1",
                        "--i", "1", "--T", "12")

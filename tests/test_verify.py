@@ -3,6 +3,7 @@ import re
 from functools import lru_cache
 
 import pytest
+from tuple_multisum import tuple_multisum_lhs
 
 from ggkit import bailey, partitions, verify
 from ggkit.partitions import (
@@ -200,8 +201,9 @@ def test_zero_bounds_stay_valid():
 
 @pytest.mark.parametrize("tag", SUMMED_TAGS)
 def test_tuple_pruning_bound_is_exact(tag):
-    # the pruning in multisum_lhs is sound only if no term starts below the
-    # summed increments; equality shows the bound is also tight
+    # the level bound in multisum_lhs (and the tuple sum's pruning) is sound only
+    # if no term starts below the summed increments; equality shows the bound is
+    # also tight
     for k in range(1, 5):
         for i in range(1, k + 1):
             for tup in _nonincreasing(k - 1, 4):
@@ -216,6 +218,23 @@ def _nonincreasing(length, cap):
     for n in range(cap + 1):
         for rest in _nonincreasing(length - 1, n):
             yield (n,) + rest
+
+
+@pytest.mark.parametrize("tag", SUMMED_TAGS)
+def test_nested_multisum_equals_the_tuple_sum(tag):
+    # the form's own mode over the whole grid, the other mode up to T = 30
+    natural = tag not in ("AG", "BRESSOUD", "OGG")
+    for x_tracking, bounds in ((natural, (0, 1, 7, 30, 60)), (not natural, (0, 1, 7, 30))):
+        for k in range(2, 6):
+            for i in range(1, k + 1):
+                for T in bounds:
+                    got = multisum_lhs(tag, k, i, T, x_tracking=x_tracking)
+                    want = tuple_multisum_lhs(tag, k, i, T, x_tracking=x_tracking)
+                    case = (k, i, T, x_tracking)
+                    assert got.first_difference(want) is None, case
+                    assert got.truncation == want.truncation == T, case
+                    if not x_tracking:
+                        assert got.min_exponent == want.min_exponent, case
 
 
 def test_verify_identity_validates_tag():
