@@ -179,14 +179,18 @@ def transform_base_change(pair: BaileyPair) -> BaileyPair:
         out = a.shift(2 * n).truncated(trunc) * denom.inverse()
         return out.scale(2).truncated(trunc).project_even()
 
+    @lru_cache(maxsize=None)
+    def summand(k: int) -> LaurentSeries:
+        """(-1; q)_{2k} beta_k(q^2), shared by every beta'_n with n >= k."""
+        fac = pochhammer_finite(-1, 0, 2, 2 * k, trunc)
+        return fac * pair.beta(k).substitute_power(2).truncated(trunc)
+
     def beta(n: int) -> LaurentSeries:
         acc = LaurentSeries.zero(trunc)
         for k in range(n + 1):
             if 2 * k > trunc:
                 break
-            fac = pochhammer_finite(-1, 0, 2, 2 * k, trunc)
-            term = fac * pair.beta(k).substitute_power(2).truncated(trunc)
-            term = term * _inv_poch(4, n - k, trunc)
+            term = summand(k) * _inv_poch(4, n - k, trunc)
             acc = acc + term.shift(2 * k).truncated(trunc)
         return acc.project_even()
 

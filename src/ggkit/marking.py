@@ -155,8 +155,10 @@ def _walk(max_weight: int, exact: bool = False, row1_max: int | None = None,
           rows_max: int | None = None, o_caps: tuple[int, int, int] | None = None,
           memo: bool = False):
     """Depth-first walk over overpartitions of weight <= max_weight (== when
-    exact) carrying the marking state, yielding (op, row counts, o_family_stats)
-    in the order of ``iter_overpartitions_bounded`` / ``enumerate_overpartitions``.
+    exact) carrying the marking state, yielding (op, row counts, o_family_stats,
+    (weight, stable, reduced, doubled)) in the order of
+    ``iter_overpartitions_bounded`` / ``enumerate_overpartitions``; the flags are
+    ``in_stable_class``, ``is_reduced`` and ``is_doubled`` of op.
 
     A prefix is extended one part at a time through ``_mark_step``.  Its row
     counts, largest mark and O-family stats (fb, mw, c3) only grow as parts are
@@ -177,12 +179,13 @@ def _walk(max_weight: int, exact: bool = False, row1_max: int | None = None,
     def window(t: int) -> int:  # the even window of o_family_stats
         return over[2 * t] + plain[2 * t] + over[2 * t + 1] + plain[2 * t + 2]
 
-    def rec(rem: int, smin: int, over_ok: bool, prev: int, fb: int, mw: int, c3: int):
+    def rec(rem: int, smin: int, over_ok: bool, prev: int, fb: int, mw: int, c3: int,
+            stable: bool, reduced: bool, doubled: bool):
         if not exact or rem == 0:
             op = Overpartition._from_ordered(tuple(parts))
             if memo:
                 op._marking = tuple(marks)
-            yield op, tuple(rows), (fb, mw, c3)
+            yield op, tuple(rows), (fb, mw, c3), (max_weight - rem, stable, reduced, doubled)
         if exact:  # a remainder below the next part's size cannot be filled
             sizes = [*range(smin, rem // 2 + 1), rem] if rem >= smin else ()
         else:
@@ -201,7 +204,8 @@ def _walk(max_weight: int, exact: bool = False, row1_max: int | None = None,
                 nmw, nc3 = mw, c3
                 if s > 1 and (ov or s % 2 == 0):
                     nmw = max(nmw, window(s // 2))
-                if not ov and s % 2 == 0:
+                plain_even = not ov and s % 2 == 0
+                if plain_even:
                     if s > 2:
                         nmw = max(nmw, window(s // 2 - 1))
                     if plain[s - 1]:
@@ -212,9 +216,12 @@ def _walk(max_weight: int, exact: bool = False, row1_max: int | None = None,
                         and nmw <= mw_max and nc3 <= c3_max):
                     added = mk not in by_size[s]
                     by_size[s].add(mk)
+                    stable_part = ov == (s % 2 == 1)  # as is_stable
                     parts.append(Part(s, ov))
                     marks.append(mk)
-                    yield from rec(rem - s, s, False, mk, nfb, nmw, nc3)
+                    yield from rec(rem - s, s, False, mk, nfb, nmw, nc3,
+                                   stable_part if len(parts) == 1 else stable,  # first = smallest
+                                   reduced and stable_part, doubled and plain_even)
                     parts.pop()
                     marks.pop()
                     if added:
@@ -224,7 +231,7 @@ def _walk(max_weight: int, exact: bool = False, row1_max: int | None = None,
                     rows.pop()
                 (over if ov else plain)[s] -= 1
 
-    return rec(max_weight, 1, True, 0, 0, 0, -1)
+    return rec(max_weight, 1, True, 0, 0, 0, -1, True, True, True)
 
 
 def gordon_mark(parts: Partition) -> tuple[int, ...]:

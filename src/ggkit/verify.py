@@ -9,9 +9,11 @@ tolerance.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import bailey as bailey_mod
 
@@ -45,9 +47,7 @@ from .marking import (
     gg_mark,
     gordon_mark,
     gordon_row_counts,
-    in_stable_class,
     is_doubled,
-    is_reduced,
     is_stable,
 )
 from .partitions import (
@@ -280,8 +280,29 @@ def product_rhs(tag: str, k: int, i: int, T: int) -> LaurentSeries:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassRecord:
+def _o_caps(k: int, i: int) -> tuple[int, int, int]:
+    """The caps of O(k, i) on the O-family stats (fb, mw, c3) (see o_family_stats)."""
+    return i - 1, k - 1, k - 2
+
+
+def _within(stats: tuple[int, int, int], caps: tuple[int, int, int]) -> bool:
+    fb, mw, c3 = stats
+    fb_max, mw_max, c3_max = caps
+    return fb <= fb_max and mw <= mw_max and c3 <= c3_max
+
+
+_CLASS_FLAGS = {"F": 0, "G": 1, "E": 2}  # each class's flag among (stable, reduced, doubled)
+
+
+def _class_rule(cls: str, k: int, i: int) -> tuple[int, tuple[int, int, int]]:
+    """(the flag cls needs, the caps on (fb, mw, c3)): an overpartition is in the
+    class cls at (k, i) when its flag holds and its stats are within the caps."""
+    if cls not in _CLASS_FLAGS:
+        raise ValueError(cls)
+    return _CLASS_FLAGS[cls], _o_caps(k, i)
+
+
+class ClassRecord(NamedTuple):
     """One bucketed overpartition with the statistics class membership reads."""
 
     op: Overpartition
@@ -294,29 +315,60 @@ class ClassRecord:
     doubled: bool
 
     def in_class(self, cls: str, k: int, i: int) -> bool:
-        if self.fb > i - 1 or self.mw > k - 1 or self.c3 > k - 2:
-            return False
-        if cls == "F":
-            return self.stable
-        if cls == "G":
-            return self.reduced
-        if cls == "E":
-            return self.doubled
-        raise ValueError(cls)
+        flag, caps = _class_rule(cls, k, i)
+        return _within((self.fb, self.mw, self.c3), caps) and (
+            self.stable, self.reduced, self.doubled)[flag]
+
+
+class ClassBucket(list):
+    """The ClassRecords of one marking profile in walk order, with a table that
+    counts them by membership key: table[(fb, mw, c3)] holds one weight histogram
+    for each of F, G and E (the records with that key whose stable, reduced or
+    doubled flag holds).  A class verdict reads the table, so it costs the
+    bucket's distinct keys, not its records."""
+
+    __slots__ = ("table",)
+
+    def __init__(self):
+        super().__init__()
+        self.table: dict[tuple[int, int, int], tuple[Counter, Counter, Counter]] = {}
+
+    def add(self, rec: ClassRecord) -> None:
+        self.append(rec)
+        if rec.stable:  # reduced and doubled imply stable
+            key = (rec.fb, rec.mw, rec.c3)
+            hists = self.table.get(key)
+            if hists is None:
+                hists = self.table[key] = (Counter(), Counter(), Counter())
+            for flag, hist in zip((rec.stable, rec.reduced, rec.doubled), hists):
+                if flag:
+                    hist[rec.weight] += 1
+
+    def histogram(self, cls: str, k: int, i: int) -> Counter:
+        """Weight -> count of the records in the class cls at (k, i)."""
+        flag, caps = _class_rule(cls, k, i)
+        out: Counter = Counter()
+        for stats, hists in self.table.items():
+            if _within(stats, caps):
+                out.update(hists[flag])
+        return out
 
 
 def collect_class_buckets(n1_max: int, rows_max: int, weight_max: int
-                          ) -> dict[tuple[int, ...], list[ClassRecord]]:
+                          ) -> dict[tuple[int, ...], ClassBucket]:
     """All overpartitions of weight <= weight_max bucketed by marking profile,
     restricted to at most rows_max rows of width at most n1_max.
 
     Buckets reused for verify_class_lemma at truncation T must reach weight
     T + n1_max**2: the shifted comparison reads the inner class that far.
     """
-    buckets: dict[tuple[int, ...], list[ClassRecord]] = {}
-    for op, rows, (fb, mw, c3) in _walk(weight_max, row1_max=n1_max, rows_max=rows_max):
-        buckets.setdefault(rows, []).append(ClassRecord(
-            op, op.weight(), fb, mw, c3, in_stable_class(op), is_reduced(op), is_doubled(op)))
+    buckets: dict[tuple[int, ...], ClassBucket] = {}
+    for op, rows, stats, (weight, stable, reduced, doubled) in _walk(
+            weight_max, row1_max=n1_max, rows_max=rows_max):
+        bucket = buckets.get(rows)
+        if bucket is None:
+            bucket = buckets[rows] = ClassBucket()
+        bucket.add(ClassRecord(op, weight, *stats, stable, reduced, doubled))
     return buckets
 
 
@@ -352,18 +404,19 @@ def _check_class_params(profile, i: int, T: int) -> tuple[tuple[int, ...], int]:
     return p, k
 
 
-def _enum_series(members, weight_cap: int):
-    hist: dict[int, int] = {}
-    for w in members:
-        if w <= weight_cap:
-            hist[w] = hist.get(w, 0) + 1
-
+def _enum_series(hist: dict[int, int], weight_cap: int):
+    """The builder of the series sum_w hist[w] q^w, valid up to weight_cap."""
     def build(t: int) -> LaurentSeries:
         if t > weight_cap:
             raise ValueError(f"enumeration only covers weights up to {weight_cap}")
-        return LaurentSeries.from_terms({w: c for w, c in hist.items() if w <= t}, t)
+        return LaurentSeries.from_terms(hist, t)
 
     return build
+
+
+def _class_histogram(buckets, profile: tuple[int, ...], cls: str, k: int, i: int) -> Counter:
+    bucket = buckets.get(_trim(profile))
+    return bucket.histogram(cls, k, i) if bucket is not None else Counter()
 
 
 def verify_class_gf(profile, i: int, T: int, cls: str,
@@ -377,16 +430,25 @@ def verify_class_gf(profile, i: int, T: int, cls: str,
     if cls == "B":
         if partition_buckets is None:
             partition_buckets = collect_partition_buckets(max(n1, 1), max(k - 1, 1), weight_cap)
-        members = [sum(parts) for parts in partition_buckets.get(_trim(profile), [])
-                   if satisfies_family(parts, FamilySpec("B", k, i))]
+        hist = Counter(sum(parts) for parts in partition_buckets.get(_trim(profile), [])
+                       if satisfies_family(parts, FamilySpec("B", k, i)))
     else:
         if buckets is None:
             buckets = collect_class_buckets(max(n1, 1), max(k - 1, 1), weight_cap)
-        members = [rec.weight for rec in buckets.get(_trim(profile), [])
-                   if rec.in_class(cls, k, i)]
-    lhs = _enum_series(members, weight_cap)(T)
+        hist = _class_histogram(buckets, profile, cls, k, i)
+    lhs = _enum_series(hist, weight_cap)(T)
     rhs = _profile_term(cls, profile, i, T)
     return _series_report(f"CLASS-{cls}", params, T, lhs, rhs)
+
+
+# each reduction law: (its Pochhammer bracket, the inner class, the outer class)
+_LEMMAS = {"LEM-N1": ("e", "G", "F"), "LEM-N2": ("o", "E", "G")}
+
+
+def _lemma_poch(which: str, n1: int):
+    """(lowest exponent, builder) of the finite Pochhammer of the law which at N_1 = n1."""
+    (poch,) = _bracket_parts(_LEMMAS[which][0], n1)
+    return poch
 
 
 def verify_class_lemma(which: str, profile, i: int, T: int,
@@ -396,23 +458,32 @@ def verify_class_lemma(which: str, profile, i: int, T: int,
     equals a finite odd Pochhammer times the E-class series (LEM-N2)."""
     profile, k = _check_class_params(profile, i, T)
     n1 = profile[0] if profile else 0
-    if which == "LEM-N1":
-        letter, lo_cls, hi_cls = "e", "G", "F"
-    elif which == "LEM-N2":
-        letter, lo_cls, hi_cls = "o", "E", "G"
-    else:
+    if which not in _LEMMAS:
         raise ValueError(which)
-    (poch,) = _bracket_parts(letter, n1)
+    _, lo_cls, hi_cls = _LEMMAS[which]
+    poch = _lemma_poch(which, n1)
     weight_cap = T - poch[0]  # the inner series must reach further down-shifted
     if buckets is None:
         buckets = collect_class_buckets(max(n1, 1), max(k - 1, 1), weight_cap)
-    recs = buckets.get(_trim(profile), [])
-    lo_members = [rec.weight for rec in recs if rec.in_class(lo_cls, k, i)]
-    hi_members = [rec.weight for rec in recs if rec.in_class(hi_cls, k, i)]
-    lhs = _enum_series(hi_members, weight_cap)(T)
-    rhs = bounded_product([poch, (0, _enum_series(lo_members, weight_cap))], T)
+    lo = _class_histogram(buckets, profile, lo_cls, k, i)
+    hi = _class_histogram(buckets, profile, hi_cls, k, i)
+    lhs = _enum_series(hi, weight_cap)(T)
+    rhs = bounded_product([poch, (0, _enum_series(lo, weight_cap))], T)
     params = {"profile": profile, "k": k, "i": i}
     return _series_report(which, params, T, lhs, rhs)
+
+
+def verify_profile(profile, i: int, T: int) -> list[VerificationReport]:
+    """The six checks of one profile (CLASS-B/E/G/F, LEM-N1/N2) at truncation T,
+    as six verify_identity calls give them, from one class bucket build at the
+    furthest reach they need (a lemma's) and one partition bucket build."""
+    profile, k = _check_class_params(profile, i, T)
+    n1 = profile[0] if profile else 0
+    reach = max(T - _lemma_poch(which, n1)[0] for which in _LEMMAS)
+    buckets = collect_class_buckets(max(n1, 1), max(k - 1, 1), reach)
+    partition_buckets = collect_partition_buckets(max(n1, 1), max(k - 1, 1), T)
+    return [verify_identity(tag, None, i, T, profile=profile, buckets=buckets,
+                            partition_buckets=partition_buckets) for tag in CLASS_TAGS]
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +571,7 @@ def _o_family_members(k: int, i: int, n: int):
     """The O(k, i) members of weight n in ``enumerate_overpartitions`` order, each
     with its marking memoized; the walk is cut only by the O-family stats (see
     ``o_family_stats``), never by the row count the sweep checks."""
-    for op, _, _ in _walk(n, exact=True, o_caps=(i - 1, k - 1, k - 2), memo=True):
+    for op, _, _, _ in _walk(n, exact=True, o_caps=_o_caps(k, i), memo=True):
         yield op
 
 
@@ -649,13 +720,13 @@ def verify_bijection_pairs(pairs, n: int) -> dict[tuple[int, int], tuple[int, st
     caps = {}
     for k, i in pairs:
         _check_pair(k, i)
-        caps[(k, i)] = (i - 1, k - 1, k - 2)
+        caps[(k, i)] = _o_caps(k, i)
     checks = dict.fromkeys(caps, 0)
     failures: dict[tuple[int, int], str] = {}
     bound = tuple(map(max, zip(*caps.values())))
-    for op, rows, (fb, mw, c3) in _walk(n, exact=True, o_caps=bound, memo=True):
-        live = [pair for pair, (fb_max, mw_max, c3_max) in caps.items()
-                if pair not in failures and fb <= fb_max and mw <= mw_max and c3 <= c3_max]
+    for op, rows, stats, _ in _walk(n, exact=True, o_caps=bound, memo=True):
+        live = [pair for pair, pair_caps in caps.items()
+                if pair not in failures and _within(stats, pair_caps)]
         if not live:
             continue
         pair_free = _object_checks.__wrapped__(_object_key(op))
@@ -731,7 +802,7 @@ def _default_pairs(k, i, kmax):
     return pairs
 
 
-def _run_task(task) -> VerificationReport:
+def _run_task(task):
     kind = task[0]
     if kind == "identity":
         _, tag, k, i, T, profile = task
@@ -742,13 +813,17 @@ def _run_task(task) -> VerificationReport:
     if kind == "bijections":
         _, pairs, n = task
         return verify_bijection_pairs(pairs, n)
+    if kind == "profile":
+        _, profile, i, T = task
+        return verify_profile(profile, i, T)
     raise ValueError(task)
 
 
 def build_tasks(suite: str, k=None, i=None, n_max=None, T=None, profile=None) -> list[tuple]:
     """The suite's pool tasks, longest first: one bijection task per weight, from
     n_max down, for every selected pair at once, then the identity and counting
-    tasks.  Under "all", a k below 2 leaves the summed identities out."""
+    tasks.  A profile gives one task for its six class checks.  Under "all", a k
+    below 2 leaves the summed identities out."""
     tasks: list[tuple] = []
     if suite in ("bijections", "all"):
         nm = n_max if n_max is not None else 12
@@ -758,9 +833,7 @@ def build_tasks(suite: str, k=None, i=None, n_max=None, T=None, profile=None) ->
     if suite in ("identities", "all"):
         t = T if T is not None else 40
         if profile is not None:
-            idx = i if i is not None else 1
-            for tag in ("CLASS-B", "CLASS-E", "CLASS-G", "CLASS-F", "LEM-N1", "LEM-N2"):
-                tasks.append(("identity", tag, None, idx, min(t, 30), tuple(profile)))
+            tasks.append(("profile", tuple(profile), i if i is not None else 1, min(t, 30)))
         else:
             for (kk, ii) in _default_pairs(k, i, 3):
                 if kk < 2:
@@ -795,8 +868,8 @@ def _available_cpus() -> int:
 
 def _run_tasks(tasks: list[tuple], workers: int) -> list[VerificationReport]:
     """The reports of build_tasks' tasks, run in order in a pool of workers
-    processes (in this one when workers is 1); the per-weight bijection results
-    are merged into one report per pair."""
+    processes (in this one when workers is 1); a profile task gives six reports,
+    and the per-weight bijection results are merged into one report per pair."""
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_task, tasks))
@@ -806,6 +879,8 @@ def _run_tasks(tasks: list[tuple], workers: int) -> list[VerificationReport]:
     for task, result in zip(tasks, results):
         if task[0] == "bijections":
             by_weight[task[2]] = result
+        elif task[0] == "profile":
+            reports.extend(result)
         else:
             reports.append(result)
     if by_weight:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from ggkit import bailey
 from ggkit.bailey import (
     BaileyPair,
     ChainParameterError,
@@ -209,3 +210,19 @@ def test_inverse_pochhammer_cut_from_a_coarser_build_equals_a_fresh_one():
     for trunc in (33, 50, 64):  # one build, at 64, serves all three
         _inv_poch(3, 5, trunc)
     assert _inv_poch_built.cache_info().misses - before <= 1
+
+
+def test_base_change_builds_each_summand_once(monkeypatch):
+    builds = []
+    real = bailey.pochhammer_finite
+
+    def counted(a, *args):
+        if a == -1:  # only the base change's (-1; q)_{2k} has a = -1
+            builds.append(args)
+        return real(a, *args)
+
+    monkeypatch.setattr(bailey, "pochhammer_finite", counted)
+    chain = run_chain(3, 1, 40)
+    lhs, rhs = limit_identity(chain, 40)
+    assert lhs == rhs
+    assert sorted(builds) == [(0, 2, 2 * k, 80) for k in range(41)]

@@ -7,6 +7,8 @@ a monotone bound fails.  These tests keep the slow route (enumerate, mark with
 that makes the cuts exact.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +43,16 @@ def test_class_buckets_match_enumerate_and_filter(n1_max, rows_max, weight_max):
     fast = collect_class_buckets(n1_max, rows_max, weight_max)
     slow = _slow_class_buckets(n1_max, rows_max, weight_max)
     assert list(fast.items()) == list(slow.items())
+
+
+def test_bucket_tables_count_the_records_in_class():
+    # the table read against the per-record membership rule, which stays the oracle
+    for rows, bucket in collect_class_buckets(3, 3, 16).items():
+        for k in range(1, 6):
+            for i in range(1, k + 1):
+                for cls in "FGE":
+                    want = Counter(rec.weight for rec in bucket if rec.in_class(cls, k, i))
+                    assert bucket.histogram(cls, k, i) == want, (rows, cls, k, i)
 
 
 def test_sweep_members_match_enumerate_and_filter():

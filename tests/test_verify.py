@@ -503,6 +503,23 @@ def test_build_tasks_puts_the_bijection_weights_first_largest_first():
     assert all(task[0] != "bijections" for task in tasks[4:])
 
 
+def test_profile_suite_builds_the_class_buckets_once(monkeypatch):
+    cold = [verify_identity(tag, None, 1, 30, profile=(2, 1)) for tag in verify.CLASS_TAGS]
+    cold.sort(key=lambda r: (r.identity, repr(sorted(r.params.items(), key=str))))
+    builds = []
+    real = verify.collect_class_buckets
+
+    def counted(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "collect_class_buckets", counted)
+    reports = run_suite("identities", profile=(2, 1), i=1, T=30, jobs=1)
+    assert _as_json(reports) == _as_json(cold)
+    assert all(rep.ok for rep in reports)
+    assert builds == [(2, 2, 34)]  # LEM-N2 reads the inner class to T + N_1^2
+
+
 # -- counting tables --------------------------------------------------------
 
 def test_counting_suite_builds_only_the_tables_it_compares(monkeypatch):
