@@ -8,9 +8,11 @@ grid (grid = 1) after checking that every surviving exponent is even.
 
 Sequences are evaluated lazily and memoized through one ``lru_cache`` per
 sequence, so deep beta evaluations only pay for the indices a given truncation
-can see.  The theta terms (the seed pair's alpha, the shift transform's closed
-form) come from ``series.theta_term``.  Transforms take no label: each names its
-output after its input, and ``run_chain`` names every stage by its position.
+can see.  Each beta sum over 1/(q^g; q^g)_{n-m}, here and in the multisum
+levels of ``verify``, goes through ``_inv_poch_sum``.  The theta terms (the
+seed pair's alpha, the shift transform's closed form) come from
+``series.theta_term``.  Transforms take no label: each names its output after
+its input, and ``run_chain`` names every stage by its position.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from math import isqrt
+from typing import Callable, Iterable
 
 from .series import (
     Coeff,
@@ -42,17 +45,57 @@ class LimitDiagnosticError(RuntimeError):
     """The limiting series did not stabilize within the allowed index range."""
 
 
-@lru_cache(maxsize=1024)  # the test suite fills 363 entries, a benchmark run 106
+def _build_cap(trunc: int) -> int:
+    """The truncation of the build that serves trunc: the next power of two >= trunc."""
+    return 1 << (trunc - 1).bit_length()
+
+
+@lru_cache(maxsize=1024)  # the test suite fills about 440 entries, a series run 76
 def _inv_poch_built(step: int, m: int, cap: int) -> LaurentSeries:
     """1/(q**step; q**step)_m on the stored grid, truncated at cap."""
     return pochhammer_finite(1, step, step, m, cap).inverse()
 
 
-@lru_cache(maxsize=4096)  # the test suite fills 876 entries, a benchmark run 129
+@lru_cache(maxsize=4096)  # the test suite fills about 1 000 entries, a series run 26
 def _inv_poch(step: int, m: int, trunc: int) -> LaurentSeries:
     """1/(q**step; q**step)_m on the stored grid, truncated: cut from the one
     built at the next power of two >= trunc, so nearby truncations share a build."""
-    return _inv_poch_built(step, m, 1 << (trunc - 1).bit_length()).truncated(trunc)
+    return _inv_poch_built(step, m, _build_cap(trunc)).truncated(trunc)
+
+
+def _inv_poch_sum(step: int, terms: Iterable[tuple[int, LaurentSeries]], n: int,
+                  trunc: int) -> LaurentSeries:
+    """sum_m t_m / (q**step; q**step)_{n-m} over the pairs (m, t_m) of terms
+    (m <= n, each t_m with no negative exponent), truncated at trunc.
+
+    (q^g; q^g)_j and (q^g; q^g)_oo agree below q^{g(j+1)}, so a term whose lowest
+    exponent e has g(n-m+1) > trunc - e equals t_m / (q^g; q^g)_oo up to trunc:
+    those terms are added first and multiplied once, by 1/(q^g; q^g)_{cap//g},
+    which is 1/(q^g; q^g)_oo up to cap >= trunc.  Every other term is one
+    multiply.  Each inverse is the build that _inv_poch cuts from, uncut: the
+    product of a term truncated at trunc with it ends at trunc all the same.
+    """
+    cap = _build_cap(trunc)
+    acc = tail = None
+    for m, t in terms:
+        t = t.truncated(trunc)
+        if step * (n - m + 1) > trunc - t.effective_min():
+            tail = t if tail is None else tail + t
+        else:
+            p = t * _inv_poch_built(step, n - m, cap)
+            acc = p if acc is None else acc + p
+    if tail is not None:
+        p = tail * _inv_poch_built(step, cap // step, cap)
+        acc = p if acc is None else acc + p
+    return LaurentSeries.zero(trunc) if acc is None else acc
+
+
+@lru_cache(maxsize=1024)  # the test suite fills about 420 entries, a series run 56
+def _relation_kernel(step: int, a: int, b: int, trunc: int) -> LaurentSeries:
+    """1/((q**step; q**step)_a (q**step; q**step)_b), truncated: the factor of
+    alpha_r in the relation at n with (a, b) = (n - r, n + r), shared by every
+    pair on the same grid and truncation."""
+    return _inv_poch(step, a, trunc) * _inv_poch(step, b, trunc)
 
 
 class BaileyPair:
@@ -98,14 +141,9 @@ def transform_iterate(pair: BaileyPair) -> BaileyPair:
         return pair.alpha(n).shift(g * n * n).truncated(trunc)
 
     def beta(n: int) -> LaurentSeries:
-        acc = LaurentSeries.zero(trunc)
-        for j in range(n + 1):
-            e = g * j * j
-            if e > trunc:
-                break
-            term = pair.beta(j) * _inv_poch(g, n - j, trunc)
-            acc = acc + term.shift(e).truncated(trunc)
-        return acc
+        reach = min(n, isqrt(trunc // g))  # past it, q^{g j^2} lies above trunc
+        return _inv_poch_sum(g, ((j, pair.beta(j).shift(g * j * j)) for j in range(reach + 1)),
+                             n, trunc)
 
     return BaileyPair(f"{pair.label}+iter", g, trunc, alpha, beta)
 
@@ -186,13 +224,8 @@ def transform_base_change(pair: BaileyPair) -> BaileyPair:
         return fac * pair.beta(k).substitute_power(2).truncated(trunc)
 
     def beta(n: int) -> LaurentSeries:
-        acc = LaurentSeries.zero(trunc)
-        for k in range(n + 1):
-            if 2 * k > trunc:
-                break
-            term = summand(k) * _inv_poch(4, n - k, trunc)
-            acc = acc + term.shift(2 * k).truncated(trunc)
-        return acc.project_even()
+        terms = ((k, summand(k).shift(2 * k)) for k in range(min(n, trunc // 2) + 1))
+        return _inv_poch_sum(4, terms, n, trunc).project_even()
 
     return BaileyPair(f"{pair.label}+base", 1, trunc_q, alpha, beta)
 
@@ -203,8 +236,7 @@ def verify_pair_relation(pair: BaileyPair, n_max: int) -> tuple[bool, str]:
     for n in range(n_max + 1):
         acc = LaurentSeries.zero(trunc)
         for r in range(n + 1):
-            term = pair.alpha(r) * _inv_poch(g, n - r, trunc)
-            term = term * _inv_poch(g, n + r, trunc)
+            term = pair.alpha(r) * _relation_kernel(g, n - r, n + r, trunc)
             acc = acc + term.truncated(trunc)
         diff = acc.first_difference(pair.beta(n))
         if diff is not None:

@@ -216,10 +216,17 @@ def multisum_lhs(tag: str, k: int, i: int, T: int, x_tracking: bool = False):
     g, off, brackets = _FORMS[tag]
     ogg = tag in ("OGG", "OGG-X")
 
+    depths: dict[int, list[int]] = {}
+
     def depth(j: int, n: int) -> int:
         """The least exponent levels 1..j-1 add above N_j = n (each increment grows
         with N): A_j(n) is needed to T - depth(j, n), and is 0 once depth(j+1, n) > T."""
-        return sum(_tuple_increment(tag, i, level, n) for level in range(1, j))
+        if n not in depths:  # the running sums of the increments of levels 1..k-1
+            run = [0]
+            for level in range(1, k):
+                run.append(run[-1] + _tuple_increment(tag, i, level, n))
+            depths[n] = run
+        return depths[n][j - 1]
 
     # each level's values by N, each keyed by its x-degree (always 0 without x_tracking)
     below = {0: {0: LaurentSeries.monomial(0, T, 2 if ogg and i == k else 1)}}
@@ -227,14 +234,13 @@ def multisum_lhs(tag: str, k: int, i: int, T: int, x_tracking: bool = False):
         level = {}
         n = 1 if j == 1 else 0
         while (inner := T - depth(j + 1, n)) >= 0:
-            sums: dict[int, LaurentSeries] = {}
+            by_degree: dict[int, list] = {}
             for m, vals in below.items():
                 if m > n:
                     break
-                inv = bailey_mod._inv_poch(g, n - m, T)
                 for d, v in vals.items():
-                    term = v.truncated(inner) * inv
-                    sums[d] = sums[d] + term if d in sums else term
+                    by_degree.setdefault(d, []).append((m, v))
+            sums = {d: bailey_mod._inv_poch_sum(g, ts, n, inner) for d, ts in by_degree.items()}
             lin = g * n if j >= i + off else 0
             vals = {}
             for d, s in sums.items():
@@ -372,16 +378,52 @@ def collect_class_buckets(n1_max: int, rows_max: int, weight_max: int
     return buckets
 
 
+class PartitionBucket(list):
+    """The partitions of one greedy-marking profile in order, with a table that
+    counts them by B-family key: table[(f(1), the largest f(t) + f(t+1))] is a
+    weight histogram.  A CLASS-B verdict sums the histograms within the caps
+    (i - 1, k - 1) of B(k, i), as a ClassBucket's verdicts do for F, G and E."""
+
+    __slots__ = ("table",)
+
+    def __init__(self):
+        super().__init__()
+        self.table: dict[tuple[int, int], Counter] = {}
+
+    def add(self, parts: tuple[int, ...]) -> None:
+        self.append(parts)
+        freq = Counter(parts)
+        key = (freq[1], max((c + freq[t + 1] for t, c in freq.items()), default=0))
+        hist = self.table.get(key)
+        if hist is None:
+            hist = self.table[key] = Counter()
+        hist[sum(parts)] += 1
+
+    def histogram(self, cls: str, k: int, i: int) -> Counter:
+        """Weight -> count of the partitions in B(k, i) (cls must be "B")."""
+        if cls != "B":
+            raise ValueError(cls)
+        out: Counter = Counter()
+        for (f1, mw), hist in self.table.items():
+            if f1 <= i - 1 and mw <= k - 1:
+                out.update(hist)
+        return out
+
+
 def collect_partition_buckets(n1_max: int, rows_max: int, weight_max: int
-                              ) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+                              ) -> dict[tuple[int, ...], PartitionBucket]:
     """Ordinary partitions bucketed by their greedy-marking profile."""
-    buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {(): [()]}
+    buckets = {(): PartitionBucket()}
+    buckets[()].add(())
     for parts in iter_partitions_bounded(weight_max, n1_max * rows_max):
         if not parts:
             continue
         rows = gordon_row_counts(parts)
         if len(rows) <= rows_max and rows[0] <= n1_max:
-            buckets.setdefault(rows, []).append(parts)
+            bucket = buckets.get(rows)
+            if bucket is None:
+                bucket = buckets[rows] = PartitionBucket()
+            bucket.add(parts)
     return buckets
 
 
@@ -428,14 +470,12 @@ def verify_class_gf(profile, i: int, T: int, cls: str,
     params = {"profile": profile, "k": k, "i": i}
     weight_cap = T
     if cls == "B":
-        if partition_buckets is None:
-            partition_buckets = collect_partition_buckets(max(n1, 1), max(k - 1, 1), weight_cap)
-        hist = Counter(sum(parts) for parts in partition_buckets.get(_trim(profile), [])
-                       if satisfies_family(parts, FamilySpec("B", k, i)))
-    else:
+        buckets = partition_buckets
         if buckets is None:
-            buckets = collect_class_buckets(max(n1, 1), max(k - 1, 1), weight_cap)
-        hist = _class_histogram(buckets, profile, cls, k, i)
+            buckets = collect_partition_buckets(max(n1, 1), max(k - 1, 1), weight_cap)
+    elif buckets is None:
+        buckets = collect_class_buckets(max(n1, 1), max(k - 1, 1), weight_cap)
+    hist = _class_histogram(buckets, profile, cls, k, i)
     lhs = _enum_series(hist, weight_cap)(T)
     rhs = _profile_term(cls, profile, i, T)
     return _series_report(f"CLASS-{cls}", params, T, lhs, rhs)

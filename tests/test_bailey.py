@@ -226,3 +226,72 @@ def test_base_change_builds_each_summand_once(monkeypatch):
     lhs, rhs = limit_identity(chain, 40)
     assert lhs == rhs
     assert sorted(builds) == [(0, 2, 2 * k, 80) for k in range(41)]
+
+
+@pytest.mark.parametrize("T", [0, 7, 22, 40])
+def test_stage_betas_equal_the_plain_loops(T):
+    # every convolving stage against its plain loop on the stage before it, at
+    # n up to T + 2, where the low-index terms are past saturation
+    from bailey_loops import base_change_beta, iterate_beta
+
+    for k in range(2, 5):
+        for i in range(1, k):
+            stages = run_chain(k, i, T).stages
+            for prev, st in zip(stages, stages[1:]):
+                if st.note == "final":
+                    oracle = base_change_beta
+                elif st.note.endswith("iterate") or st.note == "seed":
+                    oracle = iterate_beta
+                else:
+                    continue
+                for n in range(T + 3):
+                    want = oracle(prev.pair, n).to_json()
+                    assert st.pair.beta(n).to_json() == want, (k, i, st.note, n)
+
+
+def _terms(n, trunc):
+    """Terms (m, t_m) with rational coefficients, lowest exponents spread over
+    [0, trunc + 1] and truncations at or above trunc."""
+    out = []
+    for m in range(n + 1):
+        e = (7 * m + 3) % (trunc + 2)
+        coeffs = {e: Fraction(m + 1, 3), e + 1: 2, e + 3: Fraction(5, 7 + m)}
+        out.append((m, LaurentSeries.from_terms(coeffs, trunc + m % 3)))
+    return out
+
+
+@pytest.mark.parametrize("step", [1, 2, 4])
+def test_inverse_pochhammer_sum_past_saturation(step):
+    from bailey_loops import inv_poch_sum
+
+    for trunc in (0, 1, 6, 13, 31):
+        for n in (0, 1, 4, trunc // step, trunc // step + 1, trunc + 3):
+            terms = _terms(n, trunc)
+            got = bailey._inv_poch_sum(step, terms, n, trunc)
+            assert got.to_json() == inv_poch_sum(step, terms, n, trunc).to_json(), (trunc, n)
+
+
+@pytest.mark.parametrize("step", [1, 2, 4])
+def test_inverse_pochhammer_sum_folds_exactly_the_saturated_terms(step, monkeypatch):
+    from bailey_loops import inv_poch_sum
+
+    n, trunc = 5, 6 * step + 4
+    # an even m sits one past the saturation bound, step (n - m + 1) = trunc - e + 1,
+    # so it joins the one folded multiply; an odd m sits on it and keeps its own
+    terms = [(m, LaurentSeries.monomial(trunc - step * (n - m + 1) + (m % 2 == 0), trunc, m + 1))
+             for m in range(n + 1)]
+    want = inv_poch_sum(step, terms, n, trunc)
+    lengths = []
+    real = bailey._inv_poch_built
+
+    def counted(s, length, cap):
+        lengths.append(length)
+        return real(s, length, cap)
+
+    monkeypatch.setattr(bailey, "_inv_poch_built", counted)
+    got = bailey._inv_poch_sum(step, terms, n, trunc)
+    assert got.to_json() == want.to_json()
+    # one multiply per odd m by 1/(q^g; q^g)_{n-m}, and one, past length n, for the rest
+    assert sorted(x for x in lengths if x <= n) == sorted(n - m for m in range(1, n + 1, 2))
+    assert [x for x in lengths if x > n] == [x for x in lengths if x >= trunc // step] != []
+    assert len(lengths) == (n + 1) // 2 + 1

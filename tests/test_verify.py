@@ -541,3 +541,21 @@ def test_partition_family_tables_builds_the_named_families():
     some = partition_family_tables(12, [(3, 2)], families="DB")
     assert sorted(some) == [("B", 3, 2), ("D", 3, 2)]
     assert all(some[key] == full[key] for key in some)
+
+
+def test_partition_bucket_tables_count_the_members_of_b():
+    # the table read against the family filter, which stays the oracle
+    from collections import Counter
+
+    from ggkit.partitions import satisfies_family
+    from ggkit.verify import collect_partition_buckets
+
+    buckets = collect_partition_buckets(3, 3, 16)
+    for rows, bucket in buckets.items():
+        for k in range(1, 6):
+            for i in range(1, k + 1):
+                want = Counter(sum(parts) for parts in bucket
+                               if satisfies_family(parts, FamilySpec("B", k, i)))
+                assert bucket.histogram("B", k, i) == want, (rows, k, i)
+    assert sum(len(b) for b in buckets.values()) == sum(
+        sum(h.values()) for b in buckets.values() for h in b.table.values())
