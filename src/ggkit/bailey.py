@@ -17,11 +17,10 @@ its input, and ``run_chain`` names every stage by its position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .series import (
     Coeff,
@@ -247,14 +246,12 @@ def verify_pair_relation(pair: BaileyPair, n_max: int) -> tuple[bool, str]:
     return True, ""
 
 
-@dataclass
-class ChainStage:
+class ChainStage(NamedTuple):
     note: str
     pair: BaileyPair
 
 
-@dataclass
-class Chain:
+class Chain(NamedTuple):
     k: int
     i: int
     trunc_q: int

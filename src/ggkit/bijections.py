@@ -19,7 +19,7 @@ is carried across a rewrite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .marking import (
     MarkedOverpartition,
@@ -48,8 +48,7 @@ def _check_weight(step: str, got: int, want: int) -> None:
         raise WeightMismatchError(f"{step}: weight {got}, expected {want}")
 
 
-@dataclass
-class TraceStep:
+class TraceStep(NamedTuple):
     name: str
     before: Overpartition
     after: Overpartition
@@ -64,9 +63,21 @@ class TraceStep:
         }
 
 
-@dataclass
 class Trace:
-    steps: list[TraceStep] = field(default_factory=list)
+    """The steps a map took, in order; a fresh trace starts empty."""
+
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: list[TraceStep] | None = None):
+        self.steps = [] if steps is None else steps
+
+    def __eq__(self, other):  # defining it leaves the mutable trace unhashable
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.steps == other.steps
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(steps={self.steps!r})"
 
     def record(self, name: str, before: Overpartition, after: Overpartition) -> None:
         self.steps.append(TraceStep(name, before, after, after.weight() - before.weight()))

@@ -260,6 +260,9 @@ def _cmd_bailey(args) -> int:
     except bailey_mod.ChainParameterError as exc:
         print(f"ggkit: {exc}", file=sys.stderr)
         return USAGE_EXIT
+    except OverflowError as exc:
+        print(f"ggkit: bound too large: {exc}", file=sys.stderr)
+        return USAGE_EXIT
     idx = args.stage if args.stage != -1 else len(chain.stages) - 1
     if idx >= len(chain.stages):
         print(f"ggkit: stage {idx} out of range 0..{len(chain.stages) - 1}", file=sys.stderr)
@@ -295,6 +298,9 @@ def _cmd_verify(args) -> int:
         return MISMATCH_EXIT
     except ValueError as exc:
         print(f"ggkit: {exc}", file=sys.stderr)
+        return USAGE_EXIT
+    except OverflowError as exc:  # a bound too large to build a series or a table for
+        print(f"ggkit: bound too large: {exc}", file=sys.stderr)
         return USAGE_EXIT
     if args.format == "json":
         print(json.dumps([r.to_json() for r in reports]))

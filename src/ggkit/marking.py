@@ -16,7 +16,7 @@ nonincreasing.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .partitions import Overpartition, Part, Partition, part_text
 
@@ -37,10 +37,25 @@ def _mex(used) -> int:
     return m
 
 
-@dataclass(frozen=True)
 class MarkedOverpartition:
-    base: Overpartition
-    marks: tuple[int, ...]
+    """An overpartition with one mark per part, in part order.  Immutable."""
+
+    __slots__ = ("base", "marks")
+
+    def __init__(self, base: Overpartition, marks: tuple[int, ...]):
+        self.base = base
+        self.marks = marks
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base, self.marks) == (other.base, other.marks)
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.marks))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(base={self.base!r}, marks={self.marks!r})"
 
     def __len__(self) -> int:
         return len(self.marks)
@@ -309,8 +324,7 @@ def first_row_types(m: MarkedOverpartition) -> list[str]:
     return ["O" if p.overlined or ft.fbar(p.size + 1) else "E" for p in m.sub_overpartition(1)]
 
 
-@dataclass(frozen=True)
-class _Reduction:
+class _Reduction(NamedTuple):
     """One of the two reductions: phi/psi trades plain-odd and overlined-even
     parts for distinct negative even parts, theta/lambda overlined odd parts for
     distinct negative odd parts.  Each sweeps the last first-row part its flags
@@ -346,8 +360,7 @@ _THETA = _Reduction("theta", "lambda", "classify_g", is_reduced, is_doubled,
                     ("the last type-O part", "a type-E part followed by the type-O part"))
 
 
-@dataclass(frozen=True)
-class PositionReport:
+class PositionReport(NamedTuple):
     """Where position p sits relative to the sweep that clears the first row.
 
     pending: position p holds the next part to clear (everything above is done);

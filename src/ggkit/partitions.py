@@ -9,7 +9,6 @@ tuples of positive ints.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import add
 from typing import Iterator, NamedTuple
 
@@ -235,17 +234,23 @@ class FamilyKindError(TypeError):
     """Object kind does not match the family (overpartition vs. partition)."""
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class _FamilyFields(NamedTuple):
     family: str
     k: int
     i: int
 
-    def __post_init__(self):
-        if self.family not in OVERPARTITION_FAMILIES | PARTITION_FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if not self.k >= self.i >= 1:
-            raise ValueError(f"parameters must satisfy k >= i >= 1, got k={self.k}, i={self.i}")
+
+class FamilySpec(_FamilyFields):
+    """A family letter with its parameters k >= i >= 1, checked on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, k: int, i: int):
+        if family not in OVERPARTITION_FAMILIES | PARTITION_FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if not k >= i >= 1:
+            raise ValueError(f"parameters must satisfy k >= i >= 1, got k={k}, i={i}")
+        return super().__new__(cls, family, k, i)
 
 
 def _part_is_f_kind(p: Part) -> bool:

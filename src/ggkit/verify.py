@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -88,13 +86,31 @@ class DegenerateIdentityError(ValueError):
     """A summed identity was requested with no summation variables (k = 1)."""
 
 
-@dataclass
 class VerificationReport:
-    identity: str
-    params: dict
-    truncation: int | None
-    ok: bool
-    detail: str = ""
+    """One verdict: what was compared (identity, params, truncation), whether
+    it held, and the first difference or the check count (detail)."""
+
+    __slots__ = ("identity", "params", "truncation", "ok", "detail")
+
+    def __init__(self, identity: str, params: dict, truncation: int | None, ok: bool,
+                 detail: str = ""):
+        self.identity = identity
+        self.params = params
+        self.truncation = truncation
+        self.ok = ok
+        self.detail = detail
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):  # defining it leaves the mutable report unhashable
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__slots__, self._astuple()))
+        return f"{type(self).__qualname__}({fields})"
 
     @property
     def verdict(self) -> str:
@@ -906,16 +922,31 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_tasks(tasks: list[tuple], workers: int) -> list[VerificationReport]:
-    """The reports of build_tasks' tasks, run in order in a pool of workers
-    processes (in this one when workers is 1); a profile task gives six reports,
-    and the per-weight bijection results are merged into one report per pair."""
+def _run_tasks(tasks: list[tuple], workers: int, in_parent=list) -> list[VerificationReport]:
+    """The reports of ``in_parent()`` (none by default) followed by those of
+    build_tasks' tasks, run in order in a pool of workers processes (in this one
+    when workers is 1); a profile task gives six reports, and the per-weight
+    bijection results are merged into one report per pair.
+
+    With a pool, every task is submitted before ``in_parent`` runs, so it runs
+    here while the workers work, and the workers fork before it grows this
+    process's heap.  If it (or a task) raises, the tasks not yet started are
+    cancelled and the error propagates.  The pool module is imported only here."""
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_task, tasks))
+            futures = [pool.submit(_run_task, t) for t in tasks]
+            try:
+                reports = in_parent()
+                results = [f.result() for f in futures]
+            finally:
+                for f in futures:
+                    f.cancel()
     else:
+        reports = in_parent()
         results = [_run_task(t) for t in tasks]
-    reports, by_weight = [], {}
+    by_weight = {}
     for task, result in zip(tasks, results):
         if task[0] == "bijections":
             by_weight[task[2]] = result
@@ -931,7 +962,8 @@ def _run_tasks(tasks: list[tuple], workers: int) -> list[VerificationReport]:
 def run_suite(suite: str, k=None, i=None, n_max=None, T=None, profile=None,
               jobs: int | None = None) -> list[VerificationReport]:
     """Run a verification suite, optionally fanning tasks out across processes.
-    The Bailey chains run first, in this process.
+    The Bailey chains run in this process: first when there is no pool, else
+    while the pool works on the other tasks (see ``_run_tasks``).
 
     Reports come back sorted by identity tag and parameters regardless of the
     execution order.
@@ -954,9 +986,10 @@ def run_suite(suite: str, k=None, i=None, n_max=None, T=None, profile=None,
     tasks = build_tasks(suite, k, i, n_max, T, profile) if suite != "bailey" else []
     if not chains and not tasks:
         raise ValueError(f"suite {suite!r} has nothing to check for these parameters")
-    reports: list[VerificationReport] = []
-    for (kk, ii) in chains:
-        reports.extend(verify_bailey(kk, ii, T if T is not None else 40))
-    reports.extend(_run_tasks(tasks, _worker_count(jobs, len(tasks), _available_cpus())))
+
+    def run_chains() -> list[VerificationReport]:
+        return [r for (kk, ii) in chains for r in verify_bailey(kk, ii, T if T is not None else 40)]
+
+    reports = _run_tasks(tasks, _worker_count(jobs, len(tasks), _available_cpus()), run_chains)
     reports.sort(key=lambda r: (r.identity, repr(sorted(r.params.items(), key=str))))
     return reports

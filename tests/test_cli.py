@@ -253,6 +253,11 @@ def test_verify_jobs_env_default(capsys, monkeypatch):
     ({}, ["biject", "--map", "psi-p", "--p", "1", "3~"]),
     ({}, ["verify", "--suite", "bailey", "--k", "1"]),
     ({}, ["verify", "--suite", "counting", "--i", "5"]),
+    ({}, ["verify", "--suite", "identities", "--T", "100000000000000000000"]),
+    ({}, ["verify", "--suite", "counting", "--k", "2", "--i", "1",
+          "--n-max", "100000000000000000000"]),
+    ({}, ["verify", "--suite", "bailey", "--k", "3", "--i", "1", "--T", "100000000000000000000"]),
+    ({}, ["bailey", "--k", "3", "--i", "1", "--T", "100000000000000000000"]),
 ])
 def test_invalid_input_is_usage_error(capsys, monkeypatch, env, argv):
     monkeypatch.delenv("GGKIT_JOBS", raising=False)
@@ -383,3 +388,30 @@ def test_fuzzed_argv_keeps_the_exit_code_contract(argv):
         verdicts = [line for line in out.getvalue().splitlines()
                     if line.startswith(("PASS", "FAIL")) or '"verdict"' in line]
         assert not verdicts, argv
+
+
+def _python_m_ggkit(*argv):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("GGKIT_JOBS", None)
+    return subprocess.run([sys.executable, "-m", "ggkit", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_ggkit_runs_the_cli():
+    proc = _python_m_ggkit("verify", "--suite", "counting", "--k", "2", "--n-max", "4")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "# 6/6 checks passed"
+
+
+def test_python_m_ggkit_keeps_the_usage_exit_code():
+    proc = _python_m_ggkit("mark", "0")
+    assert proc.returncode == 2
+    assert proc.stdout == "" and proc.stderr.startswith("ggkit: ")
+    assert proc.stderr.count("\n") == 1

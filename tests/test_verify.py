@@ -559,3 +559,73 @@ def test_partition_bucket_tables_count_the_members_of_b():
                 assert bucket.histogram("B", k, i) == want, (rows, k, i)
     assert sum(len(b) for b in buckets.values()) == sum(
         sum(h.values()) for b in buckets.values() for h in b.table.values())
+
+
+# -- start-up footprint, the overlapped pool and the report records ----------
+
+
+def test_import_ggkit_loads_neither_the_pool_nor_dataclasses():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(verify.__file__).resolve().parents[1])
+    code = ("import sys, ggkit; print(sorted(m for m in ('concurrent.futures', "
+            "'multiprocessing', 'dataclasses', 'inspect') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_run_suite_all_with_a_pool_equals_the_serial_run():
+    seq = run_suite("all", T=20, n_max=8, jobs=1)
+    par = run_suite("all", T=20, n_max=8, jobs=2)
+    assert _as_json(par) == _as_json(seq)
+    assert any(rep.identity == "LIMIT" for rep in par)
+    assert any(rep.identity == "BIJECTIONS" for rep in par)
+
+
+def test_a_raising_chain_raises_the_same_error_with_and_without_a_pool(monkeypatch):
+    import multiprocessing
+
+    def broken(k, i, T=40, n_depth=6):
+        raise bailey.LimitDiagnosticError(f"chain k={k} i={i} broke")
+
+    monkeypatch.setattr(verify, "verify_bailey", broken)
+    errors = []
+    for jobs in (1, 2):
+        with pytest.raises(bailey.LimitDiagnosticError) as info:
+            run_suite("all", T=20, n_max=8, jobs=jobs)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1] == (bailey.LimitDiagnosticError, "chain k=2 i=1 broke")
+    assert multiprocessing.active_children() == []  # the pool was shut down
+
+
+def test_records_pickle_and_compare_by_value():
+    import pickle
+
+    from ggkit.bijections import Trace, phi_full
+    from ggkit.marking import classify_f, gg_mark
+    from ggkit.verify import VerificationReport
+
+    rep = VerificationReport("LIMIT", {"k": 3, "i": 1}, 20, False, "first difference at q^3")
+    back = pickle.loads(pickle.dumps(rep))
+    assert back == rep and back is not rep and repr(back) == repr(rep)
+    assert back != VerificationReport("LIMIT", {"k": 3, "i": 1}, 20, True)
+    assert repr(rep) == ("VerificationReport(identity='LIMIT', params={'k': 3, 'i': 1}, "
+                         "truncation=20, ok=False, detail='first difference at q^3')")
+    with pytest.raises(TypeError):
+        hash(rep)
+    trace = Trace()
+    phi_full(Overpartition.from_text("1~,3,5~,6"), trace)
+    marked = gg_mark(Overpartition.from_text("1~,3,5~,6"))
+    for obj in (FamilySpec("O", 3, 1), marked, classify_f(marked, 1), trace, trace.steps[0]):
+        back = pickle.loads(pickle.dumps(obj))
+        assert back == obj and repr(back) == repr(obj)
+    assert hash(pickle.loads(pickle.dumps(marked))) == hash(marked)
+    assert repr(FamilySpec("O", 3, 1)) == "FamilySpec(family='O', k=3, i=1)"
+    assert repr(marked) == "MarkedOverpartition(base=Overpartition('1~,3,5~,6'), marks=(1, 1, 1, 2))"
+    assert len(marked) == 4 and Trace() == Trace() and Trace().steps is not Trace().steps
