@@ -45,6 +45,9 @@ from .verify import run_suite
 
 USAGE_EXIT = 2
 MISMATCH_EXIT = 1
+# past this weight a listing could never finish (there are 5.3e10 overpartitions
+# of 100), and the enumeration nests one generator per part
+_ENUMERATE_N_MAX = 100
 
 _MAPS = {
     "phi-p": (phi_step, "p"),
@@ -134,8 +137,8 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.n < 0:
-        print(f"ggkit: --n must be >= 0, got {args.n}", file=sys.stderr)
+    if not 0 <= args.n <= _ENUMERATE_N_MAX:
+        print(f"ggkit: --n must be in 0..{_ENUMERATE_N_MAX}, got {args.n}", file=sys.stderr)
         return USAGE_EXIT
     spec = None
     if args.family:

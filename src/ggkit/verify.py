@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from functools import lru_cache
+from operator import le
 from typing import NamedTuple
 
 from . import bailey as bailey_mod
@@ -307,21 +308,20 @@ def _o_caps(k: int, i: int) -> tuple[int, int, int]:
     return i - 1, k - 1, k - 2
 
 
-def _within(stats: tuple[int, int, int], caps: tuple[int, int, int]) -> bool:
-    fb, mw, c3 = stats
-    fb_max, mw_max, c3_max = caps
-    return fb <= fb_max and mw <= mw_max and c3 <= c3_max
+def _within(stats: tuple[int, ...], caps: tuple[int, ...]) -> bool:
+    return all(map(le, stats, caps))
 
 
-_CLASS_FLAGS = {"F": 0, "G": 1, "E": 2}  # each class's flag among (stable, reduced, doubled)
+_CLASS_FLAGS = {"F": 0, "G": 1, "E": 2, "B": 0}  # each class's flag in its bucket's table
 
 
-def _class_rule(cls: str, k: int, i: int) -> tuple[int, tuple[int, int, int]]:
-    """(the flag cls needs, the caps on (fb, mw, c3)): an overpartition is in the
-    class cls at (k, i) when its flag holds and its stats are within the caps."""
+def _class_rule(cls: str, k: int, i: int) -> tuple[int, tuple[int, ...]]:
+    """(the flag cls needs, the caps on the bucket key): an item is in the class
+    cls at (k, i) when its flag holds and its key is within the caps.  The key is
+    (fb, mw, c3) for F, G and E, and (f(1), the largest f(t) + f(t+1)) for B."""
     if cls not in _CLASS_FLAGS:
         raise ValueError(cls)
-    return _CLASS_FLAGS[cls], _o_caps(k, i)
+    return _CLASS_FLAGS[cls], (i - 1, k - 1) if cls == "B" else _o_caps(k, i)
 
 
 class ClassRecord(NamedTuple):
@@ -343,35 +343,37 @@ class ClassRecord(NamedTuple):
 
 
 class ClassBucket(list):
-    """The ClassRecords of one marking profile in walk order, with a table that
-    counts them by membership key: table[(fb, mw, c3)] holds one weight histogram
-    for each of F, G and E (the records with that key whose stable, reduced or
-    doubled flag holds).  A class verdict reads the table, so it costs the
-    bucket's distinct keys, not its records."""
+    """The items of one marking profile in walk order (ClassRecords, or the
+    partitions CLASS-B reads), with a table that counts them by membership key:
+    table[key] holds one weight histogram per flag (stable, reduced and doubled
+    for F, G and E; one for B).  A class verdict sums its flag's histograms
+    within its caps (_class_rule), so it costs the bucket's keys, not its items."""
 
     __slots__ = ("table",)
 
     def __init__(self):
         super().__init__()
-        self.table: dict[tuple[int, int, int], tuple[Counter, Counter, Counter]] = {}
+        self.table: dict[tuple[int, ...], tuple[Counter, ...]] = {}
 
-    def add(self, rec: ClassRecord) -> None:
-        self.append(rec)
-        if rec.stable:  # reduced and doubled imply stable
-            key = (rec.fb, rec.mw, rec.c3)
+    def add(self, item, key: tuple[int, ...], weight: int, *flags: bool) -> None:
+        """Append item and count it at weight under key for each flag that holds;
+        the first flag holds whenever another does, and an item without it is not
+        counted."""
+        self.append(item)
+        if flags[0]:
             hists = self.table.get(key)
             if hists is None:
-                hists = self.table[key] = (Counter(), Counter(), Counter())
-            for flag, hist in zip((rec.stable, rec.reduced, rec.doubled), hists):
+                hists = self.table[key] = tuple(Counter() for _ in flags)
+            for flag, hist in zip(flags, hists):
                 if flag:
-                    hist[rec.weight] += 1
+                    hist[weight] += 1
 
     def histogram(self, cls: str, k: int, i: int) -> Counter:
-        """Weight -> count of the records in the class cls at (k, i)."""
+        """Weight -> count of the items in the class cls at (k, i)."""
         flag, caps = _class_rule(cls, k, i)
         out: Counter = Counter()
-        for stats, hists in self.table.items():
-            if _within(stats, caps):
+        for key, hists in self.table.items():
+            if _within(key, caps):
                 out.update(hists[flag])
         return out
 
@@ -390,47 +392,17 @@ def collect_class_buckets(n1_max: int, rows_max: int, weight_max: int
         bucket = buckets.get(rows)
         if bucket is None:
             bucket = buckets[rows] = ClassBucket()
-        bucket.add(ClassRecord(op, weight, *stats, stable, reduced, doubled))
+        bucket.add(ClassRecord(op, weight, *stats, stable, reduced, doubled),
+                   stats, weight, stable, reduced, doubled)
     return buckets
 
 
-class PartitionBucket(list):
-    """The partitions of one greedy-marking profile in order, with a table that
-    counts them by B-family key: table[(f(1), the largest f(t) + f(t+1))] is a
-    weight histogram.  A CLASS-B verdict sums the histograms within the caps
-    (i - 1, k - 1) of B(k, i), as a ClassBucket's verdicts do for F, G and E."""
-
-    __slots__ = ("table",)
-
-    def __init__(self):
-        super().__init__()
-        self.table: dict[tuple[int, int], Counter] = {}
-
-    def add(self, parts: tuple[int, ...]) -> None:
-        self.append(parts)
-        freq = Counter(parts)
-        key = (freq[1], max((c + freq[t + 1] for t, c in freq.items()), default=0))
-        hist = self.table.get(key)
-        if hist is None:
-            hist = self.table[key] = Counter()
-        hist[sum(parts)] += 1
-
-    def histogram(self, cls: str, k: int, i: int) -> Counter:
-        """Weight -> count of the partitions in B(k, i) (cls must be "B")."""
-        if cls != "B":
-            raise ValueError(cls)
-        out: Counter = Counter()
-        for (f1, mw), hist in self.table.items():
-            if f1 <= i - 1 and mw <= k - 1:
-                out.update(hist)
-        return out
-
-
 def collect_partition_buckets(n1_max: int, rows_max: int, weight_max: int
-                              ) -> dict[tuple[int, ...], PartitionBucket]:
-    """Ordinary partitions bucketed by their greedy-marking profile."""
-    buckets = {(): PartitionBucket()}
-    buckets[()].add(())
+                              ) -> dict[tuple[int, ...], ClassBucket]:
+    """Ordinary partitions bucketed by their greedy-marking profile, each keyed
+    for CLASS-B by (f(1), the largest f(t) + f(t+1))."""
+    buckets = {(): ClassBucket()}
+    buckets[()].add((), (0, 0), 0, True)
     for parts in iter_partitions_bounded(weight_max, n1_max * rows_max):
         if not parts:
             continue
@@ -438,8 +410,10 @@ def collect_partition_buckets(n1_max: int, rows_max: int, weight_max: int
         if len(rows) <= rows_max and rows[0] <= n1_max:
             bucket = buckets.get(rows)
             if bucket is None:
-                bucket = buckets[rows] = PartitionBucket()
-            bucket.add(parts)
+                bucket = buckets[rows] = ClassBucket()
+            freq = Counter(parts)
+            key = (freq[1], max(c + freq[t + 1] for t, c in freq.items()))
+            bucket.add(parts, key, sum(parts), True)
     return buckets
 
 
@@ -484,15 +458,12 @@ def verify_class_gf(profile, i: int, T: int, cls: str,
     profile, k = _check_class_params(profile, i, T)
     n1 = profile[0] if profile else 0
     params = {"profile": profile, "k": k, "i": i}
-    weight_cap = T
     if cls == "B":
         buckets = partition_buckets
-        if buckets is None:
-            buckets = collect_partition_buckets(max(n1, 1), max(k - 1, 1), weight_cap)
-    elif buckets is None:
-        buckets = collect_class_buckets(max(n1, 1), max(k - 1, 1), weight_cap)
-    hist = _class_histogram(buckets, profile, cls, k, i)
-    lhs = _enum_series(hist, weight_cap)(T)
+    if buckets is None:
+        collect = collect_partition_buckets if cls == "B" else collect_class_buckets
+        buckets = collect(max(n1, 1), max(k - 1, 1), T)
+    lhs = _enum_series(_class_histogram(buckets, profile, cls, k, i), T)(T)
     rhs = _profile_term(cls, profile, i, T)
     return _series_report(f"CLASS-{cls}", params, T, lhs, rhs)
 
@@ -623,21 +594,12 @@ def verify_counting(theorem: str, k: int, i: int, n_max: int,
 # ---------------------------------------------------------------------------
 
 
-def _o_family_members(k: int, i: int, n: int):
-    """The O(k, i) members of weight n in ``enumerate_overpartitions`` order, each
-    with its marking memoized; the walk is cut only by the O-family stats (see
-    ``o_family_stats``), never by the row count the sweep checks."""
-    for op, _, _, _ in _walk(n, exact=True, o_caps=_o_caps(k, i), memo=True):
-        yield op
-
-
 # The reductions, the odd removal and halve/double read the object alone, and
 # the families nest (O(k, i) lies in O(k, i+1) and in O(k+1, i)), so a process
-# checks each object once, whatever pairs it sweeps (verify_bijection_pairs
-# walks every pair at once and needs no memo).  The memo is keyed on the
-# parts' ranks in part order (2s-1 for an overlined s, 2s for a plain s) as one
-# str, so it keeps no Overpartition or marking alive.  Entries outlive any
-# change to the maps: code that swaps a map in must call cache_clear().
+# checks each object once, whatever pairs and weights it sweeps.  The memo is
+# keyed on the parts' ranks in part order (2s-1 for an overlined s, 2s for a
+# plain s) as one str, so it keeps no Overpartition or marking alive.  Entries
+# outlive any change to the maps: code that swaps a map in must call cache_clear().
 _OBJECT_MEMO_SIZE = 16384  # above the 11 631 members of O(4, 4) up to weight 18
 
 
@@ -747,19 +709,10 @@ def _check_pair(k: int, i: int) -> None:
 
 
 def verify_bijections(k: int, i: int, n_max: int) -> VerificationReport:
-    """Run every roundtrip and weight law over all family members of weight <= n_max."""
+    """Run every roundtrip and weight law over all O(k, i) members of weight <= n_max,
+    one weight at a time, up to the first weight that fails."""
     _check_bound("n_max", n_max)
-    params = {"k": k, "i": i, "n_max": n_max}
-    _check_pair(k, i)
-    checks = 0
-    for n in range(n_max + 1):
-        for op in _o_family_members(k, i, n):
-            done, msg = _pair_checks(op, gg_mark(op).row_counts(), k, i,
-                                     _object_checks(_object_key(op)))
-            checks += done
-            if msg is not None:
-                return VerificationReport("BIJECTIONS", params, None, False, msg)
-    return VerificationReport("BIJECTIONS", params, None, True, f"{checks} checks")
+    return _bijection_reports([(k, i)], n_max, lambda n: verify_bijection_pairs([(k, i)], n))[0]
 
 
 def verify_bijection_pairs(pairs, n: int) -> dict[tuple[int, int], tuple[int, str | None]]:
@@ -768,8 +721,8 @@ def verify_bijection_pairs(pairs, n: int) -> dict[tuple[int, int], tuple[int, st
 
     One walk covers the smallest family that contains every pair, O(max k,
     max i).  A member is checked for each pair whose O-family caps its stats meet
-    and that has not failed yet; its pair-free checks run once, without the
-    object memo, and not at all when no pair takes the member."""
+    and that has not failed yet; its pair-free checks come from the object memo,
+    and are not made at all when no pair takes the member."""
     _check_bound("n", n)
     if not pairs:
         raise ValueError("no pair (k, i) to check")
@@ -785,7 +738,7 @@ def verify_bijection_pairs(pairs, n: int) -> dict[tuple[int, int], tuple[int, st
                 if pair not in failures and _within(stats, pair_caps)]
         if not live:
             continue
-        pair_free = _object_checks.__wrapped__(_object_key(op))
+        pair_free = _object_checks(_object_key(op))
         for k, i in live:
             done, msg = _pair_checks(op, rows, k, i, pair_free)
             checks[(k, i)] += done
@@ -794,17 +747,16 @@ def verify_bijection_pairs(pairs, n: int) -> dict[tuple[int, int], tuple[int, st
     return {pair: (checks[pair], failures.get(pair)) for pair in caps}
 
 
-def _bijection_reports(by_weight: dict[int, dict]) -> list[VerificationReport]:
-    """One BIJECTIONS report per pair from verify_bijection_pairs' results at every
-    weight 0..n_max, as verify_bijections gives it: the failure at the lowest
-    weight, or the sum of the checks."""
-    n_max = max(by_weight)
+def _bijection_reports(pairs, n_max: int, at) -> list[VerificationReport]:
+    """One BIJECTIONS report per pair over the weights 0..n_max, where at(n) is
+    verify_bijection_pairs' result at weight n: the failure at the lowest weight,
+    or the sum of the checks.  A pair reads no weight past its first failure."""
     reports = []
-    for k, i in by_weight[0]:
+    for k, i in pairs:
         params = {"k": k, "i": i, "n_max": n_max}
         checks = 0
         for n in range(n_max + 1):
-            done, msg = by_weight[n][(k, i)]
+            done, msg = at(n)[(k, i)]
             if msg is not None:
                 reports.append(VerificationReport("BIJECTIONS", params, None, False, msg))
                 break
@@ -875,15 +827,22 @@ def _run_task(task):
     raise ValueError(task)
 
 
+# a weight of the k <= 3 sweep takes about 2 s at n = 18 and 1.45 times the time of
+# the one below (2-CPU Xeon), so a sweep to n_max = 40 already runs for hours
+_SWEEP_N_MAX = 40
+
+
 def build_tasks(suite: str, k=None, i=None, n_max=None, T=None, profile=None) -> list[tuple]:
     """The suite's pool tasks, longest first: one bijection task per weight, from
-    n_max down, for every selected pair at once, then the identity and counting
-    tasks.  A profile gives one task for its six class checks.  Under "all", a k
-    below 2 leaves the summed identities out."""
+    n_max (at most _SWEEP_N_MAX) down, for every selected pair at once, then the
+    identity and counting tasks.  A profile gives one task for its six class
+    checks.  Under "all", a k below 2 leaves the summed identities out."""
     tasks: list[tuple] = []
     if suite in ("bijections", "all"):
         nm = n_max if n_max is not None else 12
         _check_bound("n_max", nm)
+        if nm > _SWEEP_N_MAX:
+            raise ValueError(f"n_max={nm} is past the bijection sweep's ceiling of {_SWEEP_N_MAX}")
         pairs = _default_pairs(k, i, 3)
         tasks.extend(("bijections", pairs, n) for n in range(nm, -1, -1))
     if suite in ("identities", "all"):
@@ -955,7 +914,7 @@ def _run_tasks(tasks: list[tuple], workers: int, in_parent=list) -> list[Verific
         else:
             reports.append(result)
     if by_weight:
-        reports.extend(_bijection_reports(by_weight))
+        reports.extend(_bijection_reports(by_weight[0], max(by_weight), by_weight.__getitem__))
     return reports
 
 

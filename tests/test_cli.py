@@ -258,6 +258,7 @@ def test_verify_jobs_env_default(capsys, monkeypatch):
           "--n-max", "100000000000000000000"]),
     ({}, ["verify", "--suite", "bailey", "--k", "3", "--i", "1", "--T", "100000000000000000000"]),
     ({}, ["bailey", "--k", "3", "--i", "1", "--T", "100000000000000000000"]),
+    ({}, ["enumerate", "--n", "1500"]),
 ])
 def test_invalid_input_is_usage_error(capsys, monkeypatch, env, argv):
     monkeypatch.delenv("GGKIT_JOBS", raising=False)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ggkit.marking import gg_mark, in_stable_class, is_doubled, is_reduced
+from ggkit.marking import _walk, gg_mark, in_stable_class, is_doubled, is_reduced
 from ggkit.partitions import (
     FamilySpec,
     Overpartition,
@@ -23,7 +23,7 @@ from ggkit.partitions import (
     o_family_stats,
     satisfies_family,
 )
-from ggkit.verify import ClassRecord, _o_family_members, collect_class_buckets
+from ggkit.verify import ClassRecord, _o_caps, collect_class_buckets
 
 
 def _slow_class_buckets(n1_max, rows_max, weight_max):
@@ -61,14 +61,15 @@ def test_sweep_members_match_enumerate_and_filter():
             spec = FamilySpec("O", k, i)
             for n in range(11):
                 want = [op for op in enumerate_overpartitions(n) if satisfies_family(op, spec)]
-                assert list(_o_family_members(k, i, n)) == want, (k, i, n)
+                got = [op for op, *_ in _walk(n, exact=True, o_caps=_o_caps(k, i), memo=True)]
+                assert got == want, (k, i, n)
 
 
 def test_walked_marking_equals_a_fresh_marking():
     for k in range(1, 5):
         for i in range(1, k + 1):
             for n in range(11):
-                for op in _o_family_members(k, i, n):
+                for op, *_ in _walk(n, exact=True, o_caps=_o_caps(k, i), memo=True):
                     assert gg_mark(op).marks == gg_mark(Overpartition(op.parts)).marks, op
 
 

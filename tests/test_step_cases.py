@@ -2,7 +2,7 @@
 
 ``data/step_cases.json`` holds, for each of the 21 case labels (phi and psi
 1-4, theta 1.1-3.2, lambda 1.1-3.2), the first O(4, 4) member of weight <= 20,
-in ``verify._o_family_members`` order, whose step takes that case at the top
+in ``marking._walk`` order, whose step takes that case at the top
 first-row position N1, and the first that takes it below N1: the input, the
 position, the trace label and the output.  Every label occurs; phi and psi
 take each case at both, so the overline toggle of the part above p is pinned

@@ -5,7 +5,7 @@ from functools import lru_cache
 import pytest
 from tuple_multisum import tuple_multisum_lhs
 
-from ggkit import bailey, partitions, verify
+from ggkit import bailey, marking, partitions, verify
 from ggkit.partitions import (
     FamilySpec,
     Overpartition,
@@ -354,6 +354,23 @@ def test_sweep_looks_up_each_inverse_at_call_time(cold_object_memo, monkeypatch,
     assert re.search(f": {message}$", rep.detail), rep.detail
 
 
+def test_per_pair_sweep_stops_at_its_first_failing_weight(cold_object_memo, monkeypatch):
+    # phi_full goes wrong at weight 5 and raises at weight 7: the weight-5 failure
+    # must come back, and no weight past it may be walked
+    full = verify.phi_full
+
+    def broken(op, trace=None):
+        if op.weight() == 7:
+            raise RuntimeError("the sweep walked past its first failing weight")
+        signed, out = full(op, trace)
+        return (signed, Overpartition(out.parts[:-1])) if op.weight() == 5 else (signed, out)
+
+    monkeypatch.setattr(verify, "phi_full", broken)
+    rep = verify_bijections(2, 2, 8)
+    assert not rep.ok
+    assert Overpartition.from_text(rep.detail.split("'")[1]).weight() == 5
+
+
 def test_sweep_looks_up_the_classifiers_at_call_time(cold_object_memo, monkeypatch):
     calls = {"classify_f": 0, "classify_g": 0}
 
@@ -433,7 +450,7 @@ def test_pairs_path_equals_cold_per_pair_sweeps(cold_object_memo, cold_pair_json
     for n_max, want in cold_pair_json.items():
         merged = verify._run_tasks(_weight_tasks(PAIRS4, n_max), workers)
         assert _as_json(merged) == want, n_max
-    assert verify._object_checks.cache_info().currsize == 0  # the pairs path keeps no memo
+    assert verify._object_checks.cache_info().currsize <= verify._OBJECT_MEMO_SIZE
 
 
 def _break(monkeypatch, name, broken_at):
@@ -473,15 +490,16 @@ def test_pairs_path_checks_no_object_outside_the_selected_pairs(cold_object_memo
     # and must be neither checked nor reported
     pairs = [(3, 1), (2, 2)]
     n_max = 10
-    members = {pair: {op for n in range(n_max + 1) for op in verify._o_family_members(*pair, n)}
+    members = {pair: {op for n in range(n_max + 1) for op, *_ in
+                      marking._walk(n, exact=True, o_caps=verify._o_caps(*pair), memo=True)}
                for pair in pairs}
     wanted = members[(3, 1)] | members[(2, 2)]
     assert any(op not in wanted for n in range(n_max + 1)
-               for op in verify._o_family_members(3, 2, n))
+               for op, *_ in marking._walk(n, exact=True, o_caps=verify._o_caps(3, 2), memo=True))
     want = _cold_pair_json(pairs, n_max)
     checked, toggled = [], []
-    body, toggle = verify._object_checks.__wrapped__, verify.fh_toggle
-    monkeypatch.setattr(verify._object_checks, "__wrapped__",
+    body, toggle = verify._object_checks, verify.fh_toggle
+    monkeypatch.setattr(verify, "_object_checks",
                         lambda key: checked.append(verify._object_from_key(key)) or body(key))
     monkeypatch.setattr(verify, "fh_toggle",
                         lambda op, k, i: toggled.append((op, (k, i))) or toggle(op, k, i))
@@ -501,6 +519,15 @@ def test_build_tasks_puts_the_bijection_weights_first_largest_first():
     tasks = build_tasks("all", k=2, n_max=3, T=5)
     assert tasks[:4] == [("bijections", [(2, 1), (2, 2)], n) for n in (3, 2, 1, 0)]
     assert all(task[0] != "bijections" for task in tasks[4:])
+
+
+@pytest.mark.parametrize("suite", ["bijections", "all"])
+def test_build_tasks_refuses_a_sweep_past_its_ceiling(suite):
+    top = verify._SWEEP_N_MAX
+    assert build_tasks(suite, k=2, n_max=top, T=5)[0] == ("bijections", [(2, 1), (2, 2)], top)
+    for n_max in (top + 1, 10**20):
+        with pytest.raises(ValueError, match="ceiling"):
+            build_tasks(suite, k=2, n_max=n_max, T=5)
 
 
 def test_profile_suite_builds_the_class_buckets_once(monkeypatch):
@@ -558,7 +585,7 @@ def test_partition_bucket_tables_count_the_members_of_b():
                                if satisfies_family(parts, FamilySpec("B", k, i)))
                 assert bucket.histogram("B", k, i) == want, (rows, k, i)
     assert sum(len(b) for b in buckets.values()) == sum(
-        sum(h.values()) for b in buckets.values() for h in b.table.values())
+        sum(h.values()) for b in buckets.values() for (h,) in b.table.values())
 
 
 # -- start-up footprint, the overlapped pool and the report records ----------
