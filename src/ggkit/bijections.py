@@ -12,13 +12,24 @@ reduced overpartition) and one inverse (``_inverse_full``).  The public maps
 wrap them: each step passes its classifier and its case analysis
 (``_phi_cases`` ... ``_lambda_cases``), each full map keeps its domain check.
 ``halve``/``double`` convert all-plain-even overpartitions to ordinary
-partitions and back.  Every rewrite builds a new Overpartition, whose marking
+partitions and back.  A rewrite builds a new Overpartition, whose marking
 ``gg_mark`` derives from its parts (once, then memoized on the object); no mark
 is carried across a rewrite.
+
+The sweep checks one object by several maps that walk the same path: the full
+map and its inverse, then a step and a chain from the pending position and
+their inverses.  Inside ``_step_table()`` (one per checked object, see
+``verify._object_checks``) each untraced step is computed once, keyed by (map,
+parts, position), and every step's input and output is interned by its parts,
+so an object the maps reach again is the same Overpartition and is marked once.
+The table is dropped when the block exits, whether it returned or raised; a
+step that raises is not stored, and a call that records a trace bypasses the
+table, so the trace holds every step.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import NamedTuple
 
 from .marking import (
@@ -115,27 +126,54 @@ def _reuse_index(m: MarkedOverpartition, row1: list[int], p: int, size: int) -> 
     return max(m.marks_at_size(size))
 
 
+# The open step table: (map name, parts, position) -> the step's output, and
+# parts -> the one Overpartition holding them.  A module slot, because the public
+# maps take no table parameter; only _step_table sets it.
+_table: dict | None = None
+
+
+@contextmanager
+def _step_table():
+    """Open a step table for the block (see the module docstring)."""
+    global _table
+    outer, _table = _table, {}
+    try:
+        yield
+    finally:
+        _table = outer
+
+
 def _step(red: _Reduction, forward: bool, classify, cases, op: Overpartition, p: int, trace):
     """One step of a reduction at first-row position p (of its inverse unless
     forward): check that p holds the part to move, rewrite the parts that
     ``cases(m, row1, p, part, subcase)`` returns with its case label, then check
     the record's weight law and record the trace.  Neither direction acts below
-    position 2 - parity, where phi never starts (position 1 holds a stable part)."""
+    position 2 - parity, where phi never starts (position 1 holds a stable part).
+    An untraced step inside ``_step_table()`` is looked up there first."""
+    name = red.forward if forward else red.inverse
+    table = _table if trace is None else None
+    if table is not None:
+        key = (name, op.parts, p)
+        out = table.get(key)
+        if out is not None:
+            return out
+        op = table.setdefault(op.parts, op)
     m = gg_mark(op)
     rep = classify(m, p)
     if p < 2 - red.parity or not (rep.pending if forward else rep.advanced):
         raise PreconditionError(f"first-row position {p} must hold {red.holds[0 if forward else 1]}")
-    row1 = m.row_indices(1)
+    row1 = m._first_row()
     case, repl = cases(m, row1, p, op.parts[row1[p - 1]], rep.subcase)
     parts = list(op.parts)
     for idx, new in repl.items():
         parts[idx] = new
     out = Overpartition(parts)
-    name = red.forward if forward else red.inverse
     law = 2 if p < len(row1) else 2 - red.parity
     _check_weight(f"{name}_step", out.weight(), op.weight() + (law if forward else -law))
     if trace is not None:
         trace.record(f"{name}[{case},{p}]", op, out)
+    elif table is not None:
+        out = table[key] = table.setdefault(out.parts, out)
     return out
 
 

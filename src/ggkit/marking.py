@@ -40,11 +40,12 @@ def _mex(used) -> int:
 class MarkedOverpartition:
     """An overpartition with one mark per part, in part order.  Immutable."""
 
-    __slots__ = ("base", "marks")
+    __slots__ = ("base", "marks", "_row1")
 
     def __init__(self, base: Overpartition, marks: tuple[int, ...]):
         self.base = base
         self.marks = marks
+        self._row1 = None
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -79,6 +80,13 @@ class MarkedOverpartition:
 
     def row_indices(self, r: int) -> list[int]:
         return [j for j, mk in enumerate(self.marks) if mk == r]
+
+    def _first_row(self) -> list[int]:
+        """row_indices(1), scanned once per object: a step's classifier, its case
+        analysis and its weight law all read it.  Callers must not mutate it."""
+        if self._row1 is None:
+            self._row1 = self.row_indices(1)
+        return self._row1
 
     def find(self, size: int, overlined: bool, mark: int) -> int:
         """Index of the part with this size, overline flag and mark."""
@@ -144,6 +152,9 @@ def _mark_step(by_size, prev: int, s: int, overlined: bool, plain, over) -> int:
     return mk
 
 
+_NO_MARKS: frozenset[int] = frozenset()
+
+
 def gg_mark(op: Overpartition) -> MarkedOverpartition:
     """Mark an overpartition; the marking is a deterministic function of the parts,
     computed once per object and memoized on it (as the marks alone, so the
@@ -153,9 +164,12 @@ def gg_mark(op: Overpartition) -> MarkedOverpartition:
     top = op.parts[-1].size if op.parts else 0
     plain = [0] * (top + 1)
     over = [0] * (top + 1)
+    # a set only at the sizes that hold a part; every other size reads as no marks
+    by_size: list = [_NO_MARKS] * (top + 1)
     for s, ov in op.parts:
         (over if ov else plain)[s] += 1
-    by_size: list[set[int]] = [set() for _ in range(top + 1)]
+        if by_size[s] is _NO_MARKS:
+            by_size[s] = set()
     marks: list[int] = []
     mk = 0
     for s, ov in op.parts:
@@ -320,8 +334,10 @@ def first_row_types(m: MarkedOverpartition) -> list[str]:
         raise PreconditionError(
             "part types are defined only without overlined even or plain odd parts"
         )
-    ft = m.base.freq_table()
-    return ["O" if p.overlined or ft.fbar(p.size + 1) else "E" for p in m.sub_overpartition(1)]
+    parts = m.base.parts
+    over = {p.size for p in parts if p.overlined}
+    return ["O" if p.overlined or p.size + 1 in over else "E"
+            for p in [parts[j] for j in m._first_row()]]
 
 
 class _Reduction(NamedTuple):
@@ -350,7 +366,7 @@ class _Reduction(NamedTuple):
 
 
 _PHI = _Reduction("phi", "psi", "classify_f", in_stable_class, is_reduced,
-                  lambda m: [is_clearable(q) for q, mk in zip(m.base.parts, m.marks) if mk == 1],
+                  lambda m: [is_clearable(m.base.parts[j]) for j in m._first_row()],
                   lambda m: m.sub_overpartition(1), 0, "full reduction", "",
                   ("the last plain-odd/overlined-even part",
                    "a stable part followed by the part to restore"))
@@ -377,31 +393,29 @@ class PositionReport(NamedTuple):
 
 
 def _f_subcase(m: MarkedOverpartition, row1: list[int], p: int) -> int:
-    op = m.base
-    ft = op.freq_table()
-    part = op.parts[row1[p - 1]]
+    parts = m.base.parts
+    part = parts[row1[p - 1]]
     if not part.overlined:  # plain odd
-        prev = op.parts[row1[p - 2]]
-        if ft.f(part.size + 1) > 0 and prev.size <= part.size - 2:
+        prev = parts[row1[p - 2]]
+        if Part(part.size + 1, False) in parts and prev.size <= part.size - 2:
             return 2
         return 1
     # overlined even
-    return 4 if ft.fbar(part.size + 1) else 3
+    return 4 if Part(part.size + 1, True) in parts else 3
 
 
 def _fbar_subcase(m: MarkedOverpartition, row1: list[int], p: int) -> int:
-    op = m.base
-    ft = op.freq_table()
-    part = op.parts[row1[p - 1]]
-    nxt = op.parts[row1[p]].size if p < len(row1) else None  # None above N1
+    parts = m.base.parts
+    part = parts[row1[p - 1]]
+    nxt = parts[row1[p]].size if p < len(row1) else None  # None above N1
     if part.overlined:  # overlined odd
-        if ft.f(part.size + 1) > 0 and (nxt is None or nxt >= part.size + 2):
+        if Part(part.size + 1, False) in parts and (nxt is None or nxt >= part.size + 2):
             return 4
         return 1
     # plain even
-    if not ft.fbar(part.size + 1):
+    if Part(part.size + 1, True) not in parts:
         return 3
-    if ft.f(part.size + 2) > 0 and (nxt is None or nxt > part.size + 2):
+    if Part(part.size + 2, False) in parts and (nxt is None or nxt > part.size + 2):
         return 4
     return 2
 
@@ -432,12 +446,13 @@ def classify_f(m: MarkedOverpartition, p: int) -> PositionReport:
     """Positional classification of a stable-class overpartition at first-row p."""
     if not in_stable_class(m.base):
         raise PreconditionError("smallest part must be overlined odd or plain even")
+    # the flags scan the first row once (m._first_row()); the subcases reuse it
     pending, advanced, cleared = _positions(_PHI.flags(m), p)
     sub = None
     if pending:
-        sub = _f_subcase(m, m.row_indices(1), p)
+        sub = _f_subcase(m, m._first_row(), p)
     elif advanced:
-        sub = _fbar_subcase(m, m.row_indices(1), p)
+        sub = _fbar_subcase(m, m._first_row(), p)
     return PositionReport(p, pending, advanced, cleared, sub)
 
 

@@ -16,9 +16,10 @@ from typing import NamedTuple
 
 from . import bailey as bailey_mod
 
-# _object_checks looks each map and classifier up here by name when it calls it,
+# _map_checks looks each map and classifier up here by name when it calls it,
 # so a patched or traced one runs; every name must stay a module attribute
 from .bijections import (
+    _step_table,
     fh_toggle,
     fh_untoggle,
     double,
@@ -614,8 +615,13 @@ def _object_from_key(key: str) -> Overpartition:
 @lru_cache(maxsize=_OBJECT_MEMO_SIZE)
 def _object_checks(key: str) -> tuple[int, str | None]:
     """(checks made, failure message or None) of the sweep's checks that do not
-    depend on (k, i), in the sweep's order, for the object encoded by key."""
-    op = _object_from_key(key)
+    depend on (k, i), in the sweep's order, for the object encoded by key.  The
+    maps share one step table per object, dropped on return or raise."""
+    with _step_table():
+        return _map_checks(_object_from_key(key))
+
+
+def _map_checks(op: Overpartition) -> tuple[int, str | None]:
     m = gg_mark(op)
     rows = m.row_counts()
     n1 = rows[0] if rows else 0
