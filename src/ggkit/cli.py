@@ -1,8 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 all verdicts pass, 1 a mathematical comparison or an internal
-check failed, 2 usage or parse errors.  Overlined parts are written with a
-trailing ``~`` in all text output; a combining overline is accepted on input.
+check failed, 2 usage or parse errors.  A handler returns 0 or 1 from its
+verdicts and raises for anything else; ``main`` alone turns an error into one
+``ggkit: ...`` line and its code.  Fixed ceilings refuse with 2 a listing above
+weight 100, a part above 10**6 and a Bailey dump past ``--n-max`` 1000, which
+no run could finish.  Overlined parts are written with a trailing ``~`` in all
+text output; a combining overline is accepted on input.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ import argparse
 import json
 import sys
 
-from . import bailey as bailey_mod
+from .bailey import LimitDiagnosticError, PairFormError, run_chain
 from .bijections import (
     Trace,
     WeightMismatchError,
@@ -32,12 +36,11 @@ from .bijections import (
     theta_full,
     theta_step,
 )
-from .marking import MarkedOverpartition, gg_mark, gordon_mark
+from .marking import MarkedOverpartition, PreconditionError, gg_mark, gordon_mark
 from .partitions import (
     CountOverflowError,
     FamilySpec,
     Overpartition,
-    ParseError,
     enumerate_overpartitions,
     satisfies_family,
 )
@@ -45,9 +48,18 @@ from .verify import run_suite
 
 USAGE_EXIT = 2
 MISMATCH_EXIT = 1
+# errors of a check on the program's own work: no verdict can be trusted, but the
+# input was valid; under verify a map's PreconditionError joins them (see main)
+_INTERNAL = (WeightMismatchError, LimitDiagnosticError, CountOverflowError, PairFormError)
 # past this weight a listing could never finish (there are 5.3e10 overpartitions
 # of 100), and the enumeration nests one generator per part
 _ENUMERATE_N_MAX = 100
+# mark and biject allocate and loop per size up to the largest part; at 10**6
+# the slowest command takes about 0.6 s and 63 MiB
+_PART_MAX = 10**6
+# the dump builds alpha_n and beta_n for every n <= --n-max, about 0.6 ms and
+# 7 KB each
+_BAILEY_N_MAX = 1000
 
 _MAPS = {
     "phi-p": (phi_step, "p"),
@@ -121,35 +133,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_overpartition(text: str) -> Overpartition:
-    try:
-        return Overpartition.from_text(text)
-    except ParseError as exc:
-        print(f"ggkit: {exc}", file=sys.stderr)
-        raise SystemExit(USAGE_EXIT) from exc
+    op = Overpartition.from_text(text)
+    if op.parts and op.parts[-1].size > _PART_MAX:
+        raise ValueError(f"part {op.parts[-1].size} above the ceiling {_PART_MAX}")
+    return op
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(",") if x.strip())
-    except ValueError as exc:
-        print(f"ggkit: cannot parse {what} {text!r}", file=sys.stderr)
-        raise SystemExit(USAGE_EXIT) from exc
+    except ValueError:
+        raise ValueError(f"cannot parse {what} {text!r}") from None
+
+
+def _plain_sizes(op: Overpartition, what: str) -> tuple[int, ...]:
+    if any(p.overlined for p in op.parts):
+        raise ValueError(f"{what} takes a plain partition")
+    return tuple(p.size for p in op.parts)
 
 
 def _cmd_enumerate(args) -> int:
     if not 0 <= args.n <= _ENUMERATE_N_MAX:
-        print(f"ggkit: --n must be in 0..{_ENUMERATE_N_MAX}, got {args.n}", file=sys.stderr)
-        return USAGE_EXIT
+        raise ValueError(f"--n must be in 0..{_ENUMERATE_N_MAX}, got {args.n}")
     spec = None
     if args.family:
         if args.k is None or args.i is None:
-            print("ggkit: --family needs --k and --i", file=sys.stderr)
-            return USAGE_EXIT
-        try:
-            spec = FamilySpec(args.family, args.k, args.i)
-        except ValueError as exc:
-            print(f"ggkit: {exc}", file=sys.stderr)
-            return USAGE_EXIT
+            raise ValueError("--family needs --k and --i")
+        spec = FamilySpec(args.family, args.k, args.i)
     items = [op for op in enumerate_overpartitions(args.n)
              if spec is None or satisfies_family(op, spec)]
     if args.format == "json":
@@ -165,12 +175,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_mark(args) -> int:
     op = _parse_overpartition(args.overpartition)
     if args.gordon:
-        if any(p.overlined for p in op.parts):
-            print("ggkit: the greedy marking takes a plain partition", file=sys.stderr)
-            return USAGE_EXIT
-        parts = tuple(p.size for p in op.parts)
-        marks = gordon_mark(parts)
-        marked = MarkedOverpartition(op, marks)
+        marked = MarkedOverpartition(op, gordon_mark(_plain_sizes(op, "the greedy marking")))
     else:
         marked = gg_mark(op)
     if args.format == "json":
@@ -185,50 +190,31 @@ def _cmd_biject(args) -> int:
     fn, mode = _MAPS[args.map]
     op = _parse_overpartition(args.overpartition)
     trace = Trace()
-    try:
-        if mode == "p":
-            if args.p is None:
-                print("ggkit: this map needs --p", file=sys.stderr)
-                return USAGE_EXIT
-            result = fn(op, args.p, trace)
-            extra = {}
-        elif mode == "full":
-            emitted, result = fn(op, trace)
-            extra = {"emitted": list(emitted)}
-        elif mode == "tau":
-            if args.tau is None:
-                print("ggkit: psi needs --tau", file=sys.stderr)
-                return USAGE_EXIT
-            result = fn(_parse_int_list(args.tau, "--tau"), op, trace)
-            extra = {}
-        elif mode == "eta":
-            if args.eta is None:
-                print("ggkit: lambda needs --eta", file=sys.stderr)
-                return USAGE_EXIT
-            result = fn(_parse_int_list(args.eta, "--eta"), op, trace)
-            extra = {}
-        elif mode == "ki":
-            if args.k is None or args.i is None:
-                print("ggkit: this map needs --k and --i", file=sys.stderr)
-                return USAGE_EXIT
-            result = fn(op, args.k, args.i, trace)
-            extra = {}
-        elif args.map == "halve":
-            result = fn(op)
-            extra = {"partition": list(result)}
-            result = None
-        elif any(p.overlined for p in op.parts):
-            print("ggkit: doubling takes a plain partition", file=sys.stderr)
-            return USAGE_EXIT
-        else:  # double
-            result = fn(tuple(p.size for p in op.parts))
-            extra = {}
-    except WeightMismatchError as exc:
-        print(f"ggkit: {exc}", file=sys.stderr)
-        return MISMATCH_EXIT
-    except ValueError as exc:
-        print(f"ggkit: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+    extra = {}
+    if mode == "p":
+        if args.p is None:
+            raise ValueError("this map needs --p")
+        result = fn(op, args.p, trace)
+    elif mode == "full":
+        emitted, result = fn(op, trace)
+        extra = {"emitted": list(emitted)}
+    elif mode == "tau":
+        if args.tau is None:
+            raise ValueError("psi needs --tau")
+        result = fn(_parse_int_list(args.tau, "--tau"), op, trace)
+    elif mode == "eta":
+        if args.eta is None:
+            raise ValueError("lambda needs --eta")
+        result = fn(_parse_int_list(args.eta, "--eta"), op, trace)
+    elif mode == "ki":
+        if args.k is None or args.i is None:
+            raise ValueError("this map needs --k and --i")
+        result = fn(op, args.k, args.i, trace)
+    elif args.map == "halve":
+        extra = {"partition": list(fn(op))}
+        result = None
+    else:  # double
+        result = fn(_plain_sizes(op, "doubling"))
     payload = {
         "map": args.map,
         "input": op.to_text(),
@@ -251,25 +237,14 @@ def _cmd_biject(args) -> int:
 
 
 def _cmd_bailey(args) -> int:
-    if args.n_max < 0:
-        print(f"ggkit: --n-max must be >= 0, got {args.n_max}", file=sys.stderr)
-        return USAGE_EXIT
+    if not 0 <= args.n_max <= _BAILEY_N_MAX:
+        raise ValueError(f"--n-max must be in 0..{_BAILEY_N_MAX}, got {args.n_max}")
     if args.stage < -1:
-        print(f"ggkit: --stage must be a stage index or -1 (final), got {args.stage}",
-              file=sys.stderr)
-        return USAGE_EXIT
-    try:
-        chain = bailey_mod.run_chain(args.k, args.i, args.T)
-    except bailey_mod.ChainParameterError as exc:
-        print(f"ggkit: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except OverflowError as exc:
-        print(f"ggkit: bound too large: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+        raise ValueError(f"--stage must be a stage index or -1 (final), got {args.stage}")
+    chain = run_chain(args.k, args.i, args.T)
     idx = args.stage if args.stage != -1 else len(chain.stages) - 1
     if idx >= len(chain.stages):
-        print(f"ggkit: stage {idx} out of range 0..{len(chain.stages) - 1}", file=sys.stderr)
-        return USAGE_EXIT
+        raise ValueError(f"stage {idx} out of range 0..{len(chain.stages) - 1}")
     st = chain.stages[idx]
     payload = {
         "k": args.k,
@@ -292,19 +267,8 @@ def _cmd_bailey(args) -> int:
 
 def _cmd_verify(args) -> int:
     profile = _parse_int_list(args.profile, "--profile") if args.profile else None
-    try:
-        reports = run_suite(args.suite, k=args.k, i=args.i, n_max=args.n_max,
-                            T=args.T, profile=profile, jobs=args.jobs)
-    except (WeightMismatchError, bailey_mod.LimitDiagnosticError, CountOverflowError) as exc:
-        # a failed internal check: no verdict can be trusted, but the input was valid
-        print(f"ggkit: {exc}", file=sys.stderr)
-        return MISMATCH_EXIT
-    except ValueError as exc:
-        print(f"ggkit: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except OverflowError as exc:  # a bound too large to build a series or a table for
-        print(f"ggkit: bound too large: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+    reports = run_suite(args.suite, k=args.k, i=args.i, n_max=args.n_max,
+                        T=args.T, profile=profile, jobs=args.jobs)
     if args.format == "json":
         print(json.dumps([r.to_json() for r in reports]))
     else:
@@ -315,16 +279,31 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.ok for r in reports) else MISMATCH_EXIT
 
 
+_HANDLERS = {
+    "enumerate": _cmd_enumerate,
+    "mark": _cmd_mark,
+    "biject": _cmd_biject,
+    "bailey": _cmd_bailey,
+    "verify": _cmd_verify,
+}
+
+
 def main(argv=None) -> int:
+    """Run one command; its errors map to the exit code here and nowhere else."""
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "enumerate": _cmd_enumerate,
-        "mark": _cmd_mark,
-        "biject": _cmd_biject,
-        "bailey": _cmd_bailey,
-        "verify": _cmd_verify,
-    }
-    return handlers[args.command](args)
+    internal = _INTERNAL
+    if args.command == "verify":  # the sweep made every object a map sees
+        internal += (PreconditionError,)
+    try:
+        return _HANDLERS[args.command](args)
+    except internal as exc:  # a failed internal check: the input was valid
+        message, code = str(exc), MISMATCH_EXIT
+    except ValueError as exc:
+        message, code = str(exc), USAGE_EXIT
+    except OverflowError as exc:  # a bound too large to build a series or a table for
+        message, code = f"bound too large: {exc}", USAGE_EXIT
+    print(f"ggkit: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -181,8 +181,7 @@ def gg_mark(op: Overpartition) -> MarkedOverpartition:
 
 
 def _walk(max_weight: int, exact: bool = False, row1_max: int | None = None,
-          rows_max: int | None = None, o_caps: tuple[int, int, int] | None = None,
-          memo: bool = False):
+          rows_max: int | None = None, o_caps: tuple[int, int, int] | None = None):
     """Depth-first walk over overpartitions of weight <= max_weight (== when
     exact) carrying the marking state, yielding (op, row counts, o_family_stats,
     (weight, stable, reduced, doubled)) in the order of
@@ -193,13 +192,11 @@ def _walk(max_weight: int, exact: bool = False, row1_max: int | None = None,
     counts, largest mark and O-family stats (fb, mw, c3) only grow as parts are
     appended, so a subtree is cut as soon as row 1 is wider than row1_max, a mark
     exceeds rows_max, or a stat exceeds its cap in o_caps (fb, mw, c3): nothing
-    below it could pass.  With memo, each yielded object carries its marks, as
-    ``gg_mark`` would memoize them."""
+    below it could pass."""
     fb_max, mw_max, c3_max = o_caps if o_caps is not None else (max_weight,) * 3
     row1_max = max_weight if row1_max is None else row1_max
     rows_max = max_weight if rows_max is None else rows_max
     parts: list[Part] = []
-    marks: list[int] = []
     rows: list[int] = []
     plain = [0] * (max_weight + 3)
     over = [0] * (max_weight + 3)
@@ -211,10 +208,8 @@ def _walk(max_weight: int, exact: bool = False, row1_max: int | None = None,
     def rec(rem: int, smin: int, over_ok: bool, prev: int, fb: int, mw: int, c3: int,
             stable: bool, reduced: bool, doubled: bool):
         if not exact or rem == 0:
-            op = Overpartition._from_ordered(tuple(parts))
-            if memo:
-                op._marking = tuple(marks)
-            yield op, tuple(rows), (fb, mw, c3), (max_weight - rem, stable, reduced, doubled)
+            yield (Overpartition._from_ordered(tuple(parts)), tuple(rows), (fb, mw, c3),
+                   (max_weight - rem, stable, reduced, doubled))
         if exact:  # a remainder below the next part's size cannot be filled
             sizes = [*range(smin, rem // 2 + 1), rem] if rem >= smin else ()
         else:
@@ -247,12 +242,10 @@ def _walk(max_weight: int, exact: bool = False, row1_max: int | None = None,
                     by_size[s].add(mk)
                     stable_part = ov == (s % 2 == 1)  # as is_stable
                     parts.append(Part(s, ov))
-                    marks.append(mk)
                     yield from rec(rem - s, s, False, mk, nfb, nmw, nc3,
                                    stable_part if len(parts) == 1 else stable,  # first = smallest
                                    reduced and stable_part, doubled and plain_even)
                     parts.pop()
-                    marks.pop()
                     if added:
                         by_size[s].discard(mk)
                 rows[mk - 1] -= 1

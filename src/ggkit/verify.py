@@ -739,7 +739,7 @@ def verify_bijection_pairs(pairs, n: int) -> dict[tuple[int, int], tuple[int, st
     checks = dict.fromkeys(caps, 0)
     failures: dict[tuple[int, int], str] = {}
     bound = tuple(map(max, zip(*caps.values())))
-    for op, rows, stats, _ in _walk(n, exact=True, o_caps=bound, memo=True):
+    for op, rows, stats, _ in _walk(n, exact=True, o_caps=bound):
         live = [pair for pair, pair_caps in caps.items()
                 if pair not in failures and _within(stats, pair_caps)]
         if not live:

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ggkit import cli
-from ggkit.bailey import LimitDiagnosticError
+from ggkit import cli, verify
+from ggkit.bailey import LimitDiagnosticError, PairFormError
+from ggkit.marking import PreconditionError
 from ggkit.verify import VerificationReport
 
 
@@ -67,9 +68,8 @@ def test_mark_gordon(capsys):
 
 
 def test_mark_parse_error_exit_code(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(capsys, "mark", "1x,2")
-    assert exc.value.code == 2
+    code, out, err = run(capsys, "mark", "1x,2")
+    assert code == 2 and out == "" and err == "ggkit: cannot parse part '1x'\n"
 
 
 def test_mark_random_agreement(capsys):
@@ -259,6 +259,12 @@ def test_verify_jobs_env_default(capsys, monkeypatch):
     ({}, ["verify", "--suite", "bailey", "--k", "3", "--i", "1", "--T", "100000000000000000000"]),
     ({}, ["bailey", "--k", "3", "--i", "1", "--T", "100000000000000000000"]),
     ({}, ["enumerate", "--n", "1500"]),
+    ({}, ["mark", "1000001"]),
+    ({}, ["mark", "100000000000000000000"]),
+    ({}, ["mark", "--gordon", "1,100000000000000000000"]),
+    ({}, ["biject", "--map", "double", "100000000000000000000"]),
+    ({}, ["biject", "--map", "toggle", "--k", "2", "--i", "1", "3~,1000001"]),
+    ({}, ["bailey", "--k", "3", "--i", "1", "--n-max", "1001"]),
 ])
 def test_invalid_input_is_usage_error(capsys, monkeypatch, env, argv):
     monkeypatch.delenv("GGKIT_JOBS", raising=False)
@@ -308,20 +314,49 @@ def _raise_limit_diagnostic(chain, truncation):
     raise LimitDiagnosticError(f"beta side did not stabilize at truncation {truncation}")
 
 
+def _refuse_from_weight_6(real):
+    def step(op, p, *rest):
+        if op.weight() >= 6:
+            raise PreconditionError(f"{op!r}: refused at position {p}")
+        return real(op, p, *rest)
+    return step
+
+
+def _raise_pair_form_error(pair, a_num2):
+    raise PairFormError(f"alpha precondition violated at n=0: pair {pair.label}")
+
+
 @pytest.mark.parametrize("patch,argv", [
     (("ggkit.bailey.limit_identity", _raise_limit_diagnostic),
      ["verify", "--suite", "bailey", "--k", "3", "--i", "1", "--T", "10"]),
     # 1-byte slots overflow: B(4, 4) has 145 partitions of weight 24 into 5 parts
     (("ggkit.partitions._count_slot_bytes", lambda n_max, overlines: 1),
      ["verify", "--suite", "counting", "--k", "4", "--i", "4", "--n-max", "24"]),
+    # the sweep made the object, so a map refusing it is a failed check, not bad input
+    (("ggkit.verify.psi_step", _refuse_from_weight_6(verify.psi_step)),
+     ["verify", "--suite", "bijections", "--k", "2", "--n-max", "8", "--jobs", "1"]),
+    (("ggkit.bailey.transform_shift", _raise_pair_form_error),
+     ["bailey", "--k", "3", "--i", "1", "--T", "10"]),
+    (("ggkit.bailey.transform_shift", _raise_pair_form_error),
+     ["verify", "--suite", "bailey", "--k", "3", "--i", "1", "--T", "10", "--jobs", "1"]),
 ])
 def test_internal_diagnostic_is_exit_1_without_traceback(capsys, monkeypatch, patch, argv):
     monkeypatch.delenv("GGKIT_JOBS", raising=False)
     monkeypatch.setattr(*patch)
-    code, out, err = run(capsys, *argv)
+    # a warm object memo would answer for an object without calling a patched map
+    verify._object_checks.cache_clear()
+    try:
+        code, out, err = run(capsys, *argv)
+    finally:
+        verify._object_checks.cache_clear()
     assert code == 1
     assert out == ""
     assert err.startswith("ggkit: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_part_at_the_ceiling_is_accepted(capsys):
+    code, out, _ = run(capsys, "mark", "1000000", "--format", "json")
+    assert code == 0 and json.loads(out)["marks"] == [1]
 
 
 # -- argv fuzz of the exit-code contract ------------------------------------

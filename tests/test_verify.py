@@ -491,11 +491,11 @@ def test_pairs_path_checks_no_object_outside_the_selected_pairs(cold_object_memo
     pairs = [(3, 1), (2, 2)]
     n_max = 10
     members = {pair: {op for n in range(n_max + 1) for op, *_ in
-                      marking._walk(n, exact=True, o_caps=verify._o_caps(*pair), memo=True)}
+                      marking._walk(n, exact=True, o_caps=verify._o_caps(*pair))}
                for pair in pairs}
     wanted = members[(3, 1)] | members[(2, 2)]
     assert any(op not in wanted for n in range(n_max + 1)
-               for op, *_ in marking._walk(n, exact=True, o_caps=verify._o_caps(3, 2), memo=True))
+               for op, *_ in marking._walk(n, exact=True, o_caps=verify._o_caps(3, 2)))
     want = _cold_pair_json(pairs, n_max)
     checked, toggled = [], []
     body, toggle = verify._object_checks, verify.fh_toggle
