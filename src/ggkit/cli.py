@@ -3,10 +3,11 @@
 Exit codes: 0 all verdicts pass, 1 a mathematical comparison or an internal
 check failed, 2 usage or parse errors.  A handler returns 0 or 1 from its
 verdicts and raises for anything else; ``main`` alone turns an error into one
-``ggkit: ...`` line and its code.  Fixed ceilings refuse with 2 a listing above
-weight 100, a part above 10**6 and a Bailey dump past ``--n-max`` 1000, which
-no run could finish.  Overlined parts are written with a trailing ``~`` in all
-text output; a combining overline is accepted on input.
+``ggkit: ...`` line and its code.  Fixed ceilings refuse with 2 what no run
+could finish in reasonable time and memory: a listing above weight 100, a part
+above 10**6, a Bailey dump past ``--n-max`` 1000 and a profile whose class
+buckets reach past weight 46.  Overlined parts are written with a trailing
+``~`` in all text output; a combining overline is accepted on input.
 """
 
 from __future__ import annotations
@@ -160,15 +161,23 @@ def _cmd_enumerate(args) -> int:
         if args.k is None or args.i is None:
             raise ValueError("--family needs --k and --i")
         spec = FamilySpec(args.family, args.k, args.i)
-    items = [op for op in enumerate_overpartitions(args.n)
-             if spec is None or satisfies_family(op, spec)]
+
+    def items():  # a generator each time: the listing is never held in memory
+        return (op for op in enumerate_overpartitions(args.n)
+                if spec is None or satisfies_family(op, spec))
+
     if args.format == "json":
-        print(json.dumps({"n": args.n, "count": len(items),
-                          "overpartitions": [op.to_json() for op in items]}))
+        # the count leads the JSON, so a first pass counts and a second prints
+        count = sum(1 for _ in items())
+        print(f'{{"n": {args.n}, "count": {count}, "overpartitions": [', end="")
+        for j, op in enumerate(items()):
+            print(", " * (j > 0) + json.dumps(op.to_json()), end="")
+        print("]}")
     else:
-        for op in items:
+        count = 0
+        for count, op in enumerate(items(), 1):
             print(op.to_text())
-        print(f"# {len(items)} overpartition(s) of {args.n}")
+        print(f"# {count} overpartition(s) of {args.n}")
     return 0
 
 

@@ -25,7 +25,7 @@ from array import array
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 Coeff = Union[int, Fraction]
 
@@ -505,11 +505,6 @@ def pochhammer_finite(sign: int, shift: int, base: int, n: int, truncation: int)
     return _binomial_product((shift + t * base for t in range(n)), -sign, truncation)
 
 
-def pochhammer_minimum(sign: int, shift: int, base: int, n: int) -> int:
-    """Lowest exponent of the finite Pochhammer product (0 if no factor is negative)."""
-    return sum(min(shift + t * base, 0) for t in range(n))
-
-
 def pochhammer_infinite(sign: int, shift: int, base: int, truncation: int) -> LaurentSeries:
     """The infinite product (sign*q**shift; q**base)_oo, truncated.
 
@@ -526,27 +521,6 @@ def pochhammer_infinite(sign: int, shift: int, base: int, truncation: int) -> La
         raise ValueError("base must be a positive integer")
     count = max(0, (truncation - shift) // base + 1)
     return _binomial_product((shift + t * base for t in range(count)), -sign, truncation)
-
-
-def bounded_product(parts: Sequence[tuple[int, Callable[[int], LaurentSeries]]],
-                    truncation: int) -> LaurentSeries:
-    """Product of factors given as (min_exponent, builder) pairs, exact to `truncation`.
-
-    Each declared min_exponent must be a true lower bound on its factor's
-    support.  Builders receive the truncation they must honour so that the
-    final product is exact up to `truncation`; intermediate series stay narrow
-    even when factors have large negative support.
-    """
-    total = sum(m for m, _ in parts)
-    if total > truncation:  # the product's lowest exponent is already out of range
-        return LaurentSeries.zero(truncation)
-    out: LaurentSeries | None = None
-    for m, build in parts:
-        s = build(truncation - (total - m))
-        out = s if out is None else out * s
-    if out is None:
-        return LaurentSeries.one(truncation)
-    return out.truncated(truncation)
 
 
 def euler_product(truncation: int) -> LaurentSeries:

@@ -64,11 +64,9 @@ from .partitions import (
 from .series import (
     BivariateSeries,
     LaurentSeries,
-    bounded_product,
     euler_product,
     pochhammer_finite,
     pochhammer_infinite,
-    pochhammer_minimum,
     product_triple,
     theta_bressoud_sum,
     triple_product,
@@ -157,7 +155,9 @@ def _check_bound(name: str, value: int) -> None:
 # A class closed form is the term of one profile N_1 >= ... >= N_{k-1} >= N_k = 0,
 #   q^{g(sum_j N_j^2 + sum_{j >= i+off} N_j)} brackets(N_1) prod_j 1/(q^g; q^g)_{N_j - N_{j+1}},
 # with _FORMS[name] = (g, off, brackets).  brackets is a word over
-# "o" = (-q^{1-2N_1}; q^2)_{N_1} and "e" = (-q^{2-2N_1}; q^2)_{N_1-1}.  A summed
+#   "o" = (-q^{1-2N_1}; q^2)_{N_1} = q^{-N_1^2} (-q; q^2)_{N_1},
+#   "e" = (-q^{2-2N_1}; q^2)_{N_1-1} = q^{-N_1(N_1-1)} (-q^2; q^2)_{N_1-1},
+# and "oe" = q^{-N_1^2-N_1(N_1-1)} (-q; q)_{2N_1-1}.  A summed
 # form adds these terms over all profiles, level by level, as the beta side of
 # a Bailey-lemma step does: with A_k(M) = [M = 0],
 #   A_j(N) = level_j(N) sum_{M <= N} A_{j+1}(M) / (q^g; q^g)_{N-M},
@@ -174,23 +174,27 @@ _FORMS: dict[str, tuple[int, int, str]] = {
 }
 
 
-def _bracket_parts(brackets: str, n1: int) -> list:
-    """(lowest exponent, builder) of each Pochhammer named in brackets, at N_1 = n1."""
-    parts = []
-    for letter in brackets:
-        shift, length = (1 - 2 * n1, n1) if letter == "o" else (2 - 2 * n1, max(n1 - 1, 0))
-        parts.append((pochhammer_minimum(-1, shift, 2, length),
-                      lambda t, shift=shift, length=length:
-                      pochhammer_finite(-1, shift, 2, length, t)))
-    return parts
+def _bracket_form(brackets: str, n1: int) -> tuple[int, tuple[int, int, int]]:
+    """(lowest exponent, (shift, base, length)) of brackets(N_1) at N_1 = n1:
+    the bracket is q^lowest (-q^shift; q^base)_length."""
+    if brackets == "o":
+        return -n1 * n1, (1, 2, n1)
+    if brackets == "e":
+        return -n1 * (n1 - 1), (2, 2, max(n1 - 1, 0))
+    if brackets == "oe":
+        return -n1 * n1 - n1 * (n1 - 1), (1, 1, max(2 * n1 - 1, 0))
+    return 0, (1, 1, 0)
 
 
-@lru_cache(maxsize=4096)  # the test suite fills 464 entries, a benchmark run 74
+@lru_cache(maxsize=4096)  # the test suite fills 651 entries, a benchmark run 74
 def _bracket(g: int, brackets: str, n1: int, T: int) -> LaurentSeries:
-    """q^{g N_1^2} brackets(N_1), truncated at T."""
-    lead = g * n1 * n1
-    parts = [(lead, lambda t: LaurentSeries.monomial(lead, t))]
-    return bounded_product(parts + _bracket_parts(brackets, n1), T)
+    """q^{g N_1^2} brackets(N_1), truncated at T: the positive Pochhammer of
+    _bracket_form to T less its lowest exponent, shifted up by that exponent."""
+    low, (shift, base, length) = _bracket_form(brackets, n1)
+    low += g * n1 * n1
+    if low > T:
+        return LaurentSeries.zero(T)
+    return pochhammer_finite(-1, shift, base, length, T - low).shift(low)
 
 
 def _profile_term(form: str, profile: tuple[int, ...], i: int, T: int) -> LaurentSeries:
@@ -214,7 +218,7 @@ def _tuple_increment(tag: str, i: int, j: int, n: int) -> int:
     g, off, brackets = _FORMS[tag]
     inc = g * n * n + (g * n if j >= i + off else 0)
     if j == 1:
-        inc += sum(m for m, _ in _bracket_parts(brackets, n))
+        inc += _bracket_form(brackets, n)[0]
     return inc
 
 
@@ -437,16 +441,6 @@ def _check_class_params(profile, i: int, T: int) -> tuple[tuple[int, ...], int]:
     return p, k
 
 
-def _enum_series(hist: dict[int, int], weight_cap: int):
-    """The builder of the series sum_w hist[w] q^w, valid up to weight_cap."""
-    def build(t: int) -> LaurentSeries:
-        if t > weight_cap:
-            raise ValueError(f"enumeration only covers weights up to {weight_cap}")
-        return LaurentSeries.from_terms(hist, t)
-
-    return build
-
-
 def _class_histogram(buckets, profile: tuple[int, ...], cls: str, k: int, i: int) -> Counter:
     bucket = buckets.get(_trim(profile))
     return bucket.histogram(cls, k, i) if bucket is not None else Counter()
@@ -464,7 +458,7 @@ def verify_class_gf(profile, i: int, T: int, cls: str,
     if buckets is None:
         collect = collect_partition_buckets if cls == "B" else collect_class_buckets
         buckets = collect(max(n1, 1), max(k - 1, 1), T)
-    lhs = _enum_series(_class_histogram(buckets, profile, cls, k, i), T)(T)
+    lhs = LaurentSeries.from_terms(_class_histogram(buckets, profile, cls, k, i), T)
     rhs = _profile_term(cls, profile, i, T)
     return _series_report(f"CLASS-{cls}", params, T, lhs, rhs)
 
@@ -473,30 +467,34 @@ def verify_class_gf(profile, i: int, T: int, cls: str,
 _LEMMAS = {"LEM-N1": ("e", "G", "F"), "LEM-N2": ("o", "E", "G")}
 
 
-def _lemma_poch(which: str, n1: int):
-    """(lowest exponent, builder) of the finite Pochhammer of the law which at N_1 = n1."""
-    (poch,) = _bracket_parts(_LEMMAS[which][0], n1)
-    return poch
+def _lemma_reach(n1: int, T: int) -> int:
+    """The weight the class buckets reach for both laws at N_1 = n1 and truncation
+    T: each reads its inner class to T less its bracket's lowest exponent."""
+    return max(T - _bracket_form(word, n1)[0] for word, _, _ in _LEMMAS.values())
 
 
 def verify_class_lemma(which: str, profile, i: int, T: int,
                        buckets=None) -> VerificationReport:
     """The two profile-level reduction laws: the F-class series equals a finite
     even Pochhammer times the G-class series (LEM-N1), and the G-class series
-    equals a finite odd Pochhammer times the E-class series (LEM-N2)."""
+    equals a finite odd Pochhammer times the E-class series (LEM-N2).  That
+    Pochhammer is a bracket, q^low times a positive one (_bracket_form), so the
+    right side is the positive Pochhammer times the inner class series, both to
+    T - low, shifted up by low."""
     profile, k = _check_class_params(profile, i, T)
     n1 = profile[0] if profile else 0
     if which not in _LEMMAS:
         raise ValueError(which)
-    _, lo_cls, hi_cls = _LEMMAS[which]
-    poch = _lemma_poch(which, n1)
-    weight_cap = T - poch[0]  # the inner series must reach further down-shifted
+    word, lo_cls, hi_cls = _LEMMAS[which]
+    low, (shift, base, length) = _bracket_form(word, n1)
+    reach = T - low
     if buckets is None:
-        buckets = collect_class_buckets(max(n1, 1), max(k - 1, 1), weight_cap)
+        buckets = collect_class_buckets(max(n1, 1), max(k - 1, 1), reach)
     lo = _class_histogram(buckets, profile, lo_cls, k, i)
     hi = _class_histogram(buckets, profile, hi_cls, k, i)
-    lhs = _enum_series(hi, weight_cap)(T)
-    rhs = bounded_product([poch, (0, _enum_series(lo, weight_cap))], T)
+    lhs = LaurentSeries.from_terms(hi, T)
+    poch = pochhammer_finite(-1, shift, base, length, reach)
+    rhs = (poch * LaurentSeries.from_terms(lo, reach)).shift(low)
     params = {"profile": profile, "k": k, "i": i}
     return _series_report(which, params, T, lhs, rhs)
 
@@ -507,8 +505,7 @@ def verify_profile(profile, i: int, T: int) -> list[VerificationReport]:
     furthest reach they need (a lemma's) and one partition bucket build."""
     profile, k = _check_class_params(profile, i, T)
     n1 = profile[0] if profile else 0
-    reach = max(T - _lemma_poch(which, n1)[0] for which in _LEMMAS)
-    buckets = collect_class_buckets(max(n1, 1), max(k - 1, 1), reach)
+    buckets = collect_class_buckets(max(n1, 1), max(k - 1, 1), _lemma_reach(n1, T))
     partition_buckets = collect_partition_buckets(max(n1, 1), max(k - 1, 1), T)
     return [verify_identity(tag, None, i, T, profile=profile, buckets=buckets,
                             partition_buckets=partition_buckets) for tag in CLASS_TAGS]
@@ -544,7 +541,7 @@ def verify_identity(tag: str, k: int | None = None, i: int | None = None,
     fam = _ENUM_FAMILY[tag]
     if counts is None:
         if fam in ("B", "C"):
-            counts = partition_family_tables(T, [(k, i)])[(fam, k, i)]
+            counts = partition_family_tables(T, [(k, i)], families=fam)[(fam, k, i)]
         else:
             counts = overpartition_ofh_tables(T, [(k, i)])[(fam, k, i)]
     rhs = BivariateSeries.from_counts(counts, T)
@@ -836,13 +833,19 @@ def _run_task(task):
 # a weight of the k <= 3 sweep takes about 2 s at n = 18 and 1.45 times the time of
 # the one below (2-CPU Xeon), so a sweep to n_max = 40 already runs for hours
 _SWEEP_N_MAX = 40
+# a profile task's class buckets walk every overpartition up to the weight
+# _lemma_reach gives, T + N_1^2 (T at most 30), nesting one generator per part; at
+# 46 (--profile 4,4,4,4,4,4) a run takes 15 s, at 55 (--profile 5,1) 34 s and
+# 1.2 GiB, and at 10^6 the walk overflows the stack (2-CPU Xeon)
+_PROFILE_REACH_MAX = 46
 
 
 def build_tasks(suite: str, k=None, i=None, n_max=None, T=None, profile=None) -> list[tuple]:
     """The suite's pool tasks, longest first: one bijection task per weight, from
     n_max (at most _SWEEP_N_MAX) down, for every selected pair at once, then the
     identity and counting tasks.  A profile gives one task for its six class
-    checks.  Under "all", a k below 2 leaves the summed identities out."""
+    checks, at T at most 30 and a bucket reach at most _PROFILE_REACH_MAX.  Under
+    "all", a k below 2 leaves the summed identities out."""
     tasks: list[tuple] = []
     if suite in ("bijections", "all"):
         nm = n_max if n_max is not None else 12
@@ -854,7 +857,13 @@ def build_tasks(suite: str, k=None, i=None, n_max=None, T=None, profile=None) ->
     if suite in ("identities", "all"):
         t = T if T is not None else 40
         if profile is not None:
-            tasks.append(("profile", tuple(profile), i if i is not None else 1, min(t, 30)))
+            ii, tt = i if i is not None else 1, min(t, 30)
+            p, _ = _check_class_params(profile, ii, tt)
+            reach = _lemma_reach(p[0] if p else 0, tt)
+            if reach > _PROFILE_REACH_MAX:
+                raise ValueError(f"profile reach T + N_1^2 = {reach} is past the class "
+                                 f"buckets' ceiling of {_PROFILE_REACH_MAX}")
+            tasks.append(("profile", p, ii, tt))
         else:
             for (kk, ii) in _default_pairs(k, i, 3):
                 if kk < 2:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ggkit import cli, verify
 from ggkit.bailey import LimitDiagnosticError, PairFormError
 from ggkit.marking import PreconditionError
+from ggkit.partitions import FamilySpec, enumerate_overpartitions, satisfies_family
 from ggkit.verify import VerificationReport
 
 
@@ -46,6 +47,35 @@ def test_enumerate_json(capsys):
     code, out, _ = run(capsys, "enumerate", "--n", "2", "--format", "json")
     data = json.loads(out)
     assert code == 0 and data["count"] == 4
+
+
+def test_enumerate_text_streams_each_object_as_it_comes(capsys, monkeypatch):
+    head = list(enumerate_overpartitions(5))[:3]
+
+    def failing(n):
+        yield from head
+        raise RuntimeError("enumeration stopped")
+
+    monkeypatch.setattr(cli, "enumerate_overpartitions", failing)
+    with pytest.raises(RuntimeError):
+        cli.main(["enumerate", "--n", "5"])
+    assert capsys.readouterr().out.splitlines() == [op.to_text() for op in head]
+    # JSON counts in a first pass, so a failure there prints nothing
+    with pytest.raises(RuntimeError):
+        cli.main(["enumerate", "--n", "5", "--format", "json"])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("spec", [None, FamilySpec("O", 2, 2), FamilySpec("F", 1, 1)])
+def test_enumerate_json_bytes_match_one_document(capsys, spec):
+    argv = [] if spec is None else ["--family", spec.family, "--k", str(spec.k), "--i", str(spec.i)]
+    for n in range(7):
+        code, out, _ = run(capsys, "enumerate", "--n", str(n), *argv, "--format", "json")
+        items = [op for op in enumerate_overpartitions(n)
+                 if spec is None or satisfies_family(op, spec)]
+        want = json.dumps({"n": n, "count": len(items),
+                           "overpartitions": [op.to_json() for op in items]})
+        assert code == 0 and out == want + "\n"
 
 
 def test_mark_worked_example(capsys):
@@ -265,6 +295,8 @@ def test_verify_jobs_env_default(capsys, monkeypatch):
     ({}, ["biject", "--map", "double", "100000000000000000000"]),
     ({}, ["biject", "--map", "toggle", "--k", "2", "--i", "1", "3~,1000001"]),
     ({}, ["bailey", "--k", "3", "--i", "1", "--n-max", "1001"]),
+    ({}, ["verify", "--suite", "identities", "--profile", "1000", "--T", "10"]),
+    ({}, ["verify", "--suite", "identities", "--profile", "5", "--T", "22"]),
 ])
 def test_invalid_input_is_usage_error(capsys, monkeypatch, env, argv):
     monkeypatch.delenv("GGKIT_JOBS", raising=False)

@@ -10,7 +10,6 @@ from ggkit.series import (
     LaurentSeries,
     NotInvertibleError,
     TruncationError,
-    bounded_product,
     inverse_euler_product,
     pochhammer_finite,
     pochhammer_infinite,
@@ -221,21 +220,6 @@ def test_pochhammer_telescoping_random():
         whole = pochhammer_finite(sign, j, b, m + n, T)
         split = pochhammer_finite(sign, j, b, m, T) * pochhammer_finite(sign, j + m * b, b, n, T)
         assert whole.first_difference(split) is None
-
-
-def test_bounded_product_matches_plain_product():
-    from ggkit.series import pochhammer_minimum
-
-    parts = [
-        (2, lambda t: LaurentSeries.monomial(2, t)),
-        (pochhammer_minimum(-1, -3, 2, 2), lambda t: pochhammer_finite(-1, -3, 2, 2, t)),
-        (0, lambda t: pochhammer_finite(1, 1, 1, 3, t).inverse()),
-    ]
-    got = bounded_product(parts, 15)
-    want = LaurentSeries.monomial(2, 40)
-    want = want * pochhammer_finite(-1, -3, 2, 2, 40)
-    want = want * pochhammer_finite(1, 1, 1, 3, 40).inverse()
-    assert got == want.truncated(15)
 
 
 def test_json_roundtrip():

@@ -13,7 +13,7 @@ from ggkit.partitions import (
     enumerate_overpartitions,
     partition_family_tables,
 )
-from ggkit.series import LaurentSeries
+from ggkit.series import LaurentSeries, pochhammer_finite
 from ggkit.verify import (
     SUMMED_TAGS,
     DegenerateIdentityError,
@@ -209,6 +209,50 @@ def test_tuple_pruning_bound_is_exact(tag):
             for tup in _nonincreasing(k - 1, 4):
                 bound = sum(_tuple_increment(tag, i, j, n) for j, n in enumerate(tup, 1))
                 assert _profile_term(tag, tup, i, bound).effective_min() == bound, (k, i, tup)
+
+
+def _negative_shift_factors(brackets, n1):
+    """(shift, length) of each of the paper's Pochhammers (-q^shift; q^2)_length
+    named in brackets: "o" = (-q^{1-2N_1}; q^2)_{N_1}, "e" = (-q^{2-2N_1}; q^2)_{N_1-1}."""
+    return [(1 - 2 * n1, n1) if letter == "o" else (2 - 2 * n1, max(n1 - 1, 0))
+            for letter in brackets]
+
+
+@pytest.mark.parametrize("name", [*verify._FORMS, *verify._LEMMAS])
+def test_bracket_equals_the_negative_shift_product(name):
+    # each bracket is one positive Pochhammer shifted by its lowest exponent; the
+    # reference multiplies q^{g N_1^2} by the negative-shift Pochhammers at a
+    # truncation widened by their negative support and cuts the product at T.  A
+    # reduction law's factor is its bracket alone (g = 0).
+    if name in verify._LEMMAS:
+        g, brackets = 0, verify._LEMMAS[name][0]
+    else:
+        g, _, brackets = verify._FORMS[name]
+    for n1 in range(9):
+        factors = _negative_shift_factors(brackets, n1)
+        low = sum(min(shift + 2 * t, 0) for shift, length in factors for t in range(length))
+        for T in sorted({0, 1, n1 * n1, 40}):
+            wide = T - low
+            want = LaurentSeries.monomial(g * n1 * n1, wide)
+            for shift, length in factors:
+                want = want * pochhammer_finite(-1, shift, 2, length, wide)
+            want = want.truncated(T)
+            got = verify._bracket(g, brackets, n1, T)
+            assert (got.coeffs, got.min_exponent, got.truncation) == (
+                want.coeffs, want.min_exponent, want.truncation), (n1, T)
+
+
+def test_tuple_increment_charges_the_negative_shift_minimum():
+    for tag, (g, off, brackets) in verify._FORMS.items():
+        for i in range(1, 4):
+            for j in range(1, 4):
+                for n in range(9):
+                    want = g * n * n + (g * n if j >= i + off else 0)
+                    if j == 1:
+                        want += sum(min(shift + 2 * t, 0)
+                                    for shift, length in _negative_shift_factors(brackets, n)
+                                    for t in range(length))
+                    assert _tuple_increment(tag, i, j, n) == want, (tag, i, j, n)
 
 
 def _nonincreasing(length, cap):
@@ -530,6 +574,19 @@ def test_build_tasks_refuses_a_sweep_past_its_ceiling(suite):
             build_tasks(suite, k=2, n_max=n_max, T=5)
 
 
+@pytest.mark.parametrize("suite", ["identities", "all"])
+def test_build_tasks_refuses_a_profile_past_its_reach_ceiling(suite):
+    # the reach is T + N_1^2 with T capped at 30; the ceiling of 46 admits
+    # (4, ...) at T = 30 and (5,) up to T = 21
+    for profile, T in (((4, 4, 4, 4, 4, 4), 40), ((5,), 21), ((), 40)):
+        (task,) = [t for t in build_tasks(suite, k=2, i=1, n_max=3, T=T, profile=profile)
+                   if t[0] == "profile"]
+        assert task == ("profile", profile, 1, min(T, 30))
+    for profile, T in (((5,), 22), ((5, 1), 40), ((1000,), 10), ((10**20,), 40)):
+        with pytest.raises(ValueError, match="ceiling"):
+            build_tasks(suite, k=2, i=1, n_max=3, T=T, profile=profile)
+
+
 def test_profile_suite_builds_the_class_buckets_once(monkeypatch):
     cold = [verify_identity(tag, None, 1, 30, profile=(2, 1)) for tag in verify.CLASS_TAGS]
     cold.sort(key=lambda r: (r.identity, repr(sorted(r.params.items(), key=str))))
@@ -561,6 +618,20 @@ def test_counting_suite_builds_only_the_tables_it_compares(monkeypatch):
     reports = run_suite("counting", k=4, n_max=60, jobs=1)
     assert len(reports) == 12 and all(rep.ok for rep in reports)
     assert len(runs) == 24  # two family tables for T1.1 and T1.2, O/F/H and P for T1.5
+
+
+@pytest.mark.parametrize("tag", sorted(verify._ENUM_FAMILY))
+def test_bivariate_verdict_builds_one_count_table(monkeypatch, tag):
+    runs = []
+    real = partitions._count_tables
+
+    def counted(*args, **kwargs):
+        runs.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(partitions, "_count_tables", counted)
+    assert verify_identity(tag, 3, 2, 12).ok
+    assert len(runs) == 1  # its own family (B or C), or O with its F/H split
 
 
 def test_partition_family_tables_builds_the_named_families():
