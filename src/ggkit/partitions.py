@@ -378,11 +378,18 @@ def count_family_bivariate(spec: FamilySpec, n: int) -> dict[int, int]:
 # Count tables by a size-by-size DP (exhaustive oracles for the verifier)
 #
 # Each clause reads the counts of a few consecutive sizes, so objects are built
-# one size at a time carrying a small state (O: open even window, plain odd just
-# below, smallest-part kind; B: previous count; C: open window; P, A, D: none).
-# The walk ends at n_max + 1 so that a window or a plain odd part at n_max meets
-# the size above it.  This is the transfer-matrix method (Stanley, EC1 4.7): it
-# counts from the clauses alone, never from a generating function.
+# one size at a time carrying a small state (O: open window and smallest-part
+# kind; B: the count just above; C: open window; P, A, D: none).  The walk runs
+# top-down, from n_max + 1 (an empty size above every window) down to 1.  This
+# is the transfer-matrix method (Stanley, EC1 4.7): it counts from the clauses
+# alone, never from a generating function.
+#
+# Of all the clauses only the first window reads i: fbar(1) + f(2) <= i-1 for
+# O, f(1) <= i-1 for B and f(1) + f(2) <= i-1 for C.  Walked top-down it closes
+# at size 1, so its value is the final state, and every cap before it is k-1,
+# which bounds it for every i <= k.  `groups` then names each requested i whose
+# clause the final state admits: one run per (family, k) serves every i.  P, A
+# and D ban residues that read i at every size, so they keep one run per (k, i).
 #
 # Each live state holds its (m parts, weight n) table as one packed int, the
 # count of (m, n) in slot n*(n_max+1) + m (Kronecker substitution, as in the
@@ -420,14 +427,14 @@ def _count_tables(n_max: int, step, start, overlines: bool = True,
     object counts in every group that `groups(final state)` names.
 
     `step(state, s, o, f)` is the state after o overlined and f plain parts of
-    size s, or None when a clause fails; each clause bounds a sum of counts, so
-    every larger f fails too."""
+    size s, the sizes walked from n_max + 1 down to 1, or None when a clause
+    fails; each clause bounds a sum of counts, so every larger f fails too."""
     row = n_max + 1
     wb = _count_slot_bytes(n_max, overlines)
     bits = 8 * wb
     full = (1 << bits * row * row) - 1
     live = {start: (1, [1] + [0] * n_max)}
-    for s in range(1, n_max + 2):
+    for s in range(n_max + 1, 0, -1):
         nxt: dict = {}
         for state, (packed, totals) in live.items():
             for o in ((0, 1) if overlines else (0,)):
@@ -463,34 +470,44 @@ def _count_tables(n_max: int, step, start, overlines: bool = True,
     return tables
 
 
-def _window_step(k: int, i: int, odd_add):
-    """Bound the window (2t, 2t+1, 2t+2) by k-1, or by i-1 at t = 0 (fbar(1) + f(2)
-    for O, f(1) + f(2) for C); `odd_add(o, f)` is what its odd size adds."""
+def _i_by_k(pairs) -> dict[int, list[int]]:
+    """The requested i of each requested k, both ascending."""
+    by_k: dict[int, list[int]] = {}
+    for (k, i) in sorted(set(pairs)):
+        by_k.setdefault(k, []).append(i)
+    return by_k
 
-    def step(win, s, o, f):
-        cap = i - 1 if s <= 2 else k - 1
+
+def _window_step(k: int, odd_add):
+    """Bound each window (2t, 2t+1, 2t+2), t >= 1, by k-1.  The state is f(s)
+    after an even size s and grows by `odd_add(o, f)` at the odd size below it,
+    so after size 1 it is the first window: fbar(1) + f(2) for O, whose odd
+    sizes add fbar, and f(1) + f(2) for C, whose odd sizes add f."""
+
+    def step(carry, s, o, f):
         if s % 2:
-            win += odd_add(o, f)
-            return win if win <= cap else None
-        return o + f if win + f <= cap else None
+            carry += odd_add(o, f)
+            return carry if carry <= k - 1 else None
+        return f if carry + o + f <= k - 1 else None
 
     return step
 
 
-def _o_step(k: int, i: int):
-    """O family; state (window, plain odd below, smallest-part kind 0/F=1/H=2)."""
-    window = _window_step(k, i, lambda o, f: o)
+def _o_step(k: int):
+    """O family; state (window, smallest-part kind 0/F=1/H=2).  At an odd size s
+    the window holds f(s+1) alone, which a plain s caps at k-2."""
+    window = _window_step(k, lambda o, f: o)
 
     def step(state, s, o, f):
-        win, odd_below, kind = state
-        if odd_below and f > k - 2:
+        carry, kind = state
+        if s % 2 and f and carry > k - 2:
             return None
-        win = window(win, s, o, f)
-        if win is None:
+        carry = window(carry, s, o, f)
+        if carry is None:
             return None
-        if not kind and o + f:
+        if o + f:  # the smallest part so far; an overlined s precedes a plain one
             kind = 1 if _part_is_f_kind(Part(s, o == 1)) else 2
-        return (win, bool(s % 2 and f), kind)
+        return (carry, kind)
 
     return step
 
@@ -503,11 +520,13 @@ def overpartition_ofh_tables(n_max: int, pairs) -> dict[tuple[str, int, int], di
     """(m, n) count tables of the O family and its F/H smallest-part split for
     every (k, i) in `pairs`, exact for all overpartitions of weight <= n_max."""
     tables = {}
-    for (k, i) in sorted(set(pairs)):
-        by_family = _count_tables(n_max, _o_step(k, i), (0, False, 0),
-                                  groups=lambda st: _OFH_GROUPS[st[2]])
-        for fam in "OFH":
-            tables[(fam, k, i)] = by_family.get(fam, {})
+    for k, ks in _i_by_k(pairs).items():
+        # the final state's window is fbar(1) + f(2), which (k, i) caps at i-1
+        by_group = _count_tables(n_max, _o_step(k), (0, 0), groups=lambda st: [
+            (fam, i) for i in ks if st[0] < i for fam in _OFH_GROUPS[st[1]]])
+        for i in ks:
+            for fam in "OFH":
+                tables[(fam, k, i)] = by_group.get((fam, i), {})
     return tables
 
 
@@ -529,21 +548,26 @@ def partition_family_tables(n_max: int, pairs, families: str = "BCAD"
     B, C (frequency conditions) and A, D (modular restrictions); only those
     named in `families` are built."""
     tables = {}
-    for (k, i) in sorted(set(pairs)):
-        amod, dmod = 2 * k + 1, 4 * k
-        abad = {0, i % amod, (amod - i) % amod}
-        dbad = {0, (2 * i - 1) % dmod, (dmod - (2 * i - 1)) % dmod}
-        c_window = _window_step(k, i, lambda o, f: f)
-        steps = {
-            # f(1) <= i-1 is the pair (0, 1): nothing has size 0
-            "B": (lambda prev, s, o, f: None if prev + f > (i - 1 if s == 1 else k - 1) else f, 0),
-            "C": (lambda win, s, o, f: None if s % 2 and f > 1 else c_window(win, s, o, f), 0),
-            "A": (lambda st, s, o, f: None if f and s % amod in abad else st, ()),
-            "D": (lambda st, s, o, f: None if f and (s % 4 == 2 or s % dmod in dbad) else st, ()),
+    for k, ks in _i_by_k(pairs).items():
+        c_window = _window_step(k, lambda o, f: f)
+        # the final state is f(1) for B and f(1) + f(2) for C, which (k, i) caps at i-1
+        windows = {
+            "B": lambda above, s, o, f: None if above + f > k - 1 else f,
+            "C": lambda win, s, o, f: None if s % 2 and f > 1 else c_window(win, s, o, f),
         }
         for fam in families:
-            step, start = steps[fam]
-            tables[(fam, k, i)] = _count_tables(n_max, step, start, overlines=False)["*"]
+            if fam in windows:
+                by_i = _count_tables(n_max, windows[fam], 0, overlines=False,
+                                     groups=lambda first: [i for i in ks if first < i])
+                tables.update(((fam, k, i), by_i[i]) for i in ks)
+                continue
+            for i in ks:
+                # A bans residues 0, +-i mod 2k+1; D bans 0, +-(2i-1) mod 4k and 2 mod 4
+                mod, r = (2 * k + 1, i) if fam == "A" else (4 * k, 2 * i - 1)
+                bad = {0, r % mod, (mod - r) % mod}
+                step = lambda st, s, o, f: (None if f and (s % mod in bad or fam == "D" and s % 4 == 2)
+                                            else st)
+                tables[(fam, k, i)] = _count_tables(n_max, step, (), overlines=False)["*"]
     return tables
 
 

@@ -456,6 +456,7 @@ def verify_class_gf(profile, i: int, T: int, cls: str,
     if cls == "B":
         buckets = partition_buckets
     if buckets is None:
+        _check_reach(T)
         collect = collect_partition_buckets if cls == "B" else collect_class_buckets
         buckets = collect(max(n1, 1), max(k - 1, 1), T)
     lhs = LaurentSeries.from_terms(_class_histogram(buckets, profile, cls, k, i), T)
@@ -465,6 +466,19 @@ def verify_class_gf(profile, i: int, T: int, cls: str,
 
 # each reduction law: (its Pochhammer bracket, the inner class, the outer class)
 _LEMMAS = {"LEM-N1": ("e", "G", "F"), "LEM-N2": ("o", "E", "G")}
+
+
+# class buckets walk every overpartition up to their reach, T for a class form and
+# T + N_1^2 for a lemma, nesting one generator per part; at 46
+# (--profile 4,4,4,4,4,4) a profile task takes 15 s, at 55 (--profile 5,1) 34 s
+# and 1.2 GiB, and at 10^6 the walk overflows the stack (2-CPU Xeon)
+_PROFILE_REACH_MAX = 46
+
+
+def _check_reach(reach: int) -> None:
+    """Refuse to build class buckets past _PROFILE_REACH_MAX."""
+    if reach > _PROFILE_REACH_MAX:
+        raise ValueError(f"class bucket reach {reach} is past the ceiling of {_PROFILE_REACH_MAX}")
 
 
 def _lemma_reach(n1: int, T: int) -> int:
@@ -489,6 +503,7 @@ def verify_class_lemma(which: str, profile, i: int, T: int,
     low, (shift, base, length) = _bracket_form(word, n1)
     reach = T - low
     if buckets is None:
+        _check_reach(reach)
         buckets = collect_class_buckets(max(n1, 1), max(k - 1, 1), reach)
     lo = _class_histogram(buckets, profile, lo_cls, k, i)
     hi = _class_histogram(buckets, profile, hi_cls, k, i)
@@ -505,7 +520,9 @@ def verify_profile(profile, i: int, T: int) -> list[VerificationReport]:
     furthest reach they need (a lemma's) and one partition bucket build."""
     profile, k = _check_class_params(profile, i, T)
     n1 = profile[0] if profile else 0
-    buckets = collect_class_buckets(max(n1, 1), max(k - 1, 1), _lemma_reach(n1, T))
+    reach = _lemma_reach(n1, T)
+    _check_reach(reach)
+    buckets = collect_class_buckets(max(n1, 1), max(k - 1, 1), reach)
     partition_buckets = collect_partition_buckets(max(n1, 1), max(k - 1, 1), T)
     return [verify_identity(tag, None, i, T, profile=profile, buckets=buckets,
                             partition_buckets=partition_buckets) for tag in CLASS_TAGS]
@@ -833,11 +850,6 @@ def _run_task(task):
 # a weight of the k <= 3 sweep takes about 2 s at n = 18 and 1.45 times the time of
 # the one below (2-CPU Xeon), so a sweep to n_max = 40 already runs for hours
 _SWEEP_N_MAX = 40
-# a profile task's class buckets walk every overpartition up to the weight
-# _lemma_reach gives, T + N_1^2 (T at most 30), nesting one generator per part; at
-# 46 (--profile 4,4,4,4,4,4) a run takes 15 s, at 55 (--profile 5,1) 34 s and
-# 1.2 GiB, and at 10^6 the walk overflows the stack (2-CPU Xeon)
-_PROFILE_REACH_MAX = 46
 
 
 def build_tasks(suite: str, k=None, i=None, n_max=None, T=None, profile=None) -> list[tuple]:
@@ -859,10 +871,7 @@ def build_tasks(suite: str, k=None, i=None, n_max=None, T=None, profile=None) ->
         if profile is not None:
             ii, tt = i if i is not None else 1, min(t, 30)
             p, _ = _check_class_params(profile, ii, tt)
-            reach = _lemma_reach(p[0] if p else 0, tt)
-            if reach > _PROFILE_REACH_MAX:
-                raise ValueError(f"profile reach T + N_1^2 = {reach} is past the class "
-                                 f"buckets' ceiling of {_PROFILE_REACH_MAX}")
+            _check_reach(_lemma_reach(p[0] if p else 0, tt))
             tasks.append(("profile", p, ii, tt))
         else:
             for (kk, ii) in _default_pairs(k, i, 3):

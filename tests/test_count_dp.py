@@ -1,13 +1,20 @@
-"""The packed transfer matrix against the dict DP it replaced.
+"""The packed transfer matrix against the dict DP it replaced, and the top-down
+walk against the bottom-up route it replaced.
 
 `dict_count_tables` moves one {(m, n): count} entry at a time; patched in for
 `partitions._count_tables`, it runs the three public sweeps with the same
-steps, states and groups.  Each sweep is exact for every weight up to its
-bound, so one oracle run at n = 40, cut down to weight n, is the table at n.
+steps, states and groups.  The `bottom_up_*` sweeps keep the old steps, one run
+per (family, k, i).  Each sweep is exact for every weight up to its bound, so
+one oracle run at n = 40, cut down to weight n, is the table at n.
 """
 
 import pytest
-from dict_count_dp import dict_count_tables
+from dict_count_dp import (
+    bottom_up_family_tables,
+    bottom_up_ofh_tables,
+    bottom_up_p_counts,
+    dict_count_tables,
+)
 
 from ggkit import partitions
 from ggkit.partitions import (
@@ -40,6 +47,38 @@ def test_packed_sweeps_match_dict_dp(monkeypatch, sweep):
         oracle = sweep(N, PAIRS)
     for n in range(N + 1):
         assert sweep(n, PAIRS) == _cut(oracle, n), n
+
+
+@pytest.mark.parametrize("sweep, bottom_up", zip(SWEEPS, [
+    bottom_up_ofh_tables, bottom_up_p_counts, bottom_up_family_tables]), ids=lambda f: f.__name__)
+def test_top_down_sweeps_match_the_bottom_up_route(sweep, bottom_up):
+    oracle = bottom_up(N, PAIRS)
+    for n in range(N + 1):
+        assert sweep(n, PAIRS) == _cut(oracle, n), n
+
+
+@pytest.mark.parametrize("families, runs", [
+    ("OFH", 4),  # one O/F/H run per k serves every i
+    ("BC", 8),   # one B and one C run per k
+    ("AD", 20),  # A and D ban residues that read i at every size
+    ("P", 10),   # so does P
+])
+def test_one_frequency_run_per_family_and_k(monkeypatch, families, runs):
+    made = []
+    real = partitions._count_tables
+
+    def counted(*args, **kwargs):
+        made.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(partitions, "_count_tables", counted)
+    if families == "OFH":
+        overpartition_ofh_tables(12, PAIRS)
+    elif families == "P":
+        overpartition_p_counts(12, PAIRS)
+    else:
+        partition_family_tables(12, PAIRS, families)
+    assert len(made) == runs
 
 
 @pytest.mark.parametrize("sweep", SWEEPS, ids=lambda f: f.__name__)

@@ -587,6 +587,28 @@ def test_build_tasks_refuses_a_profile_past_its_reach_ceiling(suite):
             build_tasks(suite, k=2, i=1, n_max=3, T=T, profile=profile)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: verify_identity("LEM-N2", None, 1, 10, profile=(1000,)),
+    lambda: verify_identity("LEM-N2", None, 1, 22, profile=(5,)),  # 22 + 5^2 = 47
+    lambda: verify_class_lemma("LEM-N1", (1,), 1, 47),
+    lambda: verify_class_gf((1,), 1, 47, "E"),
+    lambda: verify_class_gf((1,), 1, 47, "B"),
+    lambda: verify.verify_profile((5,), 1, 22),
+    lambda: verify.verify_profile((10**20,), 1, 40),
+])
+def test_library_refuses_its_own_class_buckets_past_the_reach_ceiling(call):
+    with pytest.raises(ValueError, match="ceiling"):
+        call()
+
+
+def test_library_admits_the_reach_ceiling_and_any_prebuilt_buckets():
+    assert verify_class_gf((1,), 1, 46, "E").ok
+    assert verify_class_lemma("LEM-N2", (1,), 1, 45).ok  # 45 + 1^2 = 46
+    buckets = verify.collect_class_buckets(1, 1, 50)
+    assert verify_class_gf((1,), 1, 50, "E", buckets=buckets).ok
+    assert verify_class_lemma("LEM-N2", (1,), 1, 49, buckets=buckets).ok
+
+
 def test_profile_suite_builds_the_class_buckets_once(monkeypatch):
     cold = [verify_identity(tag, None, 1, 30, profile=(2, 1)) for tag in verify.CLASS_TAGS]
     cold.sort(key=lambda r: (r.identity, repr(sorted(r.params.items(), key=str))))
