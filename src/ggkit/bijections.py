@@ -12,9 +12,13 @@ reduced overpartition) and one inverse (``_inverse_full``).  The public maps
 wrap them: each step passes its classifier and its case analysis
 (``_phi_cases`` ... ``_lambda_cases``), each full map keeps its domain check.
 ``halve``/``double`` convert all-plain-even overpartitions to ordinary
-partitions and back.  A rewrite builds a new Overpartition, whose marking
-``gg_mark`` derives from its parts (once, then memoized on the object); no mark
-is carried across a rewrite.
+partitions and back.  A rewrite builds a new Overpartition in part order: it
+copies the input's parts, substitutes the replacements, sorts by rank and checks
+only the replaced parts (a positive size, no second overlined part of a size),
+since the parts it keeps were valid already; then it wraps the list without
+the constructor's full check.  The new object's marking ``gg_mark`` derives
+from its parts (once, then memoized on the object); no mark is carried across
+a rewrite.
 
 The sweep checks one object by several maps that walk the same path: the full
 map and its inverse, then a step and a chain from the pending position and
@@ -46,7 +50,15 @@ from .marking import (
     is_doubled,
     is_reduced,
 )
-from .partitions import Overpartition, Part, Partition, satisfies_family, FamilySpec
+from .partitions import (
+    FamilySpec,
+    Overpartition,
+    ParseError,
+    Part,
+    Partition,
+    _rank,
+    satisfies_family,
+)
 
 
 class WeightMismatchError(ValueError):
@@ -164,10 +176,7 @@ def _step(red: _Reduction, forward: bool, classify, cases, op: Overpartition, p:
         raise PreconditionError(f"first-row position {p} must hold {red.holds[0 if forward else 1]}")
     row1 = m._first_row()
     case, repl = cases(m, row1, p, op.parts[row1[p - 1]], rep.subcase)
-    parts = list(op.parts)
-    for idx, new in repl.items():
-        parts[idx] = new
-    out = Overpartition(parts)
+    out = _rewrite(op.parts, repl)
     law = 2 if p < len(row1) else 2 - red.parity
     _check_weight(f"{name}_step", out.weight(), op.weight() + (law if forward else -law))
     if trace is not None:
@@ -175,6 +184,25 @@ def _step(red: _Reduction, forward: bool, classify, cases, op: Overpartition, p:
     elif table is not None:
         out = table[key] = table.setdefault(out.parts, out)
     return out
+
+
+def _rewrite(parts: tuple[Part, ...], repl: dict[int, Part]) -> Overpartition:
+    """parts with parts[idx] replaced by repl[idx], in part order.  Only the
+    replaced parts are checked, with the messages of the Overpartition
+    constructor: parts the input already held were valid, and every part below
+    size 1 sorts before the rest, so the first error found is the one the
+    constructor would report."""
+    out = list(parts)
+    for idx, new in repl.items():
+        out[idx] = new
+    out.sort(key=_rank)
+    low = [new.size for new in repl.values() if new.size < 1]
+    if low:
+        raise ParseError(f"part size must be positive, got {min(low)}")
+    twice = [new.size for new in repl.values() if new.overlined and out.count(new) > 1]
+    if twice:
+        raise ParseError(f"duplicate overlined part of size {min(twice)}")
+    return Overpartition._from_ordered(tuple(out))
 
 
 def _phi_cases(m: MarkedOverpartition, row1: list[int], p: int, part: Part, l: int):
@@ -251,7 +279,7 @@ def psi_step(op: Overpartition, p: int, trace: Trace | None = None) -> Overparti
 
 
 def _chain(step, op: Overpartition, p: int, up: bool, trace: Trace | None) -> Overpartition:
-    n1 = len(gg_mark(op).row_indices(1))
+    n1 = len(gg_mark(op)._first_row())
     if not 1 <= p <= n1:
         raise PreconditionError(f"position {p} out of range 1..{n1}")
     cur = op
@@ -294,7 +322,7 @@ def _inverse_full(red: _Reduction, chain, signed, op: Overpartition, trace: Trac
     """Reinsert one part per signed entry, by the chain that emits it; the
     entries must be distinct negative parts that a chain from position 2 - parity
     or above emits (phi never starts at position 1, which holds a stable part)."""
-    n1 = len(gg_mark(op).row_indices(1))
+    n1 = len(gg_mark(op)._first_row())
     label = "negative odd" if red.parity else "negative even"
     low = red.parity - 2 * (n1 - 1 + red.parity)
     signed = tuple(sorted(signed))

@@ -5,9 +5,12 @@ check failed, 2 usage or parse errors.  A handler returns 0 or 1 from its
 verdicts and raises for anything else; ``main`` alone turns an error into one
 ``ggkit: ...`` line and its code.  Fixed ceilings refuse with 2 what no run
 could finish in reasonable time and memory: a listing above weight 100, a part
-above 10**6, a Bailey dump past ``--n-max`` 1000 and a profile whose class
-buckets reach past weight 46.  Overlined parts are written with a trailing
-``~`` in all text output; a combining overline is accepted on input.
+above 10**6, a Bailey dump past ``--n-max`` 1000, a profile whose class
+buckets reach past weight 46, and under ``verify`` and ``bailey`` a ``--T``
+above 1000, a ``--k`` above 1000 and a counting ``--n-max`` above 600 (see
+``verify._T_MAX``, ``_K_MAX`` and ``_COUNT_N_MAX``).  Overlined parts are
+written with a trailing ``~`` in all text output; a combining overline is
+accepted on input.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .partitions import (
     enumerate_overpartitions,
     satisfies_family,
 )
-from .verify import run_suite
+from .verify import _K_MAX, _T_MAX, _check_ceiling, run_suite
 
 USAGE_EXIT = 2
 MISMATCH_EXIT = 1
@@ -250,10 +253,24 @@ def _cmd_bailey(args) -> int:
         raise ValueError(f"--n-max must be in 0..{_BAILEY_N_MAX}, got {args.n_max}")
     if args.stage < -1:
         raise ValueError(f"--stage must be a stage index or -1 (final), got {args.stage}")
+    _check_ceiling("k", args.k, _K_MAX)
+    _check_ceiling("T", args.T, _T_MAX)
     chain = run_chain(args.k, args.i, args.T)
     idx = args.stage if args.stage != -1 else len(chain.stages) - 1
     if idx >= len(chain.stages):
         raise ValueError(f"stage {idx} out of range 0..{len(chain.stages) - 1}")
+    # a stage's alpha_n and beta_n read the stages before it at indices <= n only,
+    # and each iterate and the base change read betas only up to the truncation in
+    # q (trunc // grid), with at most two shift or average stages between them;
+    # filling the earlier stages in chain order, alphas to --n-max and betas to
+    # that index, keeps every later evaluation a few stages deep, where the
+    # printed stage alone would recurse through every earlier one
+    for earlier in chain.stages[:idx]:
+        pair = earlier.pair
+        for n in range(args.n_max + 1):
+            pair.alpha(n)
+        for n in range(min(args.n_max, pair.trunc // pair.grid) + 1):
+            pair.beta(n)
     st = chain.stages[idx]
     payload = {
         "k": args.k,

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from typing import NamedTuple
 
-from .partitions import Overpartition, Part, Partition, part_text
+from .partitions import Overpartition, Part, Partition, _part_table, part_text
 
 
 class PreconditionError(ValueError):
@@ -38,14 +38,15 @@ def _mex(used) -> int:
 
 
 class MarkedOverpartition:
-    """An overpartition with one mark per part, in part order.  Immutable."""
+    """An overpartition with one mark per part, in part order.  Immutable;
+    row1, when given, must be row_indices(1) of these marks."""
 
     __slots__ = ("base", "marks", "_row1")
 
-    def __init__(self, base: Overpartition, marks: tuple[int, ...]):
+    def __init__(self, base: Overpartition, marks: tuple[int, ...], row1: list[int] | None = None):
         self.base = base
         self.marks = marks
-        self._row1 = None
+        self._row1 = row1
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -83,7 +84,8 @@ class MarkedOverpartition:
 
     def _first_row(self) -> list[int]:
         """row_indices(1), scanned once per object: a step's classifier, its case
-        analysis and its weight law all read it.  Callers must not mutate it."""
+        analysis and its weight law all read it, and gg_mark hands every wrapper of
+        one object the same list.  Callers must not mutate it."""
         if self._row1 is None:
             self._row1 = self.row_indices(1)
         return self._row1
@@ -157,10 +159,11 @@ _NO_MARKS: frozenset[int] = frozenset()
 
 def gg_mark(op: Overpartition) -> MarkedOverpartition:
     """Mark an overpartition; the marking is a deterministic function of the parts,
-    computed once per object and memoized on it (as the marks alone, so the
-    object and its marking form no reference cycle)."""
+    computed once per object and memoized on it as (marks, first-row indices), so
+    every wrapper shares one first-row scan and the object and its marking form
+    no reference cycle."""
     if op._marking is not None:
-        return MarkedOverpartition(op, op._marking)
+        return MarkedOverpartition(op, *op._marking)
     top = op.parts[-1].size if op.parts else 0
     plain = [0] * (top + 1)
     over = [0] * (top + 1)
@@ -171,13 +174,16 @@ def gg_mark(op: Overpartition) -> MarkedOverpartition:
         if by_size[s] is _NO_MARKS:
             by_size[s] = set()
     marks: list[int] = []
+    row1: list[int] = []
     mk = 0
-    for s, ov in op.parts:
+    for j, (s, ov) in enumerate(op.parts):
         mk = _mark_step(by_size, mk, s, ov, plain, over)
         marks.append(mk)
+        if mk == 1:
+            row1.append(j)
         by_size[s].add(mk)
-    op._marking = tuple(marks)
-    return MarkedOverpartition(op, op._marking)
+    op._marking = (tuple(marks), row1)
+    return MarkedOverpartition(op, *op._marking)
 
 
 def _walk(max_weight: int, exact: bool = False, row1_max: int | None = None,
@@ -186,7 +192,9 @@ def _walk(max_weight: int, exact: bool = False, row1_max: int | None = None,
     exact) carrying the marking state, yielding (op, row counts, o_family_stats,
     (weight, stable, reduced, doubled)) in the order of
     ``iter_overpartitions_bounded`` / ``enumerate_overpartitions``; the flags are
-    ``in_stable_class``, ``is_reduced`` and ``is_doubled`` of op.
+    ``in_stable_class``, ``is_reduced`` and ``is_doubled`` of op.  Each op holds
+    interned Parts (``partitions._part_table``) and its stats in its memo slot,
+    one shared tuple per distinct value; its marking is left to ``gg_mark``.
 
     A prefix is extended one part at a time through ``_mark_step``.  Its row
     counts, largest mark and O-family stats (fb, mw, c3) only grow as parts are
@@ -196,6 +204,8 @@ def _walk(max_weight: int, exact: bool = False, row1_max: int | None = None,
     fb_max, mw_max, c3_max = o_caps if o_caps is not None else (max_weight,) * 3
     row1_max = max_weight if row1_max is None else row1_max
     rows_max = max_weight if rows_max is None else rows_max
+    table = _part_table(max_weight)
+    shared_stats: dict[tuple[int, int, int], tuple[int, int, int]] = {}
     parts: list[Part] = []
     rows: list[int] = []
     plain = [0] * (max_weight + 3)
@@ -208,7 +218,9 @@ def _walk(max_weight: int, exact: bool = False, row1_max: int | None = None,
     def rec(rem: int, smin: int, over_ok: bool, prev: int, fb: int, mw: int, c3: int,
             stable: bool, reduced: bool, doubled: bool):
         if not exact or rem == 0:
-            yield (Overpartition._from_ordered(tuple(parts)), tuple(rows), (fb, mw, c3),
+            stats = (fb, mw, c3)
+            stats = shared_stats.setdefault(stats, stats)
+            yield (Overpartition._from_ordered(tuple(parts), stats), tuple(rows), stats,
                    (max_weight - rem, stable, reduced, doubled))
         if exact:  # a remainder below the next part's size cannot be filled
             sizes = [*range(smin, rem // 2 + 1), rem] if rem >= smin else ()
@@ -241,7 +253,7 @@ def _walk(max_weight: int, exact: bool = False, row1_max: int | None = None,
                     added = mk not in by_size[s]
                     by_size[s].add(mk)
                     stable_part = ov == (s % 2 == 1)  # as is_stable
-                    parts.append(Part(s, ov))
+                    parts.append(table[2 * s - ov])
                     yield from rec(rem - s, s, False, mk, nfb, nmw, nc3,
                                    stable_part if len(parts) == 1 else stable,  # first = smallest
                                    reduced and stable_part, doubled and plain_even)
@@ -386,15 +398,16 @@ class PositionReport(NamedTuple):
 
 
 def _f_subcase(m: MarkedOverpartition, row1: list[int], p: int) -> int:
+    # a Part equals the (size, overlined) tuple, so the probes build no Part
     parts = m.base.parts
     part = parts[row1[p - 1]]
     if not part.overlined:  # plain odd
         prev = parts[row1[p - 2]]
-        if Part(part.size + 1, False) in parts and prev.size <= part.size - 2:
+        if (part.size + 1, False) in parts and prev.size <= part.size - 2:
             return 2
         return 1
     # overlined even
-    return 4 if Part(part.size + 1, True) in parts else 3
+    return 4 if (part.size + 1, True) in parts else 3
 
 
 def _fbar_subcase(m: MarkedOverpartition, row1: list[int], p: int) -> int:
@@ -402,13 +415,13 @@ def _fbar_subcase(m: MarkedOverpartition, row1: list[int], p: int) -> int:
     part = parts[row1[p - 1]]
     nxt = parts[row1[p]].size if p < len(row1) else None  # None above N1
     if part.overlined:  # overlined odd
-        if Part(part.size + 1, False) in parts and (nxt is None or nxt >= part.size + 2):
+        if (part.size + 1, False) in parts and (nxt is None or nxt >= part.size + 2):
             return 4
         return 1
     # plain even
-    if Part(part.size + 1, True) not in parts:
+    if (part.size + 1, True) not in parts:
         return 3
-    if Part(part.size + 2, False) in parts and (nxt is None or nxt > part.size + 2):
+    if (part.size + 2, False) in parts and (nxt is None or nxt > part.size + 2):
         return 4
     return 2
 

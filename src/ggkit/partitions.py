@@ -28,6 +28,23 @@ def part_key(p: Part) -> tuple[int, int]:
     return (p.size, 0 if p.overlined else 1)
 
 
+def _rank(p: Part) -> int:
+    """The part's place in part order: 2s-1 for an overlined s, 2s for a plain s."""
+    return 2 * p.size - p.overlined
+
+
+# One Part per (size, kind), at its rank (index 0 unused): the marking walk and
+# the sweep's object keys build every part they hold from it.
+_PARTS: list = [None]
+
+
+def _part_table(max_size: int) -> list:
+    """The interned Parts, indexed by rank, grown to cover sizes up to max_size."""
+    for s in range(len(_PARTS) // 2 + 1, max_size + 1):
+        _PARTS.extend((Part(s, True), Part(s, False)))
+    return _PARTS
+
+
 def part_text(p: Part) -> str:
     return f"{p.size}~" if p.overlined else str(p.size)
 
@@ -69,10 +86,13 @@ class FrequencyTable:
 class Overpartition:
     """An overpartition: parts nondecreasing in the part order defined above.
 
-    Immutable: ``_marking`` memoizes the marks of the Göllnitz-Gordon marking,
-    which ``marking.gg_mark`` computes on first use."""
+    Immutable, with two memo slots filled on first use: ``_marking`` holds the
+    marks of the Göllnitz-Gordon marking and the indices of the 1-marked parts
+    (``marking.gg_mark``), ``_o_stats`` the O-family stats (fb, mw, c3) of
+    ``o_family_stats`` (``satisfies_family``, or the marking walk that computes
+    them anyway)."""
 
-    __slots__ = ("parts", "_marking")
+    __slots__ = ("parts", "_marking", "_o_stats")
 
     def __init__(self, parts=()):
         norm = []
@@ -93,17 +113,20 @@ class Overpartition:
                 seen.add(p.size)
         self.parts = tuple(norm)
         self._marking = None
+        self._o_stats = None
 
     @classmethod
-    def _from_ordered(cls, parts: tuple[Part, ...]) -> "Overpartition":
-        """Wrap Parts already valid and in part order, skipping the checks."""
+    def _from_ordered(cls, parts: tuple[Part, ...], o_stats=None) -> "Overpartition":
+        """Wrap Parts already valid and in part order, skipping the checks;
+        o_stats, when given, must be their o_family_stats."""
         op = cls.__new__(cls)
         op.parts = parts
         op._marking = None
+        op._o_stats = o_stats
         return op
 
     def weight(self) -> int:
-        return sum(p.size for p in self.parts)
+        return sum([p.size for p in self.parts])
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -276,8 +299,8 @@ def o_family_stats(ft: FrequencyTable) -> tuple[int, int, int]:
     return fb, mw, c3
 
 
-def _in_family_O(ft: FrequencyTable, k: int, i: int) -> bool:
-    fb, mw, c3 = o_family_stats(ft)
+def _in_family_O(stats: tuple[int, int, int], k: int, i: int) -> bool:
+    fb, mw, c3 = stats
     return fb <= i - 1 and mw <= k - 1 and c3 <= k - 2
 
 
@@ -333,12 +356,14 @@ def satisfies_family(obj, spec: FamilySpec) -> bool:
     if fam in OVERPARTITION_FAMILIES:
         if not isinstance(obj, Overpartition):
             raise FamilyKindError(f"family {fam} needs an Overpartition, got {type(obj).__name__}")
-        ft = obj.freq_table()
-        if fam == "O":
-            return _in_family_O(ft, spec.k, spec.i)
         if fam == "P":
-            return _in_family_P(ft, spec.k, spec.i)
-        if not obj.parts or not _in_family_O(ft, spec.k, spec.i):
+            return _in_family_P(obj.freq_table(), spec.k, spec.i)
+        stats = obj._o_stats
+        if stats is None:
+            stats = obj._o_stats = o_family_stats(obj.freq_table())
+        if fam == "O":
+            return _in_family_O(stats, spec.k, spec.i)
+        if not obj.parts or not _in_family_O(stats, spec.k, spec.i):
             return False
         return _part_is_f_kind(obj.smallest()) == (fam == "F")
     if isinstance(obj, Overpartition):

@@ -53,7 +53,7 @@ from .marking import (
 from .partitions import (
     FamilySpec,
     Overpartition,
-    Part,
+    _part_table,
     family_counts_by_n,
     iter_partitions_bounded,
     overpartition_ofh_tables,
@@ -623,7 +623,9 @@ def _object_key(op: Overpartition) -> str:
 
 
 def _object_from_key(key: str) -> Overpartition:
-    return Overpartition._from_ordered(tuple(Part((c + 1) // 2, c % 2 == 1) for c in map(ord, key)))
+    ranks = list(map(ord, key))
+    table = _part_table((max(ranks, default=0) + 1) // 2)  # the walk's interned Parts
+    return Overpartition._from_ordered(tuple([table[r] for r in ranks]))
 
 
 @lru_cache(maxsize=_OBJECT_MEMO_SIZE)
@@ -850,14 +852,30 @@ def _run_task(task):
 # a weight of the k <= 3 sweep takes about 2 s at n = 18 and 1.45 times the time of
 # the one below (2-CPU Xeon), so a sweep to n_max = 40 already runs for hours
 _SWEEP_N_MAX = 40
+# the count tables grow about as n_max**3: counting at k = 2, i = 1 takes 9.5 s at
+# n_max = 300 and 107 s at 600 (2-CPU Xeon)
+_COUNT_N_MAX = 600
+# identities and Bailey chains grow about as T**3: at k = 2, i = 1, T = 1000 the
+# identities take 19 s and the Bailey checks 147 s (2-CPU Xeon)
+_T_MAX = 1000
+# at k = 1000, i = 1 every command finishes within 2 s; without --i a suite takes
+# every i < k, and its k - 1 Bailey chains of about 2k stages each take 15.8 s at
+# k = 100, growing about as k**2 (2-CPU Xeon)
+_K_MAX = 1000
+
+
+def _check_ceiling(name: str, value: int | None, ceiling: int) -> None:
+    """Refuse a bound past its fixed ceiling (None is a default, never past it)."""
+    if value is not None and value > ceiling:
+        raise ValueError(f"{name}={value} is past the ceiling of {ceiling}")
 
 
 def build_tasks(suite: str, k=None, i=None, n_max=None, T=None, profile=None) -> list[tuple]:
     """The suite's pool tasks, longest first: one bijection task per weight, from
     n_max (at most _SWEEP_N_MAX) down, for every selected pair at once, then the
-    identity and counting tasks.  A profile gives one task for its six class
-    checks, at T at most 30 and a bucket reach at most _PROFILE_REACH_MAX.  Under
-    "all", a k below 2 leaves the summed identities out."""
+    identity and counting tasks (n_max at most _COUNT_N_MAX).  A profile gives one
+    task for its six class checks, at T at most 30 and a bucket reach at most
+    _PROFILE_REACH_MAX.  Under "all", a k below 2 leaves the summed identities out."""
     tasks: list[tuple] = []
     if suite in ("bijections", "all"):
         nm = n_max if n_max is not None else 12
@@ -885,6 +903,7 @@ def build_tasks(suite: str, k=None, i=None, n_max=None, T=None, profile=None) ->
                 tasks.append(("identity", "JTP", kk, ii, t, None))
     if suite in ("counting", "all"):
         nm = n_max if n_max is not None else 15
+        _check_ceiling("n_max", nm, _COUNT_N_MAX)
         for (kk, ii) in _default_pairs(k, i, 3):
             for theorem in ("T1.1", "T1.2", "T1.5"):
                 tasks.append(("counting", theorem, kk, ii, nm))
@@ -961,6 +980,8 @@ def run_suite(suite: str, k=None, i=None, n_max=None, T=None, profile=None,
             raise ValueError(f"GGKIT_JOBS must be >= 1, got {env!r}")
     elif jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    _check_ceiling("k", k, _K_MAX)
+    _check_ceiling("T", T, _T_MAX)
     chains: list[tuple[int, int]] = []
     if suite in ("bailey", "all"):
         # under "bailey" a pair given in full stays, so that verify_bailey rejects i >= k

@@ -297,6 +297,16 @@ def test_verify_jobs_env_default(capsys, monkeypatch):
     ({}, ["bailey", "--k", "3", "--i", "1", "--n-max", "1001"]),
     ({}, ["verify", "--suite", "identities", "--profile", "1000", "--T", "10"]),
     ({}, ["verify", "--suite", "identities", "--profile", "5", "--T", "22"]),
+    ({}, ["verify", "--suite", "counting", "--k", "2", "--i", "1", "--n-max", "100000"]),
+    ({}, ["verify", "--suite", "counting", "--k", "2", "--i", "1", "--n-max", "601"]),
+    ({}, ["verify", "--suite", "identities", "--k", "2", "--i", "1", "--T", "100000"]),
+    ({}, ["verify", "--suite", "all", "--k", "2", "--i", "1", "--n-max", "12", "--T", "1001"]),
+    ({}, ["verify", "--suite", "bailey", "--k", "3", "--i", "1", "--T", "1001"]),
+    ({}, ["bailey", "--k", "2", "--i", "1", "--T", "100000"]),
+    ({}, ["bailey", "--k", "2", "--i", "1", "--T", "1001"]),
+    ({}, ["verify", "--suite", "bijections", "--k", "1000000", "--n-max", "2"]),
+    ({}, ["verify", "--suite", "counting", "--k", "1001", "--i", "1", "--n-max", "2"]),
+    ({}, ["bailey", "--k", "1001", "--i", "1", "--T", "10", "--n-max", "2"]),
 ])
 def test_invalid_input_is_usage_error(capsys, monkeypatch, env, argv):
     monkeypatch.delenv("GGKIT_JOBS", raising=False)
@@ -389,6 +399,34 @@ def test_internal_diagnostic_is_exit_1_without_traceback(capsys, monkeypatch, pa
 def test_part_at_the_ceiling_is_accepted(capsys):
     code, out, _ = run(capsys, "mark", "1000000", "--format", "json")
     assert code == 0 and json.loads(out)["marks"] == [1]
+
+
+def test_bounds_at_their_fixed_ceiling_are_accepted(monkeypatch):
+    # the suite is built but not run: at the ceilings it would take minutes
+    built = []
+
+    def build_only(tasks, workers, in_parent):
+        built.append(tasks)
+        return []
+
+    monkeypatch.setattr(verify, "_run_tasks", build_only)
+    verify.run_suite("all", k=verify._K_MAX, i=1, n_max=12, T=verify._T_MAX, jobs=1)
+    verify.run_suite("counting", k=2, i=1, n_max=verify._COUNT_N_MAX, jobs=1)
+    assert [t[-1] for t in built[1]] == [verify._COUNT_N_MAX] * 3
+
+
+@pytest.mark.parametrize("stage,T,n_max,note", [
+    ("-1", "10", "2", "final"),
+    ("258", "4", "30", "last.shift"),  # past the truncation, where earlier betas stop
+])
+def test_bailey_dump_of_a_deep_chain_evaluates_the_stages_in_order(capsys, stage, T, n_max, note):
+    # a stage's sequences read every earlier stage; asked for first, the printed
+    # one recursed once per stage and overflowed the stack at k = 130
+    code, out, err = run(capsys, "bailey", "--k", "130", "--i", "1", "--T", T,
+                         "--stage", stage, "--n-max", n_max)
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["note"] == note and len(data["beta"]) == len(data["alpha"]) == int(n_max) + 1
 
 
 # -- argv fuzz of the exit-code contract ------------------------------------
