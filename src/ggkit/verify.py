@@ -1,9 +1,15 @@
 """Verification of the counting theorems, q-series identities, and bijections.
 
 Every check computes its two sides by independent routes (multisum vs product,
-enumeration vs closed form, forward map vs inverse) in exact arithmetic and
-reports the first differing coefficient on failure; nothing is compared with a
-tolerance.
+enumeration vs closed form, forward map vs inverse) in exact arithmetic; nothing
+is compared with a tolerance.  Every verdict that equates two sides goes through
+_compare, whose failure detail is one line,
+
+    first difference at <where>: <name>=<value>, <name>=<value>
+
+where <where> is q^e for two q-series, x^m q^n for two bivariate series and
+n=<n> for two sequences indexed by n.  A bound below zero, which would compare
+nothing, is refused with a ValueError.
 """
 
 from __future__ import annotations
@@ -132,20 +138,43 @@ class VerificationReport:
         return f"{self.verdict.upper():4s} {self.identity} {ps}{ts}{tail}"
 
 
-def _series_report(tag: str, params: dict, T: int | None,
-                   lhs: LaurentSeries, rhs: LaurentSeries) -> VerificationReport:
-    diff = lhs.first_difference(rhs)
+def _compare(tag: str, params: dict, T: int | None, lhs, rhs,
+             names: tuple[str, str] = ("lhs", "rhs")) -> VerificationReport:
+    """The verdict that lhs equals rhs: two LaurentSeries or two BivariateSeries,
+    compared by first_difference, or two equally long lists indexed by n, compared
+    with != up to the first n where they differ.  A failure names that place and
+    both sides' values there."""
+    if isinstance(lhs, list):
+        diff = next((n for n, (a, b) in enumerate(zip(lhs, rhs, strict=True)) if a != b), None)
+    else:
+        diff = lhs.first_difference(rhs)
     if diff is None:
         return VerificationReport(tag, params, T, True)
-    return VerificationReport(
-        tag, params, T, False,
-        f"first difference at q^{diff}: lhs={lhs.coefficient(diff)}, rhs={rhs.coefficient(diff)}",
-    )
+    if isinstance(lhs, list):
+        where, (a, b) = f"n={diff}", (lhs[diff], rhs[diff])
+    elif isinstance(lhs, BivariateSeries):
+        n, m = diff
+        where, (a, b) = f"x^{m} q^{n}", (s.coefficient(n).get(m, 0) for s in (lhs, rhs))
+    else:
+        where, (a, b) = f"q^{diff}", (s.coefficient(diff) for s in (lhs, rhs))
+    return VerificationReport(tag, params, T, False,
+                              f"first difference at {where}: {names[0]}={a}, {names[1]}={b}")
 
 
 def _check_bound(name: str, value: int) -> None:
     if value < 0:
         raise ValueError(f"{name} must be nonnegative, got {name}={value}")
+
+
+def _check_pair(k: int, i: int) -> None:
+    if not k >= i >= 1:
+        raise ValueError(f"parameters must satisfy k >= i >= 1, got k={k}, i={i}")
+
+
+def _check_ceiling(name: str, value: int | None, ceiling: int) -> None:
+    """Refuse a bound past its fixed ceiling (None is a default, never past it)."""
+    if value is not None and value > ceiling:
+        raise ValueError(f"{name}={value} is past the ceiling of {ceiling}")
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +259,7 @@ def multisum_lhs(tag: str, k: int, i: int, T: int, x_tracking: bool = False):
     """
     if tag not in SUMMED_TAGS:
         raise ValueError(f"{tag} has no multisum form")
-    if not k >= i >= 1:
-        raise ValueError("parameters must satisfy k >= i >= 1")
+    _check_pair(k, i)
     _check_bound("T", T)
     if k < 2:
         raise DegenerateIdentityError(f"degenerate form: {tag} needs k >= 2")
@@ -289,8 +317,7 @@ def multisum_lhs(tag: str, k: int, i: int, T: int, x_tracking: bool = False):
 
 def product_rhs(tag: str, k: int, i: int, T: int) -> LaurentSeries:
     """The product side of the identity named by tag, truncated at T."""
-    if not k >= i >= 1:
-        raise ValueError("parameters must satisfy k >= i >= 1")
+    _check_pair(k, i)
     _check_bound("T", T)
     if tag in ("AG", "AG-X"):
         out = triple_product(i, 2 * k + 1, T)
@@ -456,12 +483,12 @@ def verify_class_gf(profile, i: int, T: int, cls: str,
     if cls == "B":
         buckets = partition_buckets
     if buckets is None:
-        _check_reach(T)
+        _check_ceiling("class bucket reach", T, _PROFILE_REACH_MAX)
         collect = collect_partition_buckets if cls == "B" else collect_class_buckets
         buckets = collect(max(n1, 1), max(k - 1, 1), T)
     lhs = LaurentSeries.from_terms(_class_histogram(buckets, profile, cls, k, i), T)
     rhs = _profile_term(cls, profile, i, T)
-    return _series_report(f"CLASS-{cls}", params, T, lhs, rhs)
+    return _compare(f"CLASS-{cls}", params, T, lhs, rhs)
 
 
 # each reduction law: (its Pochhammer bracket, the inner class, the outer class)
@@ -473,12 +500,6 @@ _LEMMAS = {"LEM-N1": ("e", "G", "F"), "LEM-N2": ("o", "E", "G")}
 # (--profile 4,4,4,4,4,4) a profile task takes 15 s, at 55 (--profile 5,1) 34 s
 # and 1.2 GiB, and at 10^6 the walk overflows the stack (2-CPU Xeon)
 _PROFILE_REACH_MAX = 46
-
-
-def _check_reach(reach: int) -> None:
-    """Refuse to build class buckets past _PROFILE_REACH_MAX."""
-    if reach > _PROFILE_REACH_MAX:
-        raise ValueError(f"class bucket reach {reach} is past the ceiling of {_PROFILE_REACH_MAX}")
 
 
 def _lemma_reach(n1: int, T: int) -> int:
@@ -503,7 +524,7 @@ def verify_class_lemma(which: str, profile, i: int, T: int,
     low, (shift, base, length) = _bracket_form(word, n1)
     reach = T - low
     if buckets is None:
-        _check_reach(reach)
+        _check_ceiling("class bucket reach", reach, _PROFILE_REACH_MAX)
         buckets = collect_class_buckets(max(n1, 1), max(k - 1, 1), reach)
     lo = _class_histogram(buckets, profile, lo_cls, k, i)
     hi = _class_histogram(buckets, profile, hi_cls, k, i)
@@ -511,7 +532,7 @@ def verify_class_lemma(which: str, profile, i: int, T: int,
     poch = pochhammer_finite(-1, shift, base, length, reach)
     rhs = (poch * LaurentSeries.from_terms(lo, reach)).shift(low)
     params = {"profile": profile, "k": k, "i": i}
-    return _series_report(which, params, T, lhs, rhs)
+    return _compare(which, params, T, lhs, rhs)
 
 
 def verify_profile(profile, i: int, T: int) -> list[VerificationReport]:
@@ -521,7 +542,7 @@ def verify_profile(profile, i: int, T: int) -> list[VerificationReport]:
     profile, k = _check_class_params(profile, i, T)
     n1 = profile[0] if profile else 0
     reach = _lemma_reach(n1, T)
-    _check_reach(reach)
+    _check_ceiling("class bucket reach", reach, _PROFILE_REACH_MAX)
     buckets = collect_class_buckets(max(n1, 1), max(k - 1, 1), reach)
     partition_buckets = collect_partition_buckets(max(n1, 1), max(k - 1, 1), T)
     return [verify_identity(tag, None, i, T, profile=profile, buckets=buckets,
@@ -539,10 +560,10 @@ def verify_identity(tag: str, k: int | None = None, i: int | None = None,
     """Verify one tagged identity; failures come back as reports, not errors."""
     if tag not in IDENTITY_TAGS:
         raise ValueError(f"unknown identity tag {tag!r}")
+    _check_bound("T", T)
     if tag == "JTP":
-        lhs = theta_bressoud_sum(k, i, T)
-        rhs = product_triple(k, i, T)
-        return _series_report(tag, {"k": k, "i": i}, T, lhs, rhs)
+        return _compare(tag, {"k": k, "i": i}, T,
+                        theta_bressoud_sum(k, i, T), product_triple(k, i, T))
     if tag in ("CLASS-F", "CLASS-G", "CLASS-E", "CLASS-B"):
         return verify_class_gf(profile, i, T, tag[-1],
                                buckets=buckets, partition_buckets=partition_buckets)
@@ -550,9 +571,7 @@ def verify_identity(tag: str, k: int | None = None, i: int | None = None,
         return verify_class_lemma(tag, profile, i, T, buckets=buckets)
     params = {"k": k, "i": i}
     if tag in ("AG", "BRESSOUD", "OGG"):
-        lhs = multisum_lhs(tag, k, i, T)
-        rhs = product_rhs(tag, k, i, T)
-        return _series_report(tag, params, T, lhs, rhs)
+        return _compare(tag, params, T, multisum_lhs(tag, k, i, T), product_rhs(tag, k, i, T))
     # bivariate: multisum against the exhaustive count tables
     lhs = multisum_lhs(tag, k, i, T, x_tracking=True)
     fam = _ENUM_FAMILY[tag]
@@ -561,23 +580,14 @@ def verify_identity(tag: str, k: int | None = None, i: int | None = None,
             counts = partition_family_tables(T, [(k, i)], families=fam)[(fam, k, i)]
         else:
             counts = overpartition_ofh_tables(T, [(k, i)])[(fam, k, i)]
-    rhs = BivariateSeries.from_counts(counts, T)
-    diff = lhs.first_difference(rhs)
-    if diff is None:
-        return VerificationReport(tag, params, T, True)
-    n, m = diff
-    return VerificationReport(
-        tag, params, T, False,
-        f"first difference at x^{m} q^{n}: multisum={lhs.coefficient(n).get(m, 0)}, "
-        f"enumeration={rhs.coefficient(n).get(m, 0)}",
-    )
+    return _compare(tag, params, T, lhs, BivariateSeries.from_counts(counts, T),
+                    ("multisum", "enumeration"))
 
 
 def verify_counting(theorem: str, k: int, i: int, n_max: int,
                     ofh_tables=None, p_counts=None, partition_tables=None) -> VerificationReport:
     """Exhaustive equality of the paired counting families up to n_max."""
-    if not k >= i >= 1:
-        raise ValueError(f"parameters must satisfy k >= i >= 1, got k={k}, i={i}")
+    _check_pair(k, i)
     _check_bound("n_max", n_max)
     if theorem == "T1.5":
         if ofh_tables is None:
@@ -585,7 +595,7 @@ def verify_counting(theorem: str, k: int, i: int, n_max: int,
         if p_counts is None:
             p_counts = overpartition_p_counts(n_max, [(k, i)])
         left = family_counts_by_n(ofh_tables[("O", k, i)], n_max)
-        right = p_counts[(k, i)]
+        right = p_counts[(k, i)][:n_max + 1]
         names = ("O", "P")
     elif theorem in ("T1.1", "T1.2"):
         a, b = ("C", "D") if theorem == "T1.1" else ("B", "A")
@@ -596,12 +606,7 @@ def verify_counting(theorem: str, k: int, i: int, n_max: int,
         names = (a, b)
     else:
         raise ValueError(f"unknown counting theorem {theorem!r}")
-    params = {"k": k, "i": i, "n_max": n_max}
-    bad = [n for n in range(n_max + 1) if left[n] != right[n]]
-    if not bad:
-        return VerificationReport(theorem, params, None, True)
-    witness = ", ".join(f"n={n}: {names[0]}={left[n]}, {names[1]}={right[n]}" for n in bad[:5])
-    return VerificationReport(theorem, params, None, False, witness)
+    return _compare(theorem, {"k": k, "i": i, "n_max": n_max}, None, left, right, names)
 
 
 # ---------------------------------------------------------------------------
@@ -725,11 +730,6 @@ def _pair_checks(op: Overpartition, rows: tuple[int, ...], k: int, i: int,
     return checks, None
 
 
-def _check_pair(k: int, i: int) -> None:
-    if not k >= i >= 1:
-        raise ValueError(f"parameters must satisfy k >= i >= 1, got k={k}, i={i}")
-
-
 def verify_bijections(k: int, i: int, n_max: int) -> VerificationReport:
     """Run every roundtrip and weight law over all O(k, i) members of weight <= n_max,
     one weight at a time, up to the first weight that fails."""
@@ -791,6 +791,7 @@ def _bijection_reports(pairs, n_max: int, at) -> list[VerificationReport]:
 def verify_bailey(k: int, i: int, T: int = 40, n_depth: int = 6) -> list[VerificationReport]:
     """Chain construction checks: the defining relation at every stage, the
     closed seed form, and the limiting identity against the product form."""
+    _check_bound("n_depth", n_depth)
     params = {"k": k, "i": i}
     chain = bailey_mod.run_chain(k, i, T)
     reports = []
@@ -799,18 +800,13 @@ def verify_bailey(k: int, i: int, T: int = 40, n_depth: int = 6) -> list[Verific
         reports.append(VerificationReport(
             f"PAIR-RELATION[{st.note}]", params, T, ok, msg))
     seed = chain.stage_by_note("seed").pair
-    ok = True
-    msg = ""
-    for n in range(n_depth + 1):
-        want = bailey_mod._inv_poch(seed.grid, n, seed.trunc)
-        if seed.beta(n) != want:
-            ok, msg = False, f"seed beta at n={n} differs from 1/(q;q)_n"
-            break
-    reports.append(VerificationReport("SEED-BETA", params, T, ok, msg))
+    depths = range(n_depth + 1)
+    reports.append(_compare("SEED-BETA", params, T, [seed.beta(n) for n in depths],
+                            [bailey_mod._inv_poch(seed.grid, n, seed.trunc) for n in depths],
+                            ("beta", "1/(q;q)_n")))
     lhs, rhs = bailey_mod.limit_identity(chain, T)
-    reports.append(_series_report("LIMIT", params, T, lhs, rhs))
-    reports.append(_series_report("LIMIT-VS-PRODUCT", params, T,
-                                  lhs, product_rhs("OGG", k, i, T)))
+    reports.append(_compare("LIMIT", params, T, lhs, rhs))
+    reports.append(_compare("LIMIT-VS-PRODUCT", params, T, lhs, product_rhs("OGG", k, i, T)))
     return reports
 
 
@@ -864,12 +860,6 @@ _T_MAX = 1000
 _K_MAX = 1000
 
 
-def _check_ceiling(name: str, value: int | None, ceiling: int) -> None:
-    """Refuse a bound past its fixed ceiling (None is a default, never past it)."""
-    if value is not None and value > ceiling:
-        raise ValueError(f"{name}={value} is past the ceiling of {ceiling}")
-
-
 def build_tasks(suite: str, k=None, i=None, n_max=None, T=None, profile=None) -> list[tuple]:
     """The suite's pool tasks, longest first: one bijection task per weight, from
     n_max (at most _SWEEP_N_MAX) down, for every selected pair at once, then the
@@ -880,8 +870,7 @@ def build_tasks(suite: str, k=None, i=None, n_max=None, T=None, profile=None) ->
     if suite in ("bijections", "all"):
         nm = n_max if n_max is not None else 12
         _check_bound("n_max", nm)
-        if nm > _SWEEP_N_MAX:
-            raise ValueError(f"n_max={nm} is past the bijection sweep's ceiling of {_SWEEP_N_MAX}")
+        _check_ceiling("n_max", nm, _SWEEP_N_MAX)
         pairs = _default_pairs(k, i, 3)
         tasks.extend(("bijections", pairs, n) for n in range(nm, -1, -1))
     if suite in ("identities", "all"):
@@ -889,7 +878,8 @@ def build_tasks(suite: str, k=None, i=None, n_max=None, T=None, profile=None) ->
         if profile is not None:
             ii, tt = i if i is not None else 1, min(t, 30)
             p, _ = _check_class_params(profile, ii, tt)
-            _check_reach(_lemma_reach(p[0] if p else 0, tt))
+            reach = _lemma_reach(p[0] if p else 0, tt)
+            _check_ceiling("class bucket reach", reach, _PROFILE_REACH_MAX)
             tasks.append(("profile", p, ii, tt))
         else:
             for (kk, ii) in _default_pairs(k, i, 3):

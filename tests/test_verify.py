@@ -142,7 +142,43 @@ def test_counting_report_names_witness():
     tables = {("O", 2, 2): {(0, 0): 1, (1, 3): 99}}
     pc = {(2, 2): [1, 0, 0, 0]}
     rep = verify_counting("T1.5", 2, 2, 3, ofh_tables=tables, p_counts=pc)
-    assert not rep.ok and "n=3" in rep.detail
+    assert not rep.ok and rep.detail == "first difference at n=3: O=99, P=0"
+
+
+def test_series_report_names_the_first_difference(monkeypatch):
+    # a product side doctored to start one exponent late
+    product = verify.product_rhs
+    monkeypatch.setattr(verify, "product_rhs", lambda *args: product(*args).shift(1))
+    rep = verify_identity("AG", 2, 1, 5)
+    assert not rep.ok and rep.detail == "first difference at q^0: lhs=1, rhs=0"
+
+
+def test_bivariate_report_names_the_first_difference():
+    # an enumeration holding only the empty partition misses B_{2,1}(1, 2) = 1
+    rep = verify_identity("AG-X", 2, 1, 5, counts={(0, 0): 1})
+    assert not rep.ok
+    assert rep.detail == "first difference at x^1 q^2: multisum=1, enumeration=0"
+
+
+def test_seed_beta_report_names_both_sides(monkeypatch):
+    # the seed stage's beta_2 gains q^3 (in grid units); SEED-BETA names n = 2 and
+    # prints both series there
+    run_chain = bailey.run_chain
+
+    def doctored(*args):
+        chain = run_chain(*args)
+        seed = chain.stage_by_note("seed").pair
+        beta = seed._beta
+        seed._beta = lambda n: beta(n) + LaurentSeries.monomial(3, seed.trunc) if n == 2 else beta(n)
+        return chain
+
+    monkeypatch.setattr(bailey, "run_chain", doctored)
+    rep = next(r for r in verify_bailey(3, 1, 6) if r.identity == "SEED-BETA")
+    assert not rep.ok
+    assert rep.detail == (
+        "first difference at n=2: "
+        "beta=<series 1 + q^2 + q^3 + 2*q^4 + 2*q^6 + 3*q^8 + ... + O(q^13)>, "
+        "1/(q;q)_n=<series 1 + q^2 + 2*q^4 + 2*q^6 + 3*q^8 + 3*q^10 + ... + O(q^13)>")
 
 
 def test_class_gf_profile_examples(class_buckets, partition_class_buckets):
@@ -186,7 +222,10 @@ def test_class_checks_validate_k_and_i(check):
     lambda: verify_class_lemma("LEM-N2", (1,), 1, -1),
     lambda: verify_counting("T1.1", 2, 1, -1),
     lambda: verify_bijections(2, 1, -2),
-], ids=["multisum", "product", "class-gf", "class-lemma", "counting", "bijections"])
+    lambda: verify_identity("JTP", 2, 1, -3),
+    lambda: verify_bailey(3, 1, 20, n_depth=-1),
+], ids=["multisum", "product", "class-gf", "class-lemma", "counting", "bijections", "jtp",
+        "bailey-depth"])
 def test_negative_bounds_are_rejected(check):
     with pytest.raises(ValueError, match="must be nonnegative"):
         check()
