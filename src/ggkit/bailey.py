@@ -4,15 +4,19 @@ A pair stores its two sequences as truncated Laurent series on a refined
 exponent grid: a stored exponent e stands for q**(e/grid).  The chain starts
 on the half-integer grid (grid = 2) because the seed pair and its iterates
 involve half-integer powers; the final base-change step lands on the plain
-grid (grid = 1) after checking that every surviving exponent is even.
+grid (grid = 1) after checking that every surviving exponent is even.  A
+PAIR-RELATION failure on grid 2 says so: its q^e stands for q^(e/2).
 
 Sequences are evaluated lazily and memoized through one ``lru_cache`` per
 sequence, so deep beta evaluations only pay for the indices a given truncation
 can see.  Each beta sum over 1/(q^g; q^g)_{n-m}, here and in the multisum
-levels of ``verify``, goes through ``_inv_poch_sum``.  The theta terms (the
-seed pair's alpha, the shift transform's closed form) come from
-``series.theta_term``.  Transforms take no label: each names its output after
-its input, and ``run_chain`` names every stage by its position.
+levels of ``verify``, goes through ``_inv_poch_sum``.  Its inverse Pochhammers
+are entries of ``series.inverse_pochhammer``'s table at a power-of-two
+truncation, each grown from the one below it a factor at a time; no series
+inverse is taken.  The theta terms (the seed pair's alpha, the shift
+transform's closed form) come from ``series.theta_term``.  Transforms take no
+label: each names its output after its input, and ``run_chain`` names every
+stage by its position.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from typing import Callable, Iterable, NamedTuple
 from .series import (
     Coeff,
     LaurentSeries,
-    euler_product,
+    inverse_euler_product,
+    inverse_pochhammer,
     pochhammer_finite,
     pochhammer_infinite,
     theta_term,
@@ -49,10 +54,11 @@ def _build_cap(trunc: int) -> int:
     return 1 << (trunc - 1).bit_length()
 
 
-@lru_cache(maxsize=1024)  # the test suite fills about 440 entries, a series run 76
+@lru_cache(maxsize=1024)  # the test suite fills 441 entries, a series run 74
 def _inv_poch_built(step: int, m: int, cap: int) -> LaurentSeries:
-    """1/(q**step; q**step)_m on the stored grid, truncated at cap."""
-    return pochhammer_finite(1, step, step, m, cap).inverse()
+    """1/(q**step; q**step)_m on the stored grid, truncated at cap: an entry of
+    series.inverse_pochhammer's table at (step, cap)."""
+    return inverse_pochhammer(step, m, cap)
 
 
 @lru_cache(maxsize=4096)  # the test suite fills about 1 000 entries, a series run 26
@@ -71,25 +77,30 @@ def _inv_poch_sum(step: int, terms: Iterable[tuple[int, LaurentSeries]], n: int,
     exponent e has g(n-m+1) > trunc - e equals t_m / (q^g; q^g)_oo up to trunc:
     those terms are added first and multiplied once, by 1/(q^g; q^g)_{cap//g},
     which is 1/(q^g; q^g)_oo up to cap >= trunc.  Every other term is one
-    multiply.  Each inverse is the build that _inv_poch cuts from, uncut: the
+    multiply, taken by falling m (the callers pass rising m), so an inverse
+    not built yet grows from the shorter one built just before it.  Each
+    inverse is the build that _inv_poch cuts from, uncut: the
     product of a term truncated at trunc with it ends at trunc all the same.
     """
     cap = _build_cap(trunc)
     acc = tail = None
+    rest = []
     for m, t in terms:
         t = t.truncated(trunc)
         if step * (n - m + 1) > trunc - t.effective_min():
             tail = t if tail is None else tail + t
         else:
-            p = t * _inv_poch_built(step, n - m, cap)
-            acc = p if acc is None else acc + p
+            rest.append((n - m, t))
+    for length, t in reversed(rest):
+        p = t * _inv_poch_built(step, length, cap)
+        acc = p if acc is None else acc + p
     if tail is not None:
         p = tail * _inv_poch_built(step, cap // step, cap)
         acc = p if acc is None else acc + p
     return LaurentSeries.zero(trunc) if acc is None else acc
 
 
-@lru_cache(maxsize=1024)  # the test suite fills about 420 entries, a series run 56
+@lru_cache(maxsize=1024)  # the test suite fills 437 entries, a series run 56
 def _relation_kernel(step: int, a: int, b: int, trunc: int) -> LaurentSeries:
     """1/((q**step; q**step)_a (q**step; q**step)_b), truncated: the factor of
     alpha_r in the relation at n with (a, b) = (n - r, n + r), shared by every
@@ -239,9 +250,10 @@ def verify_pair_relation(pair: BaileyPair, n_max: int) -> tuple[bool, str]:
             acc = acc + term.truncated(trunc)
         diff = acc.first_difference(pair.beta(n))
         if diff is not None:
+            grid = f"; on grid {g}, q^e stands for q^(e/{g})" if g != 1 else ""
             return False, (
                 f"pair {pair.label}: relation fails at n={n}, first difference at "
-                f"grid exponent {diff} ({acc.coefficient(diff)} vs {pair.beta(n).coefficient(diff)})"
+                f"q^{diff} ({acc.coefficient(diff)} vs {pair.beta(n).coefficient(diff)}){grid}"
             )
     return True, ""
 
@@ -341,5 +353,5 @@ def limit_identity(chain: Chain, truncation: int) -> tuple[LaurentSeries, Lauren
         acc = acc + pair.alpha(r).truncated(truncation)
         r += 1
     rhs = acc * pochhammer_infinite(-1, 1, 1, truncation)
-    rhs = (rhs * euler_product(truncation).inverse()).truncated(truncation)
+    rhs = (rhs * inverse_euler_product(truncation)).truncated(truncation)
     return cur, rhs

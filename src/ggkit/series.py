@@ -17,12 +17,21 @@ two bigints are multiplied once by CPython (Karatsuba), and the coefficients
 the result keeps are read back out of the slots (Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", JSC 2009).  Short or
 sparse products use a schoolbook loop over ints.
+
+The q-products are built once each.  ``pochhammer_finite`` and
+``pochhammer_infinite`` are pure functions of small ints returning immutable
+series, so they are bounded ``lru_cache``s.  ``inverse_pochhammer`` serves
+1/(q^s; q^s)_m from one table per (s, truncation): an entry is grown from the
+nearest lower one already built, dividing by one factor (1 - q^{sm}) at a time
+in an O(truncation) pass, so no Pochhammer inverse goes through ``inverse``.
 """
 
 from __future__ import annotations
 
 from array import array
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 from math import gcd, lcm
 from operator import add, sub
 from typing import Iterable, Iterator, Sequence, Union
@@ -489,6 +498,9 @@ def _binomial_product(exponents: Iterable[int], factor_coeff: int, truncation: i
     return _series(lo, tuple(arr[: truncation - lo + 1]), 1, truncation)
 
 
+# a memoized series is immutable and shared; _bracket keeps each bracket's build
+# alive anyway, so this memo holds little of its own
+@lru_cache(maxsize=2048)  # the test suite fills 975 entries, a series run 97
 def pochhammer_finite(sign: int, shift: int, base: int, n: int, truncation: int) -> LaurentSeries:
     """The finite product (sign*q**shift; q**base)_n, truncated.
 
@@ -505,6 +517,7 @@ def pochhammer_finite(sign: int, shift: int, base: int, n: int, truncation: int)
     return _binomial_product((shift + t * base for t in range(n)), -sign, truncation)
 
 
+@lru_cache(maxsize=512)  # the test suite fills 387 entries, a series run 109
 def pochhammer_infinite(sign: int, shift: int, base: int, truncation: int) -> LaurentSeries:
     """The infinite product (sign*q**shift; q**base)_oo, truncated.
 
@@ -523,14 +536,55 @@ def pochhammer_infinite(sign: int, shift: int, base: int, truncation: int) -> La
     return _binomial_product((shift + t * base for t in range(count)), -sign, truncation)
 
 
-def euler_product(truncation: int) -> LaurentSeries:
-    """(q; q)_oo up to the truncation."""
-    return pochhammer_infinite(1, 1, 1, truncation)
-
-
 def inverse_euler_product(truncation: int) -> LaurentSeries:
     """1/(q; q)_oo, the partition generating function."""
-    return euler_product(truncation).inverse()
+    return inverse_pochhammer(1, truncation, truncation)
+
+
+def _divide_binomial(num: list[int], e: int) -> None:
+    """num <- num / (1 - q**e) in place, cut at len(num): num[x] += num[x - e] for
+    x rising from e.  With few residues mod e that is one running sum per residue,
+    else one add of each length-e block to the finished block below it."""
+    n = len(num)
+    if e * e <= n:
+        for r in range(e):
+            num[r::e] = accumulate(num[r::e])
+    else:
+        for x in range(e, n, e):
+            num[x:x + e] = map(add, num[x:x + e], num[x - e:x])
+
+
+@lru_cache(maxsize=64)  # the test suite fills 34 tables, a series run 14
+def _inverse_table(step: int, truncation: int) -> dict[int, tuple[int, ...]]:
+    """m -> the numerators of 1/(q**step; q**step)_m to truncation, for every m
+    inverse_pochhammer has built at (step, truncation); filled by it."""
+    return {0: (1,) + (0,) * truncation}
+
+
+def inverse_pochhammer(step: int, m: int, truncation: int) -> LaurentSeries:
+    """1/(q**step; q**step)_m, truncated (step >= 1, m >= 0, truncation >= 0).
+
+    Every factor past m = truncation // step is 1 up to the truncation, so m is
+    cut there.  An entry not built yet at (step, truncation) is grown from the
+    nearest lower one that is, one factor (1 - q**(step t)) at a time: O(truncation)
+    per factor, with no product and no series inverse.
+    """
+    if step < 1:
+        raise ValueError("base must be a positive integer")
+    if m < 0:
+        raise ValueError("length must be nonnegative")
+    if truncation < 0:
+        raise ValueError(f"truncation must be >= 0, got {truncation}")
+    m = min(m, truncation // step)
+    table = _inverse_table(step, truncation)
+    num = table.get(m)
+    if num is None:
+        below = max(j for j in table if j < m)
+        work = list(table[below])
+        for t in range(below + 1, m + 1):
+            _divide_binomial(work, step * t)
+        num = table[m] = tuple(work)
+    return _series(0, num, 1, truncation)
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ from .partitions import (
 from .series import (
     BivariateSeries,
     LaurentSeries,
-    euler_product,
+    inverse_euler_product,
     pochhammer_finite,
     pochhammer_infinite,
     product_triple,
@@ -251,6 +251,15 @@ def _tuple_increment(tag: str, i: int, j: int, n: int) -> int:
     return inc
 
 
+def _saturated(g: int, low: dict[int, int], n: int, inner: int) -> bool:
+    """Whether every term of the level below, M -> e_M the lowest exponent of
+    A(M), meets _inv_poch_sum's fold at N = n: g(n - M + 1) > inner - e_M, where
+    inner = inner(n).  Once it holds it holds at every larger N, where g(N - M + 1)
+    grows and inner(N) falls; and a term with M > n meets it only if A(M) is 0 up
+    to inner(n), so the sum at n already has every term that counts."""
+    return all(g * (n - m + 1) > inner - e for m, e in low.items())
+
+
 def multisum_lhs(tag: str, k: int, i: int, T: int, x_tracking: bool = False):
     """The summed side of the identity named by tag, truncated at T.
 
@@ -278,31 +287,56 @@ def multisum_lhs(tag: str, k: int, i: int, T: int, x_tracking: bool = False):
             depths[n] = run
         return depths[n][j - 1]
 
+    def level_sums(below: dict, n: int, inner: int) -> dict[int, LaurentSeries]:
+        """sum_{M <= n} A(M) / (q^g; q^g)_{n-M} to inner, A(M) read from below,
+        one sum per x-degree."""
+        by_degree: dict[int, list] = {}
+        for m, vals in below.items():
+            if m > n:
+                break
+            for d, v in vals.items():
+                by_degree.setdefault(d, []).append((m, v))
+        return {d: bailey_mod._inv_poch_sum(g, ts, n, inner) for d, ts in by_degree.items()}
+
     # each level's values by N, each keyed by its x-degree (always 0 without x_tracking)
     below = {0: {0: LaurentSeries.monomial(0, T, 2 if ogg and i == k else 1)}}
     for j in range(k - 1, 0, -1):
+        # The level saturates at the first N where every term of the level below
+        # meets _inv_poch_sum's fold (_saturated): from then on its sum of degree d
+        # is sat[d] = (sum_M A(M)) / (q^g; q^g)_oo, cut at inner(N).  Level 1
+        # without x_tracking adds up the factors of its saturated N, each of lowest
+        # exponent depth(2, N) >= depth(2, N*), and multiplies sat[0] by them once.
+        low = {m: min(v.effective_min() for v in vals.values()) for m, vals in below.items()}
+        sat = fused = None
         level = {}
         n = 1 if j == 1 else 0
         while (inner := T - depth(j + 1, n)) >= 0:
-            by_degree: dict[int, list] = {}
-            for m, vals in below.items():
-                if m > n:
-                    break
-                for d, v in vals.items():
-                    by_degree.setdefault(d, []).append((m, v))
-            sums = {d: bailey_mod._inv_poch_sum(g, ts, n, inner) for d, ts in by_degree.items()}
             lin = g * n if j >= i + off else 0
-            vals = {}
-            for d, s in sums.items():
-                if j == 1:
-                    s = (_bracket(g, brackets, n, T) * s).shift(lin)
+            if sat is None and _saturated(g, low, n, inner):
+                first, sat = n, level_sums(below, n, inner)
+            if sat is not None and j == 1 and not x_tracking:
+                f = _bracket(g, brackets, n, T).shift(lin)
+                if ogg and i == 1:
+                    f = f + f.shift(2 * n)
+                fused = f if fused is None else fused + f
+            else:
+                if sat is None:
+                    sums = level_sums(below, n, inner)
                 else:
-                    s = s.shift(g * n * n + lin)
-                if ogg and j == i:
-                    s = s + s.shift(2 * n)
-                vals[d + n if x_tracking else d] = s
-            level[n] = vals
+                    sums = {d: s.truncated(inner) for d, s in sat.items()}
+                vals = {}
+                for d, s in sums.items():
+                    if j == 1:
+                        s = (_bracket(g, brackets, n, T) * s).shift(lin)
+                    else:
+                        s = s.shift(g * n * n + lin)
+                    if ogg and j == i:
+                        s = s + s.shift(2 * n)
+                    vals[d + n if x_tracking else d] = s
+                level[n] = vals
             n += 1
+        if fused is not None:
+            level[first] = {0: (fused * sat[0]).truncated(T)}
         below = level
     if tag not in ("F-GF", "H-GF"):
         below[0] = {0: LaurentSeries.one(T)}  # the all-zero profile
@@ -327,7 +361,7 @@ def product_rhs(tag: str, k: int, i: int, T: int) -> LaurentSeries:
         out = pochhammer_infinite(-1, 1, 1, T) * product_triple(k, i, T)
     else:
         raise ValueError(f"{tag} has no product form")
-    return (out * euler_product(T).inverse()).truncated(T)
+    return (out * inverse_euler_product(T)).truncated(T)
 
 
 # ---------------------------------------------------------------------------
