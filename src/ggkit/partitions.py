@@ -9,7 +9,7 @@ tuples of positive ints.
 from __future__ import annotations
 
 import re
-from operator import add
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .series import _slot_bytes, _unpack
@@ -416,23 +416,38 @@ def count_family_bivariate(spec: FamilySpec, n: int) -> dict[int, int]:
 # clause the final state admits: one run per (family, k) serves every i.  P, A
 # and D ban residues that read i at every size, so they keep one run per (k, i).
 #
-# Each live state holds its (m parts, weight n) table as one packed int, the
-# count of (m, n) in slot n*(n_max+1) + m (Kronecker substitution, as in the
-# series kernel).  Appending c parts of size s is one shift by
-# s*c*(n_max+1) + c slots and one mask that drops the weights above n_max;
-# merging two states is one add.  Since m <= n, no entry reaches the next
-# weight row.  Every slot counts distinct objects of weight <= n_max, so the
-# number of all such (over)partitions bounds it and sets the slot width.
-# Beside each packed table the walk carries its per-weight totals on a plain
-# int list; the unpacked tables must reproduce them, or CountOverflowError is
-# raised, so a slot that overflowed can never reach a verdict.
+# Each live state holds its table as one packed int (Kronecker substitution, as
+# in the series kernel).  An (m parts, weight n) table keeps the count of (m, n)
+# in slot n*(n_max+1) + m, so appending c parts of size s is one shift by
+# s*c*(n_max+1) + c slots; since m <= n, no entry reaches the next weight row,
+# and the unpack reads only the m <= n triangle.  A per-weight table
+# (by_weight) has no m axis: the count of weight n sits in slot n, c parts of
+# size s shift it by s*c slots, and the unpack reads n_max + 1 slots.  Either
+# way one mask drops the weights above n_max, and merging two states is one add.
+# Every slot counts distinct objects of weight <= n_max, so the number of all
+# such (over)partitions bounds it and sets the slot width, with the top bit of
+# each slot to spare.  Each add checks those top bits: two slots below half the
+# slot's range add without a carry into the next slot, and a sum that reaches
+# half the range sets its top bit and raises CountOverflowError, so a slot that
+# overflowed can never reach a verdict.
 # ---------------------------------------------------------------------------
 
 
 class CountOverflowError(ArithmeticError):
-    """A packed count table disagrees with its unbounded per-weight totals."""
+    """A packed count table's slot outgrew its width."""
 
 
+class CountTable(dict):
+    """A sweep's {(m, n): count} table, exact for every weight n <= n_max."""
+
+    __slots__ = ("n_max",)
+
+    def __init__(self, n_max: int, counts=()):
+        super().__init__(counts)
+        self.n_max = n_max
+
+
+@lru_cache(maxsize=32)
 def _count_slot_bytes(n_max: int, overlines: bool) -> int:
     """Slot width in bytes of the packed tables: enough for the number of all
     (over)partitions of weight <= n_max, by a univariate DP."""
@@ -447,51 +462,56 @@ def _count_slot_bytes(n_max: int, overlines: bool) -> int:
 
 
 def _count_tables(n_max: int, step, start, overlines: bool = True,
-                  groups=lambda state: ("*",)) -> dict:
-    """{group: {(m, n): count}} over all objects of weight <= n_max, where an
-    object counts in every group that `groups(final state)` names.
+                  groups=lambda state: ("*",), by_weight: bool = False) -> dict:
+    """{group: table} over all objects of weight <= n_max, where an object counts
+    in every group that `groups(final state)` names.  A table is a CountTable,
+    or with by_weight the list of its per-weight totals, n = 0..n_max.
 
     `step(state, s, o, f)` is the state after o overlined and f plain parts of
     size s, the sizes walked from n_max + 1 down to 1, or None when a clause
     fails; each clause bounds a sum of counts, so every larger f fails too."""
     row = n_max + 1
+    slots = row if by_weight else row * row
     wb = _count_slot_bytes(n_max, overlines)
     bits = 8 * wb
-    full = (1 << bits * row * row) - 1
-    live = {start: (1, [1] + [0] * n_max)}
+    full = (1 << bits * slots) - 1
+    top = int.from_bytes((bytes(wb - 1) + b"\x80") * slots, "little")
+    n_stride, m_stride = (1, 0) if by_weight else (row, 1)  # (m, n) is slot n*n_stride + m*m_stride
+
+    def add_into(into: dict, key, packed: int) -> None:
+        if key in into:
+            packed += into[key]
+            if packed & top:
+                raise CountOverflowError(
+                    f"packed count table overflowed its {wb}-byte slots at n_max={n_max}")
+        into[key] = packed
+
+    live = {start: 1}
     for s in range(n_max + 1, 0, -1):
         nxt: dict = {}
-        for state, (packed, totals) in live.items():
+        for state, packed in live.items():
             for o in ((0, 1) if overlines else (0,)):
                 for f in range(n_max // s - o + 1):
                     new = step(state, s, o, f)
                     if new is None:
                         break
                     c = o + f
-                    moved = (packed << bits * (s * c * row + c)) & full
-                    moved_totals = [0] * (s * c) + totals[:row - s * c]
-                    if new in nxt:
-                        p, t = nxt[new]
-                        nxt[new] = (p + moved, list(map(add, t, moved_totals)))
-                    else:
-                        nxt[new] = (moved, moved_totals)
+                    shift = bits * (s * c * n_stride + c * m_stride)
+                    add_into(nxt, new, (packed << shift) & full)
         live = nxt
     packed_by: dict = {}
-    totals_by: dict = {}
-    for state, (packed, totals) in live.items():
+    for state, packed in live.items():
         for g in groups(state):
-            packed_by[g] = packed_by.get(g, 0) + packed
-            totals_by[g] = list(map(add, totals_by.get(g, [0] * row), totals))
+            add_into(packed_by, g, packed)
     tables = {}
     for g, packed in packed_by.items():
-        slots = _unpack(packed, row * row, wb)
-        for n, want in enumerate(totals_by[g]):
-            got = sum(slots[n * row:n * row + row])
-            if got != want:
-                raise CountOverflowError(
-                    f"packed count table overflowed its {wb}-byte slots at n_max={n_max}: "
-                    f"weight {n} totals {got}, want {want}")
-        tables[g] = {(j % row, j // row): cnt for j, cnt in enumerate(slots) if cnt}
+        counts = _unpack(packed, slots, wb)
+        if by_weight:
+            tables[g] = counts
+        else:
+            tables[g] = CountTable(n_max, {
+                (m, n): cnt for n in range(row)
+                for m, cnt in enumerate(counts[n * row:n * row + n + 1]) if cnt})
     return tables
 
 
@@ -541,17 +561,19 @@ def _o_step(k: int):
 _OFH_GROUPS = (("O",), ("O", "F"), ("O", "H"))
 
 
-def overpartition_ofh_tables(n_max: int, pairs) -> dict[tuple[str, int, int], dict[tuple[int, int], int]]:
-    """(m, n) count tables of the O family and its F/H smallest-part split for
-    every (k, i) in `pairs`, exact for all overpartitions of weight <= n_max."""
+def overpartition_ofh_tables(n_max: int, pairs, by_weight: bool = False) -> dict:
+    """{(family, k, i): table} of the O family and its F/H smallest-part split
+    for every (k, i) in `pairs`, exact for all overpartitions of weight <= n_max:
+    CountTables, or with by_weight lists of per-n counts."""
     tables = {}
     for k, ks in _i_by_k(pairs).items():
         # the final state's window is fbar(1) + f(2), which (k, i) caps at i-1
-        by_group = _count_tables(n_max, _o_step(k), (0, 0), groups=lambda st: [
+        by_group = _count_tables(n_max, _o_step(k), (0, 0), by_weight=by_weight, groups=lambda st: [
             (fam, i) for i in ks if st[0] < i for fam in _OFH_GROUPS[st[1]]])
         for i in ks:
-            for fam in "OFH":
-                tables[(fam, k, i)] = by_group.get((fam, i), {})
+            for fam in "OFH":  # a family with no member yet (F and H at small n) is empty
+                tables[(fam, k, i)] = by_group.get((fam, i)) or (
+                    [0] * (n_max + 1) if by_weight else CountTable(n_max))
     return tables
 
 
@@ -563,15 +585,15 @@ def overpartition_p_counts(n_max: int, pairs) -> dict[tuple[int, int], list[int]
         mod = 2 * k - 1 if i == k else 4 * k - 2
         bad = {0} if i == k else {0, (2 * i - 1) % mod, (mod - (2 * i - 1)) % mod}
         step = lambda st, s, o, f: None if (f or (o and i == k)) and s % mod in bad else st
-        counts[(k, i)] = family_counts_by_n(_count_tables(n_max, step, ())["*"], n_max)
+        counts[(k, i)] = _count_tables(n_max, step, (), by_weight=True)["*"]
     return counts
 
 
-def partition_family_tables(n_max: int, pairs, families: str = "BCAD"
-                            ) -> dict[tuple[str, int, int], dict[tuple[int, int], int]]:
-    """(m, n) count tables, weight <= n_max, of the ordinary-partition families
-    B, C (frequency conditions) and A, D (modular restrictions); only those
-    named in `families` are built."""
+def partition_family_tables(n_max: int, pairs, families: str = "BCAD",
+                            by_weight: bool = False) -> dict:
+    """{(family, k, i): table}, weight <= n_max, of the ordinary-partition
+    families B, C (frequency conditions) and A, D (modular restrictions); only
+    those named in `families` are built.  Tables as in overpartition_ofh_tables."""
     tables = {}
     for k, ks in _i_by_k(pairs).items():
         c_window = _window_step(k, lambda o, f: f)
@@ -582,7 +604,7 @@ def partition_family_tables(n_max: int, pairs, families: str = "BCAD"
         }
         for fam in families:
             if fam in windows:
-                by_i = _count_tables(n_max, windows[fam], 0, overlines=False,
+                by_i = _count_tables(n_max, windows[fam], 0, overlines=False, by_weight=by_weight,
                                      groups=lambda first: [i for i in ks if first < i])
                 tables.update(((fam, k, i), by_i[i]) for i in ks)
                 continue
@@ -592,7 +614,8 @@ def partition_family_tables(n_max: int, pairs, families: str = "BCAD"
                 bad = {0, r % mod, (mod - r) % mod}
                 step = lambda st, s, o, f: (None if f and (s % mod in bad or fam == "D" and s % 4 == 2)
                                             else st)
-                tables[(fam, k, i)] = _count_tables(n_max, step, (), overlines=False)["*"]
+                tables[(fam, k, i)] = _count_tables(n_max, step, (), overlines=False,
+                                                    by_weight=by_weight)["*"]
     return tables
 
 

@@ -59,6 +59,7 @@ from .marking import (
 from .partitions import (
     FamilySpec,
     Overpartition,
+    _i_by_k,
     _part_table,
     family_counts_by_n,
     iter_partitions_bounded,
@@ -618,29 +619,55 @@ def verify_identity(tag: str, k: int | None = None, i: int | None = None,
                     ("multisum", "enumeration"))
 
 
+def _per_weight(table, n_max: int, name: str) -> list[int]:
+    """The per-n counts, n <= n_max, of a per-weight list or an (m, n) table.  A
+    list, or a sweep's CountTable, that stops short of n_max is refused."""
+    reach = len(table) - 1 if isinstance(table, list) else getattr(table, "n_max", n_max)
+    if reach < n_max:
+        raise ValueError(f"the {name} table reaches n={reach}, short of n_max={n_max}")
+    return table[:n_max + 1] if isinstance(table, list) else family_counts_by_n(table, n_max)
+
+
 def verify_counting(theorem: str, k: int, i: int, n_max: int,
                     ofh_tables=None, p_counts=None, partition_tables=None) -> VerificationReport:
-    """Exhaustive equality of the paired counting families up to n_max."""
+    """Exhaustive equality of the paired counting families up to n_max.  The
+    tables not given are built per weight; a given table may be per weight or
+    (m, n), and one that stops short of n_max is refused with a ValueError."""
     _check_pair(k, i)
     _check_bound("n_max", n_max)
     if theorem == "T1.5":
         if ofh_tables is None:
-            ofh_tables = overpartition_ofh_tables(n_max, [(k, i)])
+            ofh_tables = overpartition_ofh_tables(n_max, [(k, i)], by_weight=True)
         if p_counts is None:
             p_counts = overpartition_p_counts(n_max, [(k, i)])
-        left = family_counts_by_n(ofh_tables[("O", k, i)], n_max)
-        right = p_counts[(k, i)][:n_max + 1]
+        left, right = ofh_tables[("O", k, i)], p_counts[(k, i)]
         names = ("O", "P")
     elif theorem in ("T1.1", "T1.2"):
         a, b = ("C", "D") if theorem == "T1.1" else ("B", "A")
         if partition_tables is None:
-            partition_tables = partition_family_tables(n_max, [(k, i)], families=a + b)
-        left = family_counts_by_n(partition_tables[(a, k, i)], n_max)
-        right = family_counts_by_n(partition_tables[(b, k, i)], n_max)
+            partition_tables = partition_family_tables(n_max, [(k, i)], families=a + b,
+                                                       by_weight=True)
+        left, right = partition_tables[(a, k, i)], partition_tables[(b, k, i)]
         names = (a, b)
     else:
         raise ValueError(f"unknown counting theorem {theorem!r}")
-    return _compare(theorem, {"k": k, "i": i, "n_max": n_max}, None, left, right, names)
+    return _compare(theorem, {"k": k, "i": i, "n_max": n_max}, None,
+                    _per_weight(left, n_max, names[0]), _per_weight(right, n_max, names[1]), names)
+
+
+def _counting_reports(k: int, ii, n_max: int) -> list[VerificationReport]:
+    """The T1.1, T1.2 and T1.5 reports of (k, i) for every i in ii, from one
+    per-weight sweep of each family: one O/F/H, one B and one C run serve every
+    i, and P, A and D take one run per pair."""
+    for i in ii:
+        _check_pair(k, i)
+    _check_bound("n_max", n_max)
+    pairs = [(k, i) for i in ii]
+    ofh = overpartition_ofh_tables(n_max, pairs, by_weight=True)
+    p = overpartition_p_counts(n_max, pairs)
+    part = partition_family_tables(n_max, pairs, by_weight=True)
+    return [verify_counting(theorem, k, i, n_max, ofh_tables=ofh, p_counts=p, partition_tables=part)
+            for i in ii for theorem in ("T1.1", "T1.2", "T1.5")]
 
 
 # ---------------------------------------------------------------------------
@@ -868,8 +895,8 @@ def _run_task(task):
         _, tag, k, i, T, profile = task
         return verify_identity(tag, k, i, T, profile=profile)
     if kind == "counting":
-        _, theorem, k, i, n_max = task
-        return verify_counting(theorem, k, i, n_max)
+        _, k, ii, n_max = task
+        return _counting_reports(k, ii, n_max)
     if kind == "bijections":
         _, pairs, n = task
         return verify_bijection_pairs(pairs, n)
@@ -882,9 +909,12 @@ def _run_task(task):
 # a weight of the k <= 3 sweep takes about 2 s at n = 18 and 1.45 times the time of
 # the one below (2-CPU Xeon), so a sweep to n_max = 40 already runs for hours
 _SWEEP_N_MAX = 40
-# the count tables grow about as n_max**3: counting at k = 2, i = 1 takes 9.5 s at
-# n_max = 300 and 107 s at 600 (2-CPU Xeon)
-_COUNT_N_MAX = 600
+# a counting task builds per-weight tables, one run per family and k (one per pair
+# for P, A and D): at n_max = 1000 the task for k = 4 and every i takes 2.1 s, and
+# the one for k = _K_MAX, i = 1, whose windows admit up to n_max // s parts of each
+# size s, takes 82 s and 51 MiB (2-CPU Xeon); 1000 is also _T_MAX, the reach of the
+# product sides these counts equal
+_COUNT_N_MAX = 1000
 # identities and Bailey chains grow about as T**3: at k = 2, i = 1, T = 1000 the
 # identities take 19 s and the Bailey checks 147 s (2-CPU Xeon)
 _T_MAX = 1000
@@ -897,9 +927,10 @@ _K_MAX = 1000
 def build_tasks(suite: str, k=None, i=None, n_max=None, T=None, profile=None) -> list[tuple]:
     """The suite's pool tasks, longest first: one bijection task per weight, from
     n_max (at most _SWEEP_N_MAX) down, for every selected pair at once, then the
-    identity and counting tasks (n_max at most _COUNT_N_MAX).  A profile gives one
-    task for its six class checks, at T at most 30 and a bucket reach at most
-    _PROFILE_REACH_MAX.  Under "all", a k below 2 leaves the summed identities out."""
+    identity tasks, then one counting task per k for all its selected i (n_max at
+    most _COUNT_N_MAX).  A profile gives one task for its six class checks, at T
+    at most 30 and a bucket reach at most _PROFILE_REACH_MAX.  Under "all", a k
+    below 2 leaves the summed identities out."""
     tasks: list[tuple] = []
     if suite in ("bijections", "all"):
         nm = n_max if n_max is not None else 12
@@ -928,9 +959,8 @@ def build_tasks(suite: str, k=None, i=None, n_max=None, T=None, profile=None) ->
     if suite in ("counting", "all"):
         nm = n_max if n_max is not None else 15
         _check_ceiling("n_max", nm, _COUNT_N_MAX)
-        for (kk, ii) in _default_pairs(k, i, 3):
-            for theorem in ("T1.1", "T1.2", "T1.5"):
-                tasks.append(("counting", theorem, kk, ii, nm))
+        for kk, ii in _i_by_k(_default_pairs(k, i, 3)).items():
+            tasks.append(("counting", kk, tuple(ii), nm))
     if not tasks and suite not in ("bailey",):
         raise ValueError(f"unknown suite {suite!r}")
     return tasks
@@ -951,8 +981,9 @@ def _available_cpus() -> int:
 def _run_tasks(tasks: list[tuple], workers: int, in_parent=list) -> list[VerificationReport]:
     """The reports of ``in_parent()`` (none by default) followed by those of
     build_tasks' tasks, run in order in a pool of workers processes (in this one
-    when workers is 1); a profile task gives six reports, and the per-weight
-    bijection results are merged into one report per pair.
+    when workers is 1); a profile task gives six reports, a counting task three
+    per i, and the per-weight bijection results are merged into one report per
+    pair.
 
     With a pool, every task is submitted before ``in_parent`` runs, so it runs
     here while the workers work, and the workers fork before it grows this
@@ -976,7 +1007,7 @@ def _run_tasks(tasks: list[tuple], workers: int, in_parent=list) -> list[Verific
     for task, result in zip(tasks, results):
         if task[0] == "bijections":
             by_weight[task[2]] = result
-        elif task[0] == "profile":
+        elif task[0] in ("profile", "counting"):
             reports.extend(result)
         else:
             reports.append(result)

@@ -2,7 +2,8 @@
 
 `dict_count_tables` is the same size-by-size walk over the same steps and
 states, top-down from n_max + 1 to 1, but each live state holds a plain
-{(m, n): count} dict and every entry is moved one at a time.  It has the
+{(m, n): count} dict (with by_weight, {(0, n): count}) and every entry is
+moved one at a time.  It has the
 signature and return shape of `partitions._count_tables`, so a test can
 monkeypatch it in and run the public sweeps through it.
 
@@ -15,7 +16,10 @@ run per (family, k) into its tables.
 
 
 def dict_count_tables(n_max: int, step, start, overlines: bool = True,
-                      groups=lambda state: ("*",), bottom_up: bool = False) -> dict:
+                      groups=lambda state: ("*",), bottom_up: bool = False,
+                      by_weight: bool = False) -> dict:
+    # by_weight keeps no part count: every entry is (0, n), listed by n at the end
+    per_part = 0 if by_weight else 1
     live = {start: {(0, 0): 1}}
     for s in (range(1, n_max + 2) if bottom_up else range(n_max + 1, 0, -1)):
         nxt: dict = {}
@@ -30,7 +34,7 @@ def dict_count_tables(n_max: int, step, start, overlines: bool = True,
                     dst = nxt.setdefault(new, {})
                     for (m, w), cnt in table.items():
                         if w <= room:
-                            key = (m + c, w + s * c)
+                            key = (m + c * per_part, w + s * c)
                             dst[key] = dst.get(key, 0) + cnt
         live = nxt
     out: dict = {}
@@ -39,6 +43,8 @@ def dict_count_tables(n_max: int, step, start, overlines: bool = True,
             merged = out.setdefault(g, {})
             for key, cnt in table.items():
                 merged[key] = merged.get(key, 0) + cnt
+    if by_weight:
+        return {g: [merged.get((0, n), 0) for n in range(n_max + 1)] for g, merged in out.items()}
     return out
 
 

@@ -298,7 +298,7 @@ def test_verify_jobs_env_default(capsys, monkeypatch):
     ({}, ["verify", "--suite", "identities", "--profile", "1000", "--T", "10"]),
     ({}, ["verify", "--suite", "identities", "--profile", "5", "--T", "22"]),
     ({}, ["verify", "--suite", "counting", "--k", "2", "--i", "1", "--n-max", "100000"]),
-    ({}, ["verify", "--suite", "counting", "--k", "2", "--i", "1", "--n-max", "601"]),
+    ({}, ["verify", "--suite", "counting", "--k", "2", "--i", "1", "--n-max", "1001"]),
     ({}, ["verify", "--suite", "identities", "--k", "2", "--i", "1", "--T", "100000"]),
     ({}, ["verify", "--suite", "all", "--k", "2", "--i", "1", "--n-max", "12", "--T", "1001"]),
     ({}, ["verify", "--suite", "bailey", "--k", "3", "--i", "1", "--T", "1001"]),
@@ -412,7 +412,7 @@ def test_bounds_at_their_fixed_ceiling_are_accepted(monkeypatch):
     monkeypatch.setattr(verify, "_run_tasks", build_only)
     verify.run_suite("all", k=verify._K_MAX, i=1, n_max=12, T=verify._T_MAX, jobs=1)
     verify.run_suite("counting", k=2, i=1, n_max=verify._COUNT_N_MAX, jobs=1)
-    assert [t[-1] for t in built[1]] == [verify._COUNT_N_MAX] * 3
+    assert [t[-1] for t in built[1]] == [verify._COUNT_N_MAX]  # one counting task per k
 
 
 @pytest.mark.parametrize("stage,T,n_max,note", [

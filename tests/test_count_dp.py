@@ -5,7 +5,9 @@ walk against the bottom-up route it replaced.
 `partitions._count_tables`, it runs the three public sweeps with the same
 steps, states and groups.  The `bottom_up_*` sweeps keep the old steps, one run
 per (family, k, i).  Each sweep is exact for every weight up to its bound, so
-one oracle run at n = 40, cut down to weight n, is the table at n.
+one oracle run at n = 40, cut down to weight n, is the table at n.  The
+per-weight tables (one slot per weight, no m axis) must equal the (m, n)
+tables collapsed to per-weight totals, and the bottom-up route likewise.
 """
 
 import pytest
@@ -19,6 +21,7 @@ from dict_count_dp import (
 from ggkit import partitions
 from ggkit.partitions import (
     CountOverflowError,
+    family_counts_by_n,
     overpartition_ofh_tables,
     overpartition_p_counts,
     partition_family_tables,
@@ -88,7 +91,7 @@ def test_narrow_slots_raise_and_return_no_tables(monkeypatch, sweep):
 
     def recording(*args, **kwargs):
         tables = dict_count_tables(*args, **kwargs)
-        widest.extend(max(t.values()) for t in tables.values())
+        widest.extend(max(t if isinstance(t, list) else t.values()) for t in tables.values())
         return tables
 
     with monkeypatch.context() as m:
@@ -101,6 +104,58 @@ def test_narrow_slots_raise_and_return_no_tables(monkeypatch, sweep):
         got = sweep(n, pairs)
     assert got is None
     assert not issubclass(CountOverflowError, ValueError)
+
+
+# -- the per-weight mode ----------------------------------------------------
+
+PER_WEIGHT = [
+    ("OFH", lambda n: overpartition_ofh_tables(n, PAIRS, by_weight=True), bottom_up_ofh_tables),
+    ("P", lambda n: overpartition_p_counts(n, PAIRS), bottom_up_p_counts),
+    ("BCAD", lambda n: partition_family_tables(n, PAIRS, by_weight=True), bottom_up_family_tables),
+]
+
+
+def _per_weight(tables: dict, n: int) -> dict:
+    """Every table of a sweep as its per-n totals up to weight n."""
+    return {key: table[:n + 1] if isinstance(table, list) else family_counts_by_n(table, n)
+            for key, table in tables.items()}
+
+
+@pytest.mark.parametrize("families, sweep, bottom_up", PER_WEIGHT,
+                         ids=[f for f, _, _ in PER_WEIGHT])
+def test_per_weight_tables_match_the_m_n_tables_and_the_bottom_up_route(
+        monkeypatch, families, sweep, bottom_up):
+    oracle = bottom_up(N, PAIRS)
+    real = partitions._count_tables
+
+    def m_n_collapsed(n_max, *args, by_weight=False, **kwargs):
+        tables = real(n_max, *args, **kwargs)
+        return _per_weight(tables, n_max) if by_weight else tables
+
+    for n in range(N + 1):
+        got = sweep(n)
+        assert all(len(table) == n + 1 for table in got.values())
+        assert got == _per_weight(oracle, n), n
+        with monkeypatch.context() as m:
+            m.setattr(partitions, "_count_tables", m_n_collapsed)
+            assert sweep(n) == got, n
+    if families != "P":
+        assert {key[0] for key in got} == set(families)
+
+
+@pytest.mark.parametrize("sweep", [sweep for _, sweep, _ in PER_WEIGHT],
+                         ids=[f for f, _, _ in PER_WEIGHT])
+def test_per_weight_mode_raises_under_one_byte_slots(monkeypatch, sweep):
+    n = 24
+    assert max(max(table) for table in sweep(n).values()) > 127
+    monkeypatch.setattr(partitions, "_count_slot_bytes", lambda n_max, overlines: 1)
+    with pytest.raises(CountOverflowError):
+        sweep(n)
+
+
+def test_m_n_tables_record_their_reach():
+    for tables in (overpartition_ofh_tables(7, PAIRS), partition_family_tables(7, PAIRS)):
+        assert {table.n_max for table in tables.values()} == {7}
 
 
 def test_slot_width_bounds_every_count():

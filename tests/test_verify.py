@@ -11,6 +11,8 @@ from ggkit.partitions import (
     Overpartition,
     count_family,
     enumerate_overpartitions,
+    overpartition_ofh_tables,
+    overpartition_p_counts,
     partition_family_tables,
 )
 from ggkit.series import LaurentSeries, pochhammer_finite
@@ -143,6 +145,27 @@ def test_counting_report_names_witness():
     pc = {(2, 2): [1, 0, 0, 0]}
     rep = verify_counting("T1.5", 2, 2, 3, ofh_tables=tables, p_counts=pc)
     assert not rep.ok and rep.detail == "first difference at n=3: O=99, P=0"
+
+
+@pytest.mark.parametrize("theorem, tables, reach", [
+    # a sweep's (m, n) tables record the weight they reach
+    ("T1.2", {"partition_tables": partition_family_tables(10, [(2, 1)])}, 10),
+    ("T1.1", {"partition_tables": partition_family_tables(10, [(2, 1)], by_weight=True)}, 10),
+    ("T1.5", {"ofh_tables": overpartition_ofh_tables(10, [(2, 1)])}, 10),
+    ("T1.5", {"p_counts": {(2, 1): [1, 0, 1]}}, 2),
+], ids=["m-n-table", "per-weight-list", "ofh-table", "short-p-list"])
+def test_counting_refuses_a_table_short_of_n_max(theorem, tables, reach):
+    # past weight 10 both sides would read zero, and the verdict would pass
+    with pytest.raises(ValueError, match=rf"reaches n={reach}, short of n_max=30$"):
+        verify_counting(theorem, 2, 1, 30, **tables)
+
+
+def test_counting_reads_any_table_that_reaches_n_max():
+    ofh, p = overpartition_ofh_tables(12, [(3, 2)]), overpartition_p_counts(12, [(3, 2)])
+    part = partition_family_tables(12, [(3, 2)], by_weight=True)
+    for theorem in ("T1.1", "T1.2", "T1.5"):
+        rep = verify_counting(theorem, 3, 2, 9, ofh_tables=ofh, p_counts=p, partition_tables=part)
+        assert rep == verify_counting(theorem, 3, 2, 9) and rep.ok
 
 
 def test_series_report_names_the_first_difference(monkeypatch):
@@ -678,7 +701,25 @@ def test_counting_suite_builds_only_the_tables_it_compares(monkeypatch):
     monkeypatch.setattr(partitions, "_count_tables", counted)
     reports = run_suite("counting", k=4, n_max=60, jobs=1)
     assert len(reports) == 12 and all(rep.ok for rep in reports)
-    assert len(runs) == 24  # two family tables for T1.1 and T1.2, O/F/H and P for T1.5
+    # one task for k = 4: one O/F/H, one B and one C run serve all four i, and
+    # P, A and D take one run per i
+    assert len(runs) == 15
+
+
+def test_counting_suite_has_one_task_per_k():
+    assert build_tasks("counting", k=4, n_max=60) == [("counting", 4, (1, 2, 3, 4), 60)]
+    assert build_tasks("counting", i=2, n_max=5) == [("counting", 2, (2,), 5),
+                                                     ("counting", 3, (2,), 5)]
+
+
+def test_counting_suite_matches_per_pair_verdicts_on_m_n_tables():
+    pairs = [(4, i) for i in range(1, 5)]
+    ofh, p = overpartition_ofh_tables(60, pairs), overpartition_p_counts(60, pairs)
+    part = partition_family_tables(60, pairs)
+    want = [verify_counting(theorem, 4, i, 60, ofh_tables=ofh, p_counts=p, partition_tables=part)
+            for i in range(1, 5) for theorem in ("T1.1", "T1.2", "T1.5")]
+    want.sort(key=lambda r: (r.identity, r.params["i"]))
+    assert _as_json(run_suite("counting", k=4, n_max=60, jobs=1)) == _as_json(want)
 
 
 @pytest.mark.parametrize("tag", sorted(verify._ENUM_FAMILY))
