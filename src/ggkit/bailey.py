@@ -5,18 +5,19 @@ exponent grid: a stored exponent e stands for q**(e/grid).  The chain starts
 on the half-integer grid (grid = 2) because the seed pair and its iterates
 involve half-integer powers; the final base-change step lands on the plain
 grid (grid = 1) after checking that every surviving exponent is even.  A
-PAIR-RELATION failure on grid 2 says so: its q^e stands for q^(e/2).
+PAIR-RELATION or SEED-BETA failure on grid 2 says so: its q^e stands for
+q^(e/2).
 
 Sequences are evaluated lazily and memoized through one ``lru_cache`` per
 sequence, so deep beta evaluations only pay for the indices a given truncation
 can see.  Each beta sum over 1/(q^g; q^g)_{n-m}, here and in the multisum
 levels of ``verify``, goes through ``_inv_poch_sum``.  Its inverse Pochhammers
-are entries of ``series.inverse_pochhammer``'s table at a power-of-two
-truncation, each grown from the one below it a factor at a time; no series
-inverse is taken.  The theta terms (the seed pair's alpha, the shift
-transform's closed form) come from ``series.theta_term``.  Transforms take no
-label: each names its output after its input, and ``run_chain`` names every
-stage by its position.
+come from ``series.inverse_pochhammer``, which owns their memo and tables; no
+series inverse is taken.  The one q-product memo kept here is
+``_relation_kernel``, the product of two of them.  The theta terms (the seed
+pair's alpha, the shift transform's closed form) come from
+``series.theta_term``.  Transforms take no label: each names its output after
+its input, and ``run_chain`` names every stage by its position.
 """
 
 from __future__ import annotations
@@ -49,25 +50,6 @@ class LimitDiagnosticError(RuntimeError):
     """The limiting series did not stabilize within the allowed index range."""
 
 
-def _build_cap(trunc: int) -> int:
-    """The truncation of the build that serves trunc: the next power of two >= trunc."""
-    return 1 << (trunc - 1).bit_length()
-
-
-@lru_cache(maxsize=1024)  # the test suite fills 441 entries, a series run 74
-def _inv_poch_built(step: int, m: int, cap: int) -> LaurentSeries:
-    """1/(q**step; q**step)_m on the stored grid, truncated at cap: an entry of
-    series.inverse_pochhammer's table at (step, cap)."""
-    return inverse_pochhammer(step, m, cap)
-
-
-@lru_cache(maxsize=4096)  # the test suite fills about 1 000 entries, a series run 26
-def _inv_poch(step: int, m: int, trunc: int) -> LaurentSeries:
-    """1/(q**step; q**step)_m on the stored grid, truncated: cut from the one
-    built at the next power of two >= trunc, so nearby truncations share a build."""
-    return _inv_poch_built(step, m, _build_cap(trunc)).truncated(trunc)
-
-
 def _inv_poch_sum(step: int, terms: Iterable[tuple[int, LaurentSeries]], n: int,
                   trunc: int) -> LaurentSeries:
     """sum_m t_m / (q**step; q**step)_{n-m} over the pairs (m, t_m) of terms
@@ -75,14 +57,11 @@ def _inv_poch_sum(step: int, terms: Iterable[tuple[int, LaurentSeries]], n: int,
 
     (q^g; q^g)_j and (q^g; q^g)_oo agree below q^{g(j+1)}, so a term whose lowest
     exponent e has g(n-m+1) > trunc - e equals t_m / (q^g; q^g)_oo up to trunc:
-    those terms are added first and multiplied once, by 1/(q^g; q^g)_{cap//g},
-    which is 1/(q^g; q^g)_oo up to cap >= trunc.  Every other term is one
-    multiply, taken by falling m (the callers pass rising m), so an inverse
-    not built yet grows from the shorter one built just before it.  Each
-    inverse is the build that _inv_poch cuts from, uncut: the
-    product of a term truncated at trunc with it ends at trunc all the same.
+    those terms are added first and multiplied once, by 1/(q^g; q^g)_{trunc//g},
+    which is 1/(q^g; q^g)_oo up to trunc.  Every other term is one multiply,
+    taken by falling m (the callers pass rising m), so an inverse not built yet
+    grows from the shorter one built just before it.
     """
-    cap = _build_cap(trunc)
     acc = tail = None
     rest = []
     for m, t in terms:
@@ -92,20 +71,20 @@ def _inv_poch_sum(step: int, terms: Iterable[tuple[int, LaurentSeries]], n: int,
         else:
             rest.append((n - m, t))
     for length, t in reversed(rest):
-        p = t * _inv_poch_built(step, length, cap)
+        p = t * inverse_pochhammer(step, length, trunc)
         acc = p if acc is None else acc + p
     if tail is not None:
-        p = tail * _inv_poch_built(step, cap // step, cap)
+        p = tail * inverse_pochhammer(step, trunc // step, trunc)
         acc = p if acc is None else acc + p
     return LaurentSeries.zero(trunc) if acc is None else acc
 
 
-@lru_cache(maxsize=1024)  # the test suite fills 437 entries, a series run 56
+@lru_cache(maxsize=1024)  # the test suite fills 381 entries, a series run 56
 def _relation_kernel(step: int, a: int, b: int, trunc: int) -> LaurentSeries:
     """1/((q**step; q**step)_a (q**step; q**step)_b), truncated: the factor of
     alpha_r in the relation at n with (a, b) = (n - r, n + r), shared by every
     pair on the same grid and truncation."""
-    return _inv_poch(step, a, trunc) * _inv_poch(step, b, trunc)
+    return inverse_pochhammer(step, a, trunc) * inverse_pochhammer(step, b, trunc)
 
 
 class BaileyPair:
@@ -240,6 +219,11 @@ def transform_base_change(pair: BaileyPair) -> BaileyPair:
     return BaileyPair(f"{pair.label}+base", 1, trunc_q, alpha, beta)
 
 
+def _grid_note(grid: int) -> str:
+    """The tail of a failure detail that prints series in stored grid units."""
+    return f"; on grid {grid}, q^e stands for q^(e/{grid})" if grid != 1 else ""
+
+
 def verify_pair_relation(pair: BaileyPair, n_max: int) -> tuple[bool, str]:
     """Check beta_n = sum_r alpha_r / ((q;q)_{n-r} (q;q)_{n+r}) for n <= n_max."""
     g, trunc = pair.grid, pair.trunc
@@ -250,10 +234,10 @@ def verify_pair_relation(pair: BaileyPair, n_max: int) -> tuple[bool, str]:
             acc = acc + term.truncated(trunc)
         diff = acc.first_difference(pair.beta(n))
         if diff is not None:
-            grid = f"; on grid {g}, q^e stands for q^(e/{g})" if g != 1 else ""
             return False, (
                 f"pair {pair.label}: relation fails at n={n}, first difference at "
-                f"q^{diff} ({acc.coefficient(diff)} vs {pair.beta(n).coefficient(diff)}){grid}"
+                f"q^{diff} ({acc.coefficient(diff)} vs {pair.beta(n).coefficient(diff)})"
+                f"{_grid_note(g)}"
             )
     return True, ""
 

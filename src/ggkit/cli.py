@@ -7,7 +7,7 @@ verdicts and raises for anything else; ``main`` alone turns an error into one
 could finish in reasonable time and memory: a listing above weight 100, a part
 above 10**6, a Bailey dump past ``--n-max`` 1000, a profile whose class
 buckets reach past weight 46, and under ``verify`` and ``bailey`` a ``--T``
-above 1000, a ``--k`` above 1000 and a counting ``--n-max`` above 600 (see
+above 1000, a ``--k`` above 1000 and a counting ``--n-max`` above 1000 (see
 ``verify._T_MAX``, ``_K_MAX`` and ``_COUNT_N_MAX``).  Overlined parts are
 written with a trailing ``~`` in all text output; a combining overline is
 accepted on input.

@@ -3,13 +3,20 @@
 Each function is the plain loop: one multiply by 1/(q^g; q^g)_{n-m} per term,
 with no saturated terms folded into one multiply.  `inv_poch_sum` has the
 signature of `bailey._inv_poch_sum`; `iterate_beta` and `base_change_beta` give
-beta_n of `transform_iterate(pair)` and `transform_base_change(pair)`.
+beta_n of `transform_iterate(pair)` and `transform_base_change(pair)`.  Each
+inverse Pochhammer is a series inverse of the finite product, so the loops share
+no table with `series.inverse_pochhammer`, which the code they check reads.
 """
 
 from functools import lru_cache
 
-from ggkit.bailey import _inv_poch
 from ggkit.series import LaurentSeries, pochhammer_finite
+
+
+@lru_cache(maxsize=None)
+def _inv_poch(step, m, trunc):
+    """1/(q^step; q^step)_m, truncated at trunc."""
+    return pochhammer_finite(1, step, step, m, trunc).inverse()
 
 
 def inv_poch_sum(step, terms, n, trunc):

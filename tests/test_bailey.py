@@ -7,8 +7,6 @@ from ggkit.bailey import (
     BaileyPair,
     ChainParameterError,
     PairFormError,
-    _inv_poch,
-    _inv_poch_built,
     combine,
     limit_identity,
     run_chain,
@@ -18,7 +16,8 @@ from ggkit.bailey import (
     unit_pair,
     verify_pair_relation,
 )
-from ggkit.series import LaurentSeries
+from ggkit import series
+from ggkit.series import LaurentSeries, inverse_pochhammer
 from ggkit.verify import product_rhs
 
 
@@ -41,7 +40,7 @@ def test_unit_pair_relation():
 def test_seed_beta_closed_form():
     seed = transform_iterate(unit_pair(20))
     for n in range(9):
-        assert seed.beta(n) == _inv_poch(seed.grid, n, seed.trunc), n
+        assert seed.beta(n) == inverse_pochhammer(seed.grid, n, seed.trunc), n
     ok, msg = verify_pair_relation(seed, 8)
     assert ok, msg
 
@@ -115,7 +114,7 @@ def test_averaged_pair_closed_form():
     for n in range(5):
         terms = {0: Fraction(1, 2)}
         terms[g * n] = terms.get(g * n, 0) + Fraction(1, 2)
-        want = LaurentSeries.from_terms(terms, trunc) * _inv_poch(g, n, trunc)
+        want = LaurentSeries.from_terms(terms, trunc) * inverse_pochhammer(g, n, trunc)
         assert avg.beta(n) == want, n
 
 
@@ -185,14 +184,14 @@ def test_limit_constant_term():
 def test_cached_inverse_pochhammer_is_read_only():
     from ggkit.series import pochhammer_finite
 
-    cached = _inv_poch(2, 3, 20)
+    cached = inverse_pochhammer(2, 3, 20)
     with pytest.raises(TypeError):
         cached.coeffs[0] = 5
     with pytest.raises(TypeError):
         cached._num[0] = 5
     with pytest.raises(AttributeError):
         cached.truncation = 3
-    assert _inv_poch(2, 3, 20) is cached
+    assert inverse_pochhammer(2, 3, 20) is cached
     fresh = pochhammer_finite(1, 2, 2, 3, 20).inverse()
     assert cached == fresh
     assert cached.to_json() == fresh.to_json()
@@ -205,11 +204,13 @@ def test_inverse_pochhammer_cut_from_a_coarser_build_equals_a_fresh_one():
         for m in range(7):
             for trunc in (0, 1, 5, 17, 33, 64):
                 fresh = pochhammer_finite(1, step, step, m, trunc).inverse()
-                assert _inv_poch(step, m, trunc).to_json() == fresh.to_json(), (step, m, trunc)
-    before = _inv_poch_built.cache_info().misses
-    for trunc in (33, 50, 64):  # one build, at 64, serves all three
-        _inv_poch(3, 5, trunc)
-    assert _inv_poch_built.cache_info().misses - before <= 1
+                got = inverse_pochhammer(step, m, trunc)
+                assert got.to_json() == fresh.to_json(), (step, m, trunc)
+    inverse_pochhammer.cache_clear()
+    series._inverse_table.cache_clear()
+    for trunc in (33, 50, 64):  # one table, at cap 64, serves all three
+        inverse_pochhammer(3, 5, trunc)
+    assert series._inverse_table.cache_info().misses == 1
 
 
 def test_base_change_builds_each_summand_once(monkeypatch):
@@ -282,13 +283,13 @@ def test_inverse_pochhammer_sum_folds_exactly_the_saturated_terms(step, monkeypa
              for m in range(n + 1)]
     want = inv_poch_sum(step, terms, n, trunc)
     lengths = []
-    real = bailey._inv_poch_built
+    real = bailey.inverse_pochhammer
 
-    def counted(s, length, cap):
+    def counted(s, length, t):
         lengths.append(length)
-        return real(s, length, cap)
+        return real(s, length, t)
 
-    monkeypatch.setattr(bailey, "_inv_poch_built", counted)
+    monkeypatch.setattr(bailey, "inverse_pochhammer", counted)
     got = bailey._inv_poch_sum(step, terms, n, trunc)
     assert got.to_json() == want.to_json()
     # one multiply per odd m by 1/(q^g; q^g)_{n-m}, and one, past length n, for the rest

@@ -415,6 +415,13 @@ def test_bounds_at_their_fixed_ceiling_are_accepted(monkeypatch):
     assert [t[-1] for t in built[1]] == [verify._COUNT_N_MAX]  # one counting task per k
 
 
+def test_help_names_the_fixed_ceilings():
+    # ggkit --help prints the module docstring, so its ceilings must be the enforced ones
+    doc = " ".join(cli.__doc__.split())
+    assert f"a counting ``--n-max`` above {verify._COUNT_N_MAX}" in doc
+    assert f"a ``--T`` above {verify._T_MAX}, a ``--k`` above {verify._K_MAX}" in doc
+
+
 @pytest.mark.parametrize("stage,T,n_max,note", [
     ("-1", "10", "2", "final"),
     ("258", "4", "30", "last.shift"),  # past the truncation, where earlier betas stop

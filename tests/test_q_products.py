@@ -97,6 +97,7 @@ def _shuffled(ms):
 @pytest.mark.parametrize("cap", [1, 2, 64])
 @pytest.mark.parametrize("step", [1, 2, 4])
 def test_inverse_table_equals_the_inverted_pochhammer(step, cap):
+    inverse_pochhammer.cache_clear()
     series._inverse_table.cache_clear()
     for m in _shuffled(range(cap // step + 1)):
         want = pochhammer_finite(1, step, step, m, cap).inverse()
@@ -107,6 +108,7 @@ def test_inverse_table_equals_the_inverted_pochhammer(step, cap):
 
 
 def test_inverse_table_builds_a_deep_entry_in_one_pass():
+    inverse_pochhammer.cache_clear()
     series._inverse_table.cache_clear()
     got = inverse_pochhammer(1, 1024, 1024)  # 1 024 factors, none of them recursive
     want = pochhammer_finite(1, 1, 1, 1024, 1024).inverse()
@@ -134,7 +136,7 @@ def test_a_repeated_pochhammer_request_returns_the_memoized_build():
         count = max(0, (T - shift) // base + 1)
         fresh = _binomial_product((shift + t * base for t in range(count)), -sign, T)
         assert first.to_json() == fresh.to_json()
-    for memo in (pochhammer_finite, pochhammer_infinite, series._inverse_table):
+    for memo in (pochhammer_finite, inverse_pochhammer, series._inverse_table):
         assert memo.cache_info().maxsize is not None
 
 

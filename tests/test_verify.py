@@ -5,7 +5,7 @@ from functools import lru_cache
 import pytest
 from tuple_multisum import tuple_multisum_lhs
 
-from ggkit import bailey, marking, partitions, verify
+from ggkit import bailey, bijections, marking, partitions, series, verify
 from ggkit.partitions import (
     FamilySpec,
     Overpartition,
@@ -201,7 +201,8 @@ def test_seed_beta_report_names_both_sides(monkeypatch):
     assert rep.detail == (
         "first difference at n=2: "
         "beta=<series 1 + q^2 + q^3 + 2*q^4 + 2*q^6 + 3*q^8 + ... + O(q^13)>, "
-        "1/(q;q)_n=<series 1 + q^2 + 2*q^4 + 2*q^6 + 3*q^8 + 3*q^10 + ... + O(q^13)>")
+        "1/(q;q)_n=<series 1 + q^2 + 2*q^4 + 2*q^6 + 3*q^8 + 3*q^10 + ... + O(q^13)>; "
+        "on grid 2, q^e stands for q^(e/2)")
 
 
 def test_class_gf_profile_examples(class_buckets, partition_class_buckets):
@@ -508,12 +509,14 @@ def test_object_memo_is_bounded(cold_object_memo, monkeypatch):
 
 
 def test_every_module_level_cache_is_bounded():
-    cached = [fn for mod in (bailey, partitions, verify) for fn in vars(mod).values()
-              if hasattr(fn, "cache_info")]
-    assert {fn.__name__ for fn in cached} >= {"_inv_poch", "_bracket", "_object_checks"}
+    mods = (bailey, bijections, marking, partitions, series, verify)
+    cached = [fn for mod in mods for fn in vars(mod).values() if hasattr(fn, "cache_info")]
+    # series owns every q-product memo; bailey keeps only the product of two of them
+    assert {fn.__name__ for fn in cached} == {
+        "pochhammer_finite", "inverse_pochhammer", "_inverse_table", "_relation_kernel",
+        "_object_checks", "_count_slot_bytes"}
     assert all(fn.cache_info().maxsize is not None for fn in cached)
-    assert not [name for mod in (bailey, partitions, verify) for name in vars(mod)
-                if name.endswith("_CACHE")]
+    assert not [name for mod in mods for name in vars(mod) if name.endswith("_CACHE")]
 
 
 def test_object_key_roundtrip():
