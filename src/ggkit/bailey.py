@@ -11,9 +11,10 @@ q^(e/2).
 Sequences are evaluated lazily and memoized through one ``lru_cache`` per
 sequence, so deep beta evaluations only pay for the indices a given truncation
 can see.  Each beta sum over 1/(q^g; q^g)_{n-m}, here and in the multisum
-levels of ``verify``, goes through ``_inv_poch_sum``.  Its inverse Pochhammers
-come from ``series.inverse_pochhammer``, which owns their memo and tables; no
-series inverse is taken.  The one q-product memo kept here is
+levels of ``verify``, goes through ``_inv_poch_sum``, and is one
+``series.sum_of_products``, as is each side of the pair relation.  Its inverse
+Pochhammers come from ``series.inverse_pochhammer``, which owns their memo and
+tables; no series inverse is taken.  The one q-product memo kept here is
 ``_relation_kernel``, the product of two of them.  The theta terms (the seed
 pair's alpha, the shift transform's closed form) come from
 ``series.theta_term``.  Transforms take no label: each names its output after
@@ -34,6 +35,7 @@ from .series import (
     inverse_pochhammer,
     pochhammer_finite,
     pochhammer_infinite,
+    sum_of_products,
     theta_term,
 )
 
@@ -57,12 +59,14 @@ def _inv_poch_sum(step: int, terms: Iterable[tuple[int, LaurentSeries]], n: int,
 
     (q^g; q^g)_j and (q^g; q^g)_oo agree below q^{g(j+1)}, so a term whose lowest
     exponent e has g(n-m+1) > trunc - e equals t_m / (q^g; q^g)_oo up to trunc:
-    those terms are added first and multiplied once, by 1/(q^g; q^g)_{trunc//g},
-    which is 1/(q^g; q^g)_oo up to trunc.  Every other term is one multiply,
-    taken by falling m (the callers pass rising m), so an inverse not built yet
-    grows from the shorter one built just before it.
+    those terms are added first and paired once, with 1/(q^g; q^g)_{trunc//g},
+    which is 1/(q^g; q^g)_oo up to trunc.  Every other term is paired with its
+    own inverse, and all the pairs make one ``series.sum_of_products``.  The
+    inverses are asked for by falling m, i.e. shortest length first (the callers
+    pass rising m), so an inverse not built yet grows from the one built just
+    before it.
     """
-    acc = tail = None
+    tail = None
     rest = []
     for m, t in terms:
         t = t.truncated(trunc)
@@ -70,13 +74,10 @@ def _inv_poch_sum(step: int, terms: Iterable[tuple[int, LaurentSeries]], n: int,
             tail = t if tail is None else tail + t
         else:
             rest.append((n - m, t))
-    for length, t in reversed(rest):
-        p = t * inverse_pochhammer(step, length, trunc)
-        acc = p if acc is None else acc + p
+    pairs = [(t, inverse_pochhammer(step, length, trunc)) for length, t in reversed(rest)]
     if tail is not None:
-        p = tail * inverse_pochhammer(step, trunc // step, trunc)
-        acc = p if acc is None else acc + p
-    return LaurentSeries.zero(trunc) if acc is None else acc
+        pairs.append((tail, inverse_pochhammer(step, trunc // step, trunc)))
+    return sum_of_products(pairs, trunc)
 
 
 @lru_cache(maxsize=1024)  # the test suite fills 381 entries, a series run 56
@@ -225,13 +226,12 @@ def _grid_note(grid: int) -> str:
 
 
 def verify_pair_relation(pair: BaileyPair, n_max: int) -> tuple[bool, str]:
-    """Check beta_n = sum_r alpha_r / ((q;q)_{n-r} (q;q)_{n+r}) for n <= n_max."""
+    """Check beta_n = sum_r alpha_r / ((q;q)_{n-r} (q;q)_{n+r}) for n <= n_max,
+    each right side one ``series.sum_of_products`` of the pairs (alpha_r, kernel)."""
     g, trunc = pair.grid, pair.trunc
     for n in range(n_max + 1):
-        acc = LaurentSeries.zero(trunc)
-        for r in range(n + 1):
-            term = pair.alpha(r) * _relation_kernel(g, n - r, n + r, trunc)
-            acc = acc + term.truncated(trunc)
+        acc = sum_of_products([(pair.alpha(r), _relation_kernel(g, n - r, n + r, trunc))
+                               for r in range(n + 1)], trunc)
         diff = acc.first_difference(pair.beta(n))
         if diff is not None:
             return False, (

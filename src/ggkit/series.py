@@ -16,7 +16,10 @@ into one bigint with a slot wide enough for any product coefficient, the
 two bigints are multiplied once by CPython (Karatsuba), and the coefficients
 the result keeps are read back out of the slots (Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", JSC 2009).  Short or
-sparse products use a schoolbook loop over ints.
+sparse products use a schoolbook loop over ints.  A sum of products
+sum_j a_j b_j is one call, ``sum_of_products``: the dense products go into
+one bigint, unpacked once, and the sparse ones into the same integer window
+by slice passes, with no series built per term.
 
 The q-products are built once each, and each is memoized here alone.
 ``pochhammer_finite`` is a bounded ``lru_cache`` of immutable series, which
@@ -32,9 +35,9 @@ from __future__ import annotations
 from array import array
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress, repeat
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence, Union
 
 Coeff = Union[int, Fraction]
@@ -451,6 +454,81 @@ class LaurentSeries:
 
 def substitute_power(a: LaurentSeries, m: int) -> LaurentSeries:
     return a.substitute_power(m)
+
+
+def sum_of_products(pairs: Sequence[tuple[LaurentSeries, LaurentSeries]],
+                    truncation: int) -> LaurentSeries:
+    """sum a * b over the pairs (a, b), cut at T = truncation: the series, to the
+    byte, that folding acc + (a * b).truncated(T) from LaurentSeries.zero(T) gives,
+    with the same TruncationError for a product valid below T.
+
+    One pair is (a * b).truncated(T).  Otherwise every product is put over the
+    lcm of the products' denominators and added into one window of integers from
+    the lowest product lead to T, which is brought to lowest terms once.  A
+    product whose sparser side has _KRONECKER_MIN_TERMS nonzeros or more is
+    packed and multiplied as in _mul_trunc, shifted by its offset in slots and
+    added into one bigint; a sparser one adds into the window one slice pass of
+    the denser side per nonzero of the sparser.  The bigint's slot is wide enough
+    for the summed bound of all its products and the sparse window, which it
+    takes in, and it is unpacked once.
+    """
+    T = truncation
+    if len(pairs) == 1:
+        a, b = pairs[0]
+        return (a * b).truncated(T)
+    cut = []  # (lead, a's numerators, b's numerators, denominator) of each product
+    for a, b in pairs:
+        an, bn = a._num, b._num
+        ia, ib = _lead(an), _lead(bn)
+        am = a._lo + ia if ia < len(an) else a._trunc + 1
+        bm = b._lo + ib if ib < len(bn) else b._trunc + 1
+        trunc = min(a._trunc + bm, b._trunc + am)
+        if trunc < T:
+            raise TruncationError(f"cannot extend truncation {trunc} to {T}")
+        n = T - am - bm + 1
+        if n > 0:
+            cut.append((am + bm, an[ia:ia + n], bn[ib:ib + n], a._den * b._den))
+    if not cut:
+        return LaurentSeries.zero(T)
+    lo = min([c[0] for c in cut])
+    den = lcm(*[c[3] for c in cut])
+    size = T - lo + 1
+    out = [0] * size
+    dense = []
+    for lead, x, y, d in cut:
+        off, f = lead - lo, den // d
+        nzx, nzy = len(x) - x.count(0), len(y) - y.count(0)
+        if min(nzx, nzy) >= _KRONECKER_MIN_TERMS:
+            dense.append((off, x, y, f))
+            continue
+        if nzx > nzy:
+            x, y = y, x
+        room = size - off
+        for i in compress(range(len(x)), x):
+            row = y[:room - i]
+            s = off + i
+            e = s + len(row)
+            c = f * x[i]
+            if c == 1:
+                out[s:e] = map(add, out[s:e], row)
+            elif c == -1:
+                out[s:e] = map(sub, out[s:e], row)
+            else:
+                out[s:e] = map(add, out[s:e], map(mul, row, repeat(c)))
+    if dense:
+        olo, ohi = min(out), max(out)
+        bound = max(ohi, -olo)
+        for _, x, y, f in dense:
+            bound += (min(len(x), len(y)) * max(max(x), -min(x))
+                      * max(max(y), -min(y)) * f)
+        wb = _slot_bytes(bound)
+        w = 8 * wb
+        acc = _pack(out, wb, olo < 0) if olo or ohi else 0
+        for off, x, y, f in dense:
+            p = _pack(x, wb, min(x) < 0) * _pack(y, wb, min(y) < 0)
+            acc += (p * f if f != 1 else p) << (w * off)
+        out = _unpack(acc, size, wb)
+    return _reduced(lo, out, den, T)
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,7 @@ from .series import (
     pochhammer_finite,
     pochhammer_infinite,
     product_triple,
+    sum_of_products,
     theta_bressoud_sum,
     triple_product,
 )
@@ -301,12 +302,13 @@ def multisum_lhs(tag: str, k: int, i: int, T: int, x_tracking: bool = False):
 
     # each level's values by N, each keyed by its x-degree (always 0 without x_tracking)
     below = {0: {0: LaurentSeries.monomial(0, T, 2 if ogg and i == k else 1)}}
+    pairs = []  # without x_tracking, level 1's (factor, level sum) pairs
     for j in range(k - 1, 0, -1):
         # The level saturates at the first N where every term of the level below
         # meets _inv_poch_sum's fold (_saturated): from then on its sum of degree d
         # is sat[d] = (sum_M A(M)) / (q^g; q^g)_oo, cut at inner(N).  Level 1
         # without x_tracking adds up the factors of its saturated N, each of lowest
-        # exponent depth(2, N) >= depth(2, N*), and multiplies sat[0] by them once.
+        # exponent depth(2, N) >= depth(2, N*), and pairs sat[0] with them once.
         low = {m: min(v.effective_min() for v in vals.values()) for m, vals in below.items()}
         sat = fused = None
         level = {}
@@ -314,12 +316,15 @@ def multisum_lhs(tag: str, k: int, i: int, T: int, x_tracking: bool = False):
         while (inner := T - depth(j + 1, n)) >= 0:
             lin = g * n if j >= i + off else 0
             if sat is None and _saturated(g, low, n, inner):
-                first, sat = n, level_sums(below, n, inner)
-            if sat is not None and j == 1 and not x_tracking:
+                sat = level_sums(below, n, inner)
+            if j == 1 and not x_tracking:
                 f = _bracket(g, brackets, n, T).shift(lin)
                 if ogg and i == 1:
                     f = f + f.shift(2 * n)
-                fused = f if fused is None else fused + f
+                if sat is None:
+                    pairs.append((f, level_sums(below, n, inner)[0]))
+                else:
+                    fused = f if fused is None else fused + f
             else:
                 if sat is None:
                     sums = level_sums(below, n, inner)
@@ -336,14 +341,15 @@ def multisum_lhs(tag: str, k: int, i: int, T: int, x_tracking: bool = False):
                     vals[d + n if x_tracking else d] = s
                 level[n] = vals
             n += 1
-        if fused is not None:
-            level[first] = {0: (fused * sat[0]).truncated(T)}
         below = level
+    one = LaurentSeries.one(T)
     if tag not in ("F-GF", "H-GF"):
-        below[0] = {0: LaurentSeries.one(T)}  # the all-zero profile
+        below[0] = {0: one}  # the all-zero profile
     terms = [(d, s) for vals in below.values() for d, s in vals.items()]
     if not x_tracking:
-        return sum((s for _, s in terms), LaurentSeries.zero(T))
+        if fused is not None:
+            pairs.append((fused, sat[0]))
+        return sum_of_products(pairs + [(s, one) for _, s in terms], T)
     out = BivariateSeries(T)
     for d, s in terms:
         out.add_series(d, s)

@@ -296,3 +296,28 @@ def test_inverse_pochhammer_sum_folds_exactly_the_saturated_terms(step, monkeypa
     assert sorted(x for x in lengths if x <= n) == sorted(n - m for m in range(1, n + 1, 2))
     assert [x for x in lengths if x > n] == [x for x in lengths if x >= trunc // step] != []
     assert len(lengths) == (n + 1) // 2 + 1
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+def test_inverse_pochhammer_sum_asks_for_its_inverses_shortest_first(step, monkeypatch):
+    from bailey_loops import inv_poch_sum
+
+    # n + 1 terms none of which saturates, so each is paired with 1/(q^g; q^g)_{n-m}
+    n, trunc = 6, 60
+    terms = [(m, LaurentSeries.monomial(m, trunc, m + 1)) for m in range(n + 1)]
+    assert all(step * (n - m + 1) <= trunc - m for m in range(n + 1))
+    divides = []
+    real = series._divide_binomial
+
+    def counted(num, e):
+        divides.append(e)
+        real(num, e)
+
+    series.inverse_pochhammer.cache_clear()
+    series._inverse_table.cache_clear()
+    monkeypatch.setattr(series, "_divide_binomial", counted)
+    got = bailey._inv_poch_sum(step, terms, n, trunc)
+    assert got.to_json() == inv_poch_sum(step, terms, n, trunc).to_json()
+    # rising length grows each inverse from the one just built: max length divides
+    # in all, where falling length builds each anew from length 0, sum of the lengths
+    assert divides == [step * t for t in range(1, n + 1)]

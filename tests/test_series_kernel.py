@@ -4,16 +4,23 @@ Products are compared with a plain Fraction schoolbook written here, on
 inputs that reach both the schoolbook and the Kronecker branch of the
 multiply: dense and sparse operands on both sides of the crossover, wide
 coefficients, mixed denominators, negative exponents, unequal truncations,
-leading zeros and the zero series.
+leading zeros and the zero series.  ``sum_of_products`` is compared, to the
+stored numerators, with one multiply and one add per pair on the same inputs.
 """
 
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ggkit.series import _KRONECKER_MIN_TERMS, LaurentSeries
+from ggkit.series import (
+    _KRONECKER_MIN_TERMS,
+    LaurentSeries,
+    TruncationError,
+    sum_of_products,
+)
 
 WIDE = 2 ** 200
 
@@ -111,3 +118,61 @@ def test_unit_times_inverse_is_one(lead, lo, tail):
     for prod in (a * inv, inv * a):
         assert prod == LaurentSeries.one(prod.truncation)
         assert prod.truncation == a.truncation - lo
+
+
+def folded(pairs, T):
+    """sum a * b over the pairs, one multiply and one add per pair."""
+    acc = LaurentSeries.zero(T)
+    for a, b in pairs:
+        acc = acc + (a * b).truncated(T)
+    return acc
+
+
+def stored(s):
+    return s._lo, s._num, s._den, s._trunc
+
+
+@st.composite
+def product_sums(draw):
+    """1-20 pairs mixing dense and sparse operands, cut at or below every
+    product's own truncation."""
+    pairs = draw(st.lists(st.tuples(series(), series()), min_size=1, max_size=20))
+    top = min((a * b).truncation for a, b in pairs)
+    return pairs, top - draw(st.integers(0, 6))
+
+
+def tight(n, m, extra):
+    """Two equal dense products whose kept coefficient j is 2 (j + 1) m^2, and a
+    sparse one adding `extra` at the last, so the last coefficient of the sum is
+    the kernel's summed slot bound 2 n m^2 + extra, exactly."""
+    a = LaurentSeries(0, [m] * n, n - 1)
+    spike = LaurentSeries(0, [0] * (n - 1) + [extra], n - 1)
+    return [(a, a), (a, a), (LaurentSeries.one(n - 1), spike)], n - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_sums())
+@example(([(dense(3), dense(40))], 2))
+@example(([(LaurentSeries.zero(5), dense(20)), (dense(20), dense(9))], 5))
+@example(([(dense(40, WIDE), dense(30, -WIDE)), (dense(30), dense(9)),
+           (dense(12).scale(Fraction(1, 6)), dense(30, WIDE).shift(-3))], 6))
+@example(tight(_KRONECKER_MIN_TERMS, 2 ** 26 - 1, 2 ** 20))  # 8-byte slots
+@example(tight(_KRONECKER_MIN_TERMS + 3, -(2 ** 40), 1))  # 11-byte slots, bytes path
+def test_sum_of_products_matches_the_per_term_fold(case):
+    pairs, T = case
+    want = folded(pairs, T)
+    got = sum_of_products(pairs, T)
+    assert got.to_json() == want.to_json()
+    assert got.min_exponent == want.min_exponent
+    assert stored(got) == stored(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_sums(), st.integers(1, 4))
+def test_sum_of_products_refuses_a_product_valid_below_the_truncation(case, past):
+    pairs, _ = case
+    T = min((a * b).truncation for a, b in pairs) + past
+    with pytest.raises(TruncationError):
+        folded(pairs, T)
+    with pytest.raises(TruncationError):
+        sum_of_products(pairs, T)
