@@ -10,12 +10,15 @@ q^(e/2).
 
 Sequences are evaluated lazily and memoized through one ``lru_cache`` per
 sequence, so deep beta evaluations only pay for the indices a given truncation
-can see.  Each beta sum over 1/(q^g; q^g)_{n-m}, here and in the multisum
+can see; a stage several chains read also keeps the right side of its relation
+at each n.  Each beta sum over 1/(q^g; q^g)_{n-m}, here and in the multisum
 levels of ``verify``, goes through ``_inv_poch_sum``, and is one
-``series.sum_of_products``, as is each side of the pair relation.  Its inverse
-Pochhammers come from ``series.inverse_pochhammer``, which owns their memo and
-tables; no series inverse is taken.  The one q-product memo kept here is
-``_relation_kernel``, the product of two of them.  The theta terms (the seed
+``series.sum_of_products``, as is each right side of the pair relation.  Its
+inverse Pochhammers come from ``series.inverse_pochhammer``, which owns their
+memo and tables; no series inverse is taken.  Two memos are kept here:
+``_relation_kernel``, the product of two inverse Pochhammers, and
+``_chain_prefix``, the stages every chain at one truncation starts with (values
+only: each chain still checks every stage it reads).  The theta terms (the seed
 pair's alpha, the shift transform's closed form) come from
 ``series.theta_term``.  Transforms take no label: each names its output after
 its input, and ``run_chain`` names every stage by its position.
@@ -100,12 +103,30 @@ class BaileyPair:
         self.trunc = trunc
         self._alpha = lru_cache(maxsize=None)(alpha_fn)
         self._beta = lru_cache(maxsize=None)(beta_fn)
+        # n -> relation_sum(n), kept only once a dict: run_chain sets one on a
+        # stage a second chain reads, so a stage read once keeps nothing extra
+        self._relation: dict[int, LaurentSeries] | None = None
 
     def alpha(self, n: int) -> LaurentSeries:
         return self._alpha(n)
 
     def beta(self, n: int) -> LaurentSeries:
         return self._beta(n)
+
+    def relation_sum(self, n: int) -> LaurentSeries:
+        """sum_r alpha_r / ((q^g; q^g)_{n-r} (q^g; q^g)_{n+r}) over r <= n, the
+        side the pair relation equates with beta_n: one ``series.sum_of_products``
+        of the pairs (alpha_r, kernel)."""
+        kept = self._relation
+        out = kept.get(n) if kept is not None else None
+        if out is None:
+            g, trunc = self.grid, self.trunc
+            out = sum_of_products(
+                [(self.alpha(r), _relation_kernel(g, n - r, n + r, trunc)) for r in range(n + 1)],
+                trunc)
+            if kept is not None:
+                kept[n] = out
+        return out
 
 
 def unit_pair(trunc_q: int) -> BaileyPair:
@@ -138,10 +159,10 @@ def transform_iterate(pair: BaileyPair) -> BaileyPair:
     return BaileyPair(f"{pair.label}+iter", g, trunc, alpha, beta)
 
 
-def transform_shift(pair: BaileyPair, a_num2: int) -> BaileyPair:
-    """The exponent-shift transform: valid only when alpha_n has the closed form
-    (-1)^n q^{A n^2}(q^{(A-1)n} + q^{-(A-1)n}) with A = a_num2/2; then alpha's
-    inner exponent moves from A-1 to A and beta_n gains a factor q**n.
+def check_shift_form(pair: BaileyPair, a_num2: int) -> None:
+    """The precondition of ``transform_shift(pair, a_num2)``: alpha_n has the
+    closed form (-1)^n q^{A n^2}(q^{(A-1)n} + q^{-(A-1)n}) with A = a_num2/2,
+    checked for n <= 8.
 
     Raises PairFormError naming the first index whose alpha does not match.
     """
@@ -156,6 +177,16 @@ def transform_shift(pair: BaileyPair, a_num2: int) -> BaileyPair:
                 f"alpha precondition violated at n={n}: pair {pair.label} does not "
                 f"match the required closed form with parameter {Fraction(a_num2, 2)}"
             )
+
+
+def transform_shift(pair: BaileyPair, a_num2: int) -> BaileyPair:
+    """The exponent-shift transform: valid only when alpha_n has the closed form
+    of ``check_shift_form``, which it runs first; then alpha's inner exponent
+    moves from A-1 to A and beta_n gains a factor q**n.
+    """
+    check_shift_form(pair, a_num2)
+    g, trunc = pair.grid, pair.trunc
+    a = a_num2 * g // 2
 
     def alpha(n: int) -> LaurentSeries:
         return theta_term(a, a, n, trunc)
@@ -226,18 +257,17 @@ def _grid_note(grid: int) -> str:
 
 
 def verify_pair_relation(pair: BaileyPair, n_max: int) -> tuple[bool, str]:
-    """Check beta_n = sum_r alpha_r / ((q;q)_{n-r} (q;q)_{n+r}) for n <= n_max,
-    each right side one ``series.sum_of_products`` of the pairs (alpha_r, kernel)."""
-    g, trunc = pair.grid, pair.trunc
+    """Check beta_n = sum_r alpha_r / ((q;q)_{n-r} (q;q)_{n+r}) for n <= n_max.
+    A stage several chains read keeps its right sides; the comparison runs on
+    every call."""
     for n in range(n_max + 1):
-        acc = sum_of_products([(pair.alpha(r), _relation_kernel(g, n - r, n + r, trunc))
-                               for r in range(n + 1)], trunc)
+        acc = pair.relation_sum(n)
         diff = acc.first_difference(pair.beta(n))
         if diff is not None:
             return False, (
                 f"pair {pair.label}: relation fails at n={n}, first difference at "
                 f"q^{diff} ({acc.coefficient(diff)} vs {pair.beta(n).coefficient(diff)})"
-                f"{_grid_note(g)}"
+                f"{_grid_note(pair.grid)}"
             )
     return True, ""
 
@@ -264,12 +294,27 @@ class Chain(NamedTuple):
         raise KeyError(note)
 
 
+# The stages every chain at one truncation starts with: P0 = unit, P1 = seed,
+# then P(2j) = shift(2j + 1) and P(2j + 1) = iterate, in turn.  Chain (k, i) reads
+# P0..P(2(k - i)).  The list holds the pairs, whose values every later chain
+# reuses, with the relation sums of the stages read more than once; verdicts are
+# not kept.  Entries outlive any change to the transforms: code that swaps a
+# transform in must call cache_clear().
+@lru_cache(maxsize=8)  # the test suite reads 16 truncations, a series or cli run 1
+def _chain_prefix(trunc_q: int) -> list[BaileyPair]:
+    """The shared stages at trunc_q built so far, grown by ``run_chain``."""
+    return [unit_pair(trunc_q)]
+
+
 def run_chain(k: int, i: int, trunc_q: int = 40) -> Chain:
     """Build the full pair chain for parameters k > i >= 1.
 
     Seed, one iteration, k-i-1 alternating (shift, iterate) rounds, one more
     shift, the half-half average of the last two pairs, i-1 iterations, and the
-    base change to the plain grid.
+    base change to the plain grid.  Stages up to the last shift come from
+    ``_chain_prefix``, which builds only those no chain at trunc_q has built
+    yet; the closed-form check of every shift stage runs for each chain, on a
+    stage built earlier as when the stage is built.
     """
     if i >= k:
         if i == k:
@@ -279,25 +324,34 @@ def run_chain(k: int, i: int, trunc_q: int = 40) -> Chain:
         raise ChainParameterError("parameters must satisfy k > i >= 1")
     if trunc_q < 0:
         raise ChainParameterError(f"truncation must be >= 0, got {trunc_q}")
-    stages: list[ChainStage] = []
+    d = k - i
+    prefix = _chain_prefix(trunc_q)
+    for s, pair in enumerate(prefix[:2 * d + 1]):  # stages an earlier chain built
+        if pair._relation is None:
+            pair._relation = {}
+        if s >= 2 and s % 2 == 0:
+            check_shift_form(prefix[s - 1], s + 1)
+    while len(prefix) <= 2 * d:
+        s = len(prefix)
+        pair = transform_shift(prefix[-1], s + 1) if s % 2 == 0 else transform_iterate(prefix[-1])
+        pair.label = f"P{s}"
+        prefix.append(pair)
+    notes = ["unit", "seed"]
+    for j in range(1, d):
+        notes += [f"alt{j}.shift", f"alt{j}.iterate"]
+    notes.append("last.shift")
+    stages = [ChainStage(note, pair) for note, pair in zip(notes, prefix)]
 
     def push(pair: BaileyPair, note: str) -> BaileyPair:
         pair.label = f"P{len(stages)}"
         stages.append(ChainStage(note, pair))
         return pair
 
-    cur = push(unit_pair(trunc_q), "unit")
-    cur = push(transform_iterate(cur), "seed")
-    for j in range(1, k - i):
-        cur = push(transform_shift(cur, 2 * j + 1), f"alt{j}.shift")
-        cur = push(transform_iterate(cur), f"alt{j}.iterate")
-    first = cur
-    second = push(transform_shift(cur, 2 * (k - i) + 1), "last.shift")
     half = Fraction(1, 2)
-    cur = push(combine([first, second], [half, half]), "averaged")
+    cur = push(combine([prefix[2 * d - 1], prefix[2 * d]], [half, half]), "averaged")
     for t in range(1, i):
         cur = push(transform_iterate(cur), f"tail{t}.iterate")
-    cur = push(transform_base_change(cur), "final")
+    push(transform_base_change(cur), "final")
     return Chain(k, i, trunc_q, stages)
 
 

@@ -1,4 +1,4 @@
-"""Shared exhaustive-count fixtures.
+"""Shared exhaustive-count fixtures, and the fixture that empties every memo.
 
 The count tables are session-scoped: one size-by-size DP per (k, i) up to
 weight 40 feeds both the counting theorems and the bivariate identity checks,
@@ -7,6 +7,7 @@ and one bucketed enumeration pass feeds every profile-class comparison.
 
 import pytest
 
+from ggkit import bailey, bijections, marking, partitions, series, verify
 from ggkit.partitions import (
     overpartition_ofh_tables,
     overpartition_p_counts,
@@ -16,6 +17,25 @@ from ggkit.verify import collect_class_buckets, collect_partition_buckets
 
 PAIRS4 = [(k, i) for k in range(1, 5) for i in range(1, k + 1)]
 PAIRS3 = [(k, i) for k in range(2, 4) for i in range(1, k + 1)]
+
+
+def _clear_module_memos():
+    for mod in (bailey, bijections, marking, partitions, series, verify):
+        for fn in list(vars(mod).values()):
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
+
+@pytest.fixture
+def cold_memos():
+    """Empty every module-level memo before and after the test.  A test that
+    patches a map or a transform, or doctors a chain stage, needs it: a warm
+    memo answers without calling the patched code, and a doctored value kept in
+    a memo would reach the tests after it.  List it before ``monkeypatch`` so
+    the patches are undone before the memos are emptied."""
+    _clear_module_memos()
+    yield
+    _clear_module_memos()
 
 
 @pytest.fixture(scope="session")

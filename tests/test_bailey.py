@@ -1,3 +1,5 @@
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,7 @@ from ggkit.bailey import (
 )
 from ggkit import series
 from ggkit.series import LaurentSeries, inverse_pochhammer
-from ggkit.verify import product_rhs
+from ggkit.verify import product_rhs, verify_bailey
 
 
 def test_unit_pair_values():
@@ -321,3 +323,78 @@ def test_inverse_pochhammer_sum_asks_for_its_inverses_shortest_first(step, monke
     # rising length grows each inverse from the one just built: max length divides
     # in all, where falling length builds each anew from length 0, sum of the lengths
     assert divides == [step * t for t in range(1, n + 1)]
+
+
+# -- one chain prefix per truncation ----------------------------------------
+
+CHAINS6 = [(k, i) for k in range(2, 7) for i in range(1, k)]
+
+
+@pytest.mark.parametrize("T", [0, 6, 22, 40])
+def test_chains_on_a_warm_prefix_equal_chains_on_a_cold_one(cold_memos, monkeypatch, T):
+    # the shared stages are values only: every chain makes the same comparisons,
+    # in the same number, on a prefix built by earlier chains as on a fresh one
+    compared = []
+    first_difference = LaurentSeries.first_difference
+
+    def counted(a, b):
+        compared.append(1)
+        return first_difference(a, b)
+
+    monkeypatch.setattr(LaurentSeries, "first_difference", counted)
+
+    def reports(k, i):
+        compared.clear()
+        out = [json.dumps(rep.to_json()) for rep in verify_bailey(k, i, T)]
+        return out, len(compared)
+
+    cold = {}
+    for k, i in CHAINS6:
+        bailey._chain_prefix.cache_clear()
+        cold[(k, i)] = reports(k, i)
+    assert all(json.loads(rep)["verdict"] == "pass" for out, _ in cold.values() for rep in out)
+    bailey._chain_prefix.cache_clear()
+    order = list(CHAINS6)
+    random.Random(T).shuffle(order)
+    for k, i in order:
+        assert reports(k, i) == cold[(k, i)], (k, i)
+    prefix = bailey._chain_prefix(T)
+    assert len(prefix) == 11  # P0..P10, each built once for all 15 chains
+    for k, i in CHAINS6:
+        stages = run_chain(k, i, T).stages
+        assert all(stages[s].pair is prefix[s] for s in range(2 * (k - i) + 1)), (k, i)
+        assert all(st.pair not in prefix for st in stages[2 * (k - i) + 1:]), (k, i)
+
+
+def test_a_doctored_shared_stage_fails_every_chain_that_reads_it(cold_memos):
+    # beta_2 of alt1.iterate (P3), built once, gains q^3: every chain with
+    # k - i >= 2 reads it and must report it; the chains with k - i = 1 do not
+    T = 10
+    run_chain(6, 1, T)
+    stage = bailey._chain_prefix(T)[3]
+    beta = stage._beta
+    stage._beta = lambda n: beta(n) + LaurentSeries.monomial(3, stage.trunc) if n == 2 else beta(n)
+    failed = set()
+    for k, i in CHAINS6:
+        reports = verify_bailey(k, i, T)
+        bad = [rep for rep in reports if not rep.ok]
+        if k - i == 1:
+            assert not bad, (k, i)
+        else:
+            assert bad and bad[0].identity == "PAIR-RELATION[alt1.iterate]", (k, i)
+            failed.add(bad[0].detail)
+    assert failed == {"pair P3: relation fails at n=2, first difference at q^3 (0 vs 1); "
+                      "on grid 2, q^e stands for q^(e/2)"}
+
+
+def test_every_chain_checks_the_shift_form_of_a_shared_stage(cold_memos):
+    # the seed (P1) was checked when the longest chain built alt1.shift from it;
+    # a chain reading the built stage checks it again, and so sees alpha_1 changed
+    T = 10
+    run_chain(4, 1, T)
+    seed = bailey._chain_prefix(T)[1]
+    alpha = seed._alpha
+    seed._alpha = lambda n: alpha(n) + LaurentSeries.monomial(3, seed.trunc) if n == 1 else alpha(n)
+    for k, i in [(2, 1), (3, 1), (4, 1), (5, 1)]:
+        with pytest.raises(PairFormError, match="violated at n=1: pair P1 does not match"):
+            run_chain(k, i, T)

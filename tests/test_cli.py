@@ -382,15 +382,11 @@ def _raise_pair_form_error(pair, a_num2):
     (("ggkit.bailey.transform_shift", _raise_pair_form_error),
      ["verify", "--suite", "bailey", "--k", "3", "--i", "1", "--T", "10", "--jobs", "1"]),
 ])
-def test_internal_diagnostic_is_exit_1_without_traceback(capsys, monkeypatch, patch, argv):
+def test_internal_diagnostic_is_exit_1_without_traceback(cold_memos, capsys, monkeypatch, patch,
+                                                         argv):
     monkeypatch.delenv("GGKIT_JOBS", raising=False)
     monkeypatch.setattr(*patch)
-    # a warm object memo would answer for an object without calling a patched map
-    verify._object_checks.cache_clear()
-    try:
-        code, out, err = run(capsys, *argv)
-    finally:
-        verify._object_checks.cache_clear()
+    code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     assert err.startswith("ggkit: ") and err.count("\n") == 1 and "Traceback" not in err

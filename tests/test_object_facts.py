@@ -45,7 +45,7 @@ def test_walk_shares_one_stats_tuple_per_value():
     assert len({id(st) for st in stats}) == len(set(stats))
 
 
-def test_every_sweep_step_output_equals_the_constructor_route(monkeypatch):
+def test_every_sweep_step_output_equals_the_constructor_route(cold_memos, monkeypatch):
     rewrite = bijections._rewrite
     steps = []
 
@@ -62,11 +62,7 @@ def test_every_sweep_step_output_equals_the_constructor_route(monkeypatch):
         return out
 
     monkeypatch.setattr(bijections, "_rewrite", checked)
-    verify._object_checks.cache_clear()
-    try:
-        rep = verify.verify_bijections(4, 4, 12)
-    finally:
-        verify._object_checks.cache_clear()
+    rep = verify.verify_bijections(4, 4, 12)
     assert rep.ok, rep
     assert len(steps) > 1000
 
@@ -75,7 +71,8 @@ def test_every_sweep_step_output_equals_the_constructor_route(monkeypatch):
     ({1: Part(0, False), 2: Part(10, True)}, "part size must be positive, got 0"),
     ({1: Part(5, True)}, "duplicate overlined part of size 5"),
 ])
-def test_a_bad_replaced_part_raises_the_constructor_message(monkeypatch, repl, message):
+def test_a_bad_replaced_part_raises_the_constructor_message(cold_memos, monkeypatch, repl,
+                                                           message):
     # phi at position 2 of 1~,3,5~ adds weight 2, as both replacements do, so
     # only the replaced-part check can stop them
     op = Overpartition.from_text("1~,3,5~")

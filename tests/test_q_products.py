@@ -154,7 +154,7 @@ def _doctored_chain(run_chain, notes):
     return run
 
 
-def test_pair_relation_names_the_half_grid(monkeypatch):
+def test_pair_relation_names_the_half_grid(cold_memos, monkeypatch):
     # a doctored seed beta fails the seed's relation on grid 2, where the report says
     # what q^e stands for, and the final stage's on the plain grid, where it does not
     monkeypatch.setattr(bailey, "run_chain", _doctored_chain(bailey.run_chain, ("seed", "final")))

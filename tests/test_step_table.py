@@ -71,7 +71,7 @@ def _outcome(key):
         return str(exc)
 
 
-def test_a_step_raising_partway_leaves_no_table_behind(monkeypatch):
+def test_a_step_raising_partway_leaves_no_table_behind(cold_memos, monkeypatch):
     _raising_lambda_cases(monkeypatch)
     keys = [verify._object_key(op) for op in SMALL if is_reduced(op)]
     with_table = []

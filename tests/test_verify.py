@@ -183,7 +183,7 @@ def test_bivariate_report_names_the_first_difference():
     assert rep.detail == "first difference at x^1 q^2: multisum=1, enumeration=0"
 
 
-def test_seed_beta_report_names_both_sides(monkeypatch):
+def test_seed_beta_report_names_both_sides(cold_memos, monkeypatch):
     # the seed stage's beta_2 gains q^3 (in grid units); SEED-BETA names n = 2 and
     # prints both series there
     run_chain = bailey.run_chain
@@ -401,15 +401,6 @@ def test_worker_count_is_clamped(jobs, tasks, cpus, want):
 BIJECTION_RUNS = [(k, i, n) for k in range(1, 4) for i in range(1, k + 1) for n in (4, 7, 10)]
 
 
-@pytest.fixture
-def cold_object_memo():
-    """Empty the sweep's object memo before and after the test, so a patched
-    map leaves no verdict behind."""
-    verify._object_checks.cache_clear()
-    yield
-    verify._object_checks.cache_clear()
-
-
 def _cold_reports(runs):
     cold = {}
     for run in runs:
@@ -422,7 +413,7 @@ def _cold_reports(runs):
 CHECKS_AT_10 = {(1, 1): 3, (2, 1): 94, (2, 2): 678, (3, 1): 116, (3, 2): 837, (3, 3): 1108}
 
 
-def test_memoized_sweeps_equal_cold_sweeps(cold_object_memo):
+def test_memoized_sweeps_equal_cold_sweeps(cold_memos):
     cold = _cold_reports(BIJECTION_RUNS)
     assert all(rep.ok for rep in cold.values())
     assert {(k, i): cold[(k, i, 10)].detail for k, i in CHECKS_AT_10} == \
@@ -434,7 +425,7 @@ def test_memoized_sweeps_equal_cold_sweeps(cold_object_memo):
         assert verify._object_checks.cache_info().hits > 0
 
 
-def test_memo_does_not_hide_a_broken_inverse(cold_object_memo, monkeypatch):
+def test_memo_does_not_hide_a_broken_inverse(cold_memos, monkeypatch):
     monkeypatch.setattr(verify, "psi_full", lambda tau, red: red)
     rep = verify_bijections(2, 2, 8)
     assert not rep.ok
@@ -451,7 +442,7 @@ def test_memo_does_not_hide_a_broken_inverse(cold_object_memo, monkeypatch):
     ("lambda_step", r"inverse type step at \d+ differs"),
     ("lambda_chain", r"inverse type chain at \d+ differs"),
 ])
-def test_sweep_looks_up_each_inverse_at_call_time(cold_object_memo, monkeypatch, name, message):
+def test_sweep_looks_up_each_inverse_at_call_time(cold_memos, monkeypatch, name, message):
     if name.endswith("_full"):
         monkeypatch.setattr(verify, name, lambda signed, op, trace=None: op)
     else:
@@ -461,7 +452,7 @@ def test_sweep_looks_up_each_inverse_at_call_time(cold_object_memo, monkeypatch,
     assert re.search(f": {message}$", rep.detail), rep.detail
 
 
-def test_per_pair_sweep_stops_at_its_first_failing_weight(cold_object_memo, monkeypatch):
+def test_per_pair_sweep_stops_at_its_first_failing_weight(cold_memos, monkeypatch):
     # phi_full goes wrong at weight 5 and raises at weight 7: the weight-5 failure
     # must come back, and no weight past it may be walked
     full = verify.phi_full
@@ -478,7 +469,7 @@ def test_per_pair_sweep_stops_at_its_first_failing_weight(cold_object_memo, monk
     assert Overpartition.from_text(rep.detail.split("'")[1]).weight() == 5
 
 
-def test_sweep_looks_up_the_classifiers_at_call_time(cold_object_memo, monkeypatch):
+def test_sweep_looks_up_the_classifiers_at_call_time(cold_memos, monkeypatch):
     calls = {"classify_f": 0, "classify_g": 0}
 
     def counted(name):
@@ -495,7 +486,7 @@ def test_sweep_looks_up_the_classifiers_at_call_time(cold_object_memo, monkeypat
     assert all(calls.values()), calls
 
 
-def test_object_memo_is_bounded(cold_object_memo, monkeypatch):
+def test_object_memo_is_bounded(cold_memos, monkeypatch):
     assert verify._object_checks.cache_info().maxsize == verify._OBJECT_MEMO_SIZE >= 11631
     runs = [(k, i, 8) for k in range(1, 4) for i in range(1, k + 1)]
     cold = _cold_reports(runs)
@@ -511,10 +502,11 @@ def test_object_memo_is_bounded(cold_object_memo, monkeypatch):
 def test_every_module_level_cache_is_bounded():
     mods = (bailey, bijections, marking, partitions, series, verify)
     cached = [fn for mod in mods for fn in vars(mod).values() if hasattr(fn, "cache_info")]
-    # series owns every q-product memo; bailey keeps only the product of two of them
+    # series owns every q-product memo; bailey keeps only the product of two of
+    # them, and the chain stages shared by every chain at one truncation
     assert {fn.__name__ for fn in cached} == {
         "pochhammer_finite", "inverse_pochhammer", "_inverse_table", "_relation_kernel",
-        "_object_checks", "_count_slot_bytes"}
+        "_chain_prefix", "_object_checks", "_count_slot_bytes"}
     assert all(fn.cache_info().maxsize is not None for fn in cached)
     assert not [name for mod in mods for name in vars(mod) if name.endswith("_CACHE")]
 
@@ -555,7 +547,7 @@ def cold_pair_json():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_pairs_path_equals_cold_per_pair_sweeps(cold_object_memo, cold_pair_json, workers):
+def test_pairs_path_equals_cold_per_pair_sweeps(cold_memos, cold_pair_json, workers):
     for n_max, want in cold_pair_json.items():
         merged = verify._run_tasks(_weight_tasks(PAIRS4, n_max), workers)
         assert _as_json(merged) == want, n_max
@@ -576,7 +568,7 @@ def _break(monkeypatch, name, broken_at):
 
 @pytest.mark.parametrize("name", INVERSES)
 def test_pairs_path_reports_a_broken_inverse_as_the_per_pair_path(
-        cold_object_memo, monkeypatch, name):
+        cold_memos, monkeypatch, name):
     _break(monkeypatch, name, lambda out: len(out) >= 3 and out.weight() % 4 == 2)
     want = _cold_pair_json(PAIRS4, 8)
     assert any('"fail"' in rep for rep in want) and any('"pass"' in rep for rep in want)
@@ -584,7 +576,7 @@ def test_pairs_path_reports_a_broken_inverse_as_the_per_pair_path(
 
 
 @pytest.mark.parametrize("weights", [(7,), (7, 9)])
-def test_weight_split_keeps_the_first_failure(cold_object_memo, monkeypatch, weights):
+def test_weight_split_keeps_the_first_failure(cold_memos, monkeypatch, weights):
     # the tasks run from n_max down, so a later weight's failure comes back first
     _break(monkeypatch, "psi_step", lambda out: out.weight() in weights)
     want = _cold_pair_json(PAIRS4, 10)
@@ -594,7 +586,7 @@ def test_weight_split_keeps_the_first_failure(cold_object_memo, monkeypatch, wei
     assert failed and {op.weight() for op in failed} == {7}
 
 
-def test_pairs_path_checks_no_object_outside_the_selected_pairs(cold_object_memo, monkeypatch):
+def test_pairs_path_checks_no_object_outside_the_selected_pairs(cold_memos, monkeypatch):
     # O(3, 2) bounds the walk but is not selected: its other members are walked
     # and must be neither checked nor reported
     pairs = [(3, 1), (2, 2)]
