@@ -713,33 +713,19 @@ def product_triple(k: int, i: int, truncation: int) -> LaurentSeries:
 
 
 class BivariateSeries:
-    """q-truncated series whose q^n coefficient is an exact polynomial in x."""
+    """q-truncated series whose q^n coefficient is an exact polynomial in x.
+
+    ``table`` maps a q-exponent n <= truncation to {x-degree: coefficient},
+    holding only nonzero coefficients, so two series agree wherever both are
+    known exactly when their tables do.  It is built whole, by ``from_rows``
+    or ``from_counts``, and never changed after.
+    """
 
     __slots__ = ("truncation", "table")
 
     def __init__(self, truncation: int):
         self.truncation = truncation
         self.table: dict[int, dict[int, Coeff]] = {}
-
-    def add_term(self, q_exp: int, x_deg: int, coeff: Coeff) -> None:
-        if q_exp > self.truncation or not coeff:
-            return
-        row = self.table.setdefault(q_exp, {})
-        row[x_deg] = row.get(x_deg, 0) + coeff
-        if not row[x_deg]:
-            del row[x_deg]
-            if not row:
-                del self.table[q_exp]
-
-    def add_series(self, x_deg: int, s: LaurentSeries) -> None:
-        """Accumulate x**x_deg * s; s must be valid at least to our truncation."""
-        if s.truncation < self.truncation:
-            raise TruncationError(
-                f"series truncated at {s.truncation} cannot feed a table valid to {self.truncation}"
-            )
-        for e, c in s.items():
-            if e <= self.truncation:
-                self.add_term(e, x_deg, c)
 
     def coefficient(self, q_exp: int) -> dict[int, Coeff]:
         if q_exp > self.truncation:
@@ -748,21 +734,36 @@ class BivariateSeries:
             )
         return dict(self.table.get(q_exp, {}))
 
-    def eval_x_one(self) -> LaurentSeries:
-        terms = {e: sum(row.values()) for e, row in self.table.items()}
-        return LaurentSeries.from_terms(terms, self.truncation)
+    @classmethod
+    def from_rows(cls, rows: dict[int, LaurentSeries], truncation: int) -> "BivariateSeries":
+        """Build sum_d x**d * rows[d]; each row must be valid at least to truncation."""
+        out = cls(truncation)
+        table = out.table
+        for d, s in rows.items():
+            if s._trunc < truncation:
+                raise TruncationError(
+                    f"series truncated at {s._trunc} cannot feed a table valid to {truncation}"
+                )
+            lo, num, den = s._lo, s._num, s._den
+            for j in compress(range(min(len(num), truncation - lo + 1)), num):
+                c = num[j]
+                table.setdefault(lo + j, {})[d] = c if den == 1 else s._value(c)
+        return out
 
     @classmethod
     def from_counts(cls, counts: dict[tuple[int, int], int], truncation: int) -> "BivariateSeries":
         """Build from a {(m, n): count} table (m = x-degree, n = q-exponent)."""
         out = cls(truncation)
+        table = out.table
         for (m, n), c in counts.items():
-            if n <= truncation:
-                out.add_term(n, m, c)
+            if c and n <= truncation:
+                table.setdefault(n, {})[m] = c
         return out
 
     def first_difference(self, other: "BivariateSeries") -> tuple[int, int] | None:
         """First (q_exp, x_deg) where the two disagree, scanning q then x."""
+        if self.table == other.table:
+            return None
         hi = min(self.truncation, other.truncation)
         for e in sorted(self.table.keys() | other.table.keys()):
             if e > hi:

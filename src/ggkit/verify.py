@@ -266,7 +266,9 @@ def multisum_lhs(tag: str, k: int, i: int, T: int, x_tracking: bool = False):
     """The summed side of the identity named by tag, truncated at T.
 
     With x_tracking, each profile's term carries x**(N_1+...+N_{k-1});
-    the return value is then a BivariateSeries.
+    the return value is then a BivariateSeries.  Level 1 files each N's pairs
+    (factor, level sum of x-degree d) under the x-degree d + N, or all under 0
+    without x_tracking, and each x-degree's total is one sum_of_products.
     """
     if tag not in SUMMED_TAGS:
         raise ValueError(f"{tag} has no multisum form")
@@ -302,13 +304,14 @@ def multisum_lhs(tag: str, k: int, i: int, T: int, x_tracking: bool = False):
 
     # each level's values by N, each keyed by its x-degree (always 0 without x_tracking)
     below = {0: {0: LaurentSeries.monomial(0, T, 2 if ogg and i == k else 1)}}
-    pairs = []  # without x_tracking, level 1's (factor, level sum) pairs
+    pairs: dict[int, list] = {}  # level 1's (factor, level sum) pairs by x-degree
     for j in range(k - 1, 0, -1):
         # The level saturates at the first N where every term of the level below
         # meets _inv_poch_sum's fold (_saturated): from then on its sum of degree d
-        # is sat[d] = (sum_M A(M)) / (q^g; q^g)_oo, cut at inner(N).  Level 1
-        # without x_tracking adds up the factors of its saturated N, each of lowest
-        # exponent depth(2, N) >= depth(2, N*), and pairs sat[0] with them once.
+        # is sat[d] = (sum_M A(M)) / (q^g; q^g)_oo, cut at inner(N).  At level 1 a
+        # factor's lowest exponent is depth(2, N) >= depth(2, N*), so it pairs with
+        # sat[d] uncut; without x_tracking the factors of the saturated N are
+        # added up and paired with sat[0] once.
         low = {m: min(v.effective_min() for v in vals.values()) for m, vals in below.items()}
         sat = fused = None
         level = {}
@@ -317,14 +320,15 @@ def multisum_lhs(tag: str, k: int, i: int, T: int, x_tracking: bool = False):
             lin = g * n if j >= i + off else 0
             if sat is None and _saturated(g, low, n, inner):
                 sat = level_sums(below, n, inner)
-            if j == 1 and not x_tracking:
+            if j == 1:
                 f = _bracket(g, brackets, n, T).shift(lin)
                 if ogg and i == 1:
                     f = f + f.shift(2 * n)
-                if sat is None:
-                    pairs.append((f, level_sums(below, n, inner)[0]))
-                else:
+                if sat is not None and not x_tracking:
                     fused = f if fused is None else fused + f
+                else:
+                    for d, s in (level_sums(below, n, inner) if sat is None else sat).items():
+                        pairs.setdefault(d + n if x_tracking else d, []).append((f, s))
             else:
                 if sat is None:
                     sums = level_sums(below, n, inner)
@@ -332,28 +336,21 @@ def multisum_lhs(tag: str, k: int, i: int, T: int, x_tracking: bool = False):
                     sums = {d: s.truncated(inner) for d, s in sat.items()}
                 vals = {}
                 for d, s in sums.items():
-                    if j == 1:
-                        s = (_bracket(g, brackets, n, T) * s).shift(lin)
-                    else:
-                        s = s.shift(g * n * n + lin)
+                    s = s.shift(g * n * n + lin)
                     if ogg and j == i:
                         s = s + s.shift(2 * n)
                     vals[d + n if x_tracking else d] = s
                 level[n] = vals
             n += 1
         below = level
-    one = LaurentSeries.one(T)
+    if fused is not None:
+        pairs.setdefault(0, []).append((fused, sat[0]))
     if tag not in ("F-GF", "H-GF"):
-        below[0] = {0: one}  # the all-zero profile
-    terms = [(d, s) for vals in below.values() for d, s in vals.items()]
+        one = LaurentSeries.one(T)
+        pairs.setdefault(0, []).append((one, one))  # the all-zero profile
     if not x_tracking:
-        if fused is not None:
-            pairs.append((fused, sat[0]))
-        return sum_of_products(pairs + [(s, one) for _, s in terms], T)
-    out = BivariateSeries(T)
-    for d, s in terms:
-        out.add_series(d, s)
-    return out
+        return sum_of_products(pairs.get(0, []), T)
+    return BivariateSeries.from_rows({d: sum_of_products(ps, T) for d, ps in pairs.items()}, T)
 
 
 def product_rhs(tag: str, k: int, i: int, T: int) -> LaurentSeries:
@@ -598,7 +595,11 @@ def verify_profile(profile, i: int, T: int) -> list[VerificationReport]:
 def verify_identity(tag: str, k: int | None = None, i: int | None = None,
                     T: int = 40, profile=None, counts=None,
                     buckets=None, partition_buckets=None) -> VerificationReport:
-    """Verify one tagged identity; failures come back as reports, not errors."""
+    """Verify one tagged identity; failures come back as reports, not errors.
+
+    A bivariate identity reads counts, a {(m, n): count} table, when given; a
+    sweep's CountTable that reaches only a weight below T is refused with a
+    ValueError."""
     if tag not in IDENTITY_TAGS:
         raise ValueError(f"unknown identity tag {tag!r}")
     _check_bound("T", T)
@@ -621,16 +622,23 @@ def verify_identity(tag: str, k: int | None = None, i: int | None = None,
             counts = partition_family_tables(T, [(k, i)], families=fam)[(fam, k, i)]
         else:
             counts = overpartition_ofh_tables(T, [(k, i)])[(fam, k, i)]
+    _check_reach(fam, getattr(counts, "n_max", T), "T", T)
     return _compare(tag, params, T, lhs, BivariateSeries.from_counts(counts, T),
                     ("multisum", "enumeration"))
+
+
+def _check_reach(name: str, reach: int, bound: str, value: int) -> None:
+    """Refuse a count table that stops at weight reach, short of the bound it is
+    read to: past its reach every count reads zero, so a verdict there is wrong."""
+    if reach < value:
+        raise ValueError(f"the {name} table reaches n={reach}, short of {bound}={value}")
 
 
 def _per_weight(table, n_max: int, name: str) -> list[int]:
     """The per-n counts, n <= n_max, of a per-weight list or an (m, n) table.  A
     list, or a sweep's CountTable, that stops short of n_max is refused."""
     reach = len(table) - 1 if isinstance(table, list) else getattr(table, "n_max", n_max)
-    if reach < n_max:
-        raise ValueError(f"the {name} table reaches n={reach}, short of n_max={n_max}")
+    _check_reach(name, reach, "n_max", n_max)
     return table[:n_max + 1] if isinstance(table, list) else family_counts_by_n(table, n_max)
 
 

@@ -88,6 +88,36 @@ def test_saturated_level_one_makes_no_more_beta_sums(x_tracking, monkeypatch):
     assert got == tuple_multisum_lhs("OGG", 2, 1, T, x_tracking=x_tracking)
 
 
+@pytest.mark.parametrize("tag, k, i, T", [
+    ("OGG-X", 2, 1, 90), ("H-GF", 3, 2, 40), ("AG-X", 4, 2, 40), ("BRESSOUD-X", 3, 3, 0),
+])
+def test_level_one_is_one_sum_of_products_per_x_degree(tag, k, i, T, monkeypatch):
+    # every N filed under an x-degree adds into that degree's one fused sum; the
+    # rows handed to from_rows are exactly those sums
+    sums, rows = [], []
+    real_sum, real_rows = verify.sum_of_products, series.BivariateSeries.from_rows
+
+    def summed(pairs, trunc):
+        sums.append(real_sum(pairs, trunc))
+        return sums[-1]
+
+    def built(by_degree, trunc):
+        rows.append(by_degree)
+        return real_rows(by_degree, trunc)
+
+    monkeypatch.setattr(verify, "sum_of_products", summed)
+    monkeypatch.setattr(series.BivariateSeries, "from_rows", built)
+    got = multisum_lhs(tag, k, i, T, x_tracking=True)
+    assert len(rows) == 1 and len(sums) == len(rows[0])
+    assert sorted(map(id, sums)) == sorted(map(id, rows[0].values()))
+    assert {m for row in got.table.values() for m in row} <= rows[0].keys()
+    sums.clear()
+    multisum_lhs(tag, k, i, T)
+    assert len(sums) == 1
+    monkeypatch.undo()
+    assert got == tuple_multisum_lhs(tag, k, i, T, x_tracking=True)
+
+
 def _shuffled(ms):
     """ms in a fixed order that is neither rising nor falling."""
     ms = list(ms)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from tuple_multisum import collapse_x
 
 from ggkit.partitions import enumerate_overpartitions
 from ggkit.series import (
@@ -241,27 +242,53 @@ def test_equality_is_on_common_range():
 
 
 def test_bivariate_collapse_and_counts():
-    bs = BivariateSeries(6)
-    bs.add_series(1, poly({1: 1, 3: 2}, 6))
-    bs.add_series(2, poly({2: 1}, 6))
-    flat = bs.eval_x_one()
+    bs = BivariateSeries.from_rows({1: poly({1: 1, 3: 2}, 6), 2: poly({2: 1}, 6)}, 6)
+    flat = collapse_x(bs)
     assert flat == poly({1: 1, 2: 1, 3: 2}, 6)
     other = BivariateSeries.from_counts({(1, 1): 1, (2, 2): 1, (1, 3): 2}, 6)
     assert bs == other
-    other.add_term(3, 1, 1)
+    other = BivariateSeries.from_counts({(1, 1): 1, (2, 2): 1, (1, 3): 3}, 6)
     assert bs.first_difference(other) == (3, 1)
 
 
 def test_bivariate_first_difference_reports_lowest_exponent():
-    a = BivariateSeries(6)
+    a = BivariateSeries.from_rows({0: poly({-2: 1}, 6), 1: poly({3: 1}, 6)}, 6)
     b = BivariateSeries(6)
-    a.add_term(-2, 0, 1)
-    a.add_term(3, 1, 1)
     assert a.first_difference(b) == (-2, 0)
     assert b.first_difference(a) == (-2, 0)
 
 
 def test_bivariate_needs_enough_truncation():
-    bs = BivariateSeries(10)
     with pytest.raises(TruncationError):
-        bs.add_series(0, poly({0: 1}, 5))
+        BivariateSeries.from_rows({0: poly({0: 1}, 5)}, 10)
+
+
+def test_from_rows_refuses_a_short_row_and_stores_no_zeros():
+    T = 6
+    with pytest.raises(TruncationError, match="truncated at 5 cannot feed a table valid to 6"):
+        BivariateSeries.from_rows({0: poly({0: 1}, T), 3: poly({4: 1}, 5)}, T)
+    rows = {
+        0: poly({0: 1, 2: 0, 7: 5}, 9),  # q^7 lies past T
+        1: LaurentSeries(1, [0, Fraction(1, 2), 0, -3, 0, 0], T),
+        2: poly({0: 1}, T) - poly({0: 1}, T),  # a row of zero numerators
+        4: poly({-1: 2}, T).shift(T + 2),  # starts past T
+    }
+    bs = BivariateSeries.from_rows(rows, T)
+    assert bs.table == {0: {0: 1}, 2: {1: Fraction(1, 2)}, 4: {1: -3}}
+    assert all(c for row in bs.table.values() for c in row.values())
+
+
+def test_bivariate_first_difference_of_equal_and_unequal_tables():
+    counts = {(0, 0): 1, (1, 1): 1, (1, 2): 1, (2, 3): 1, (1, 3): 1}
+    short = BivariateSeries.from_counts(counts, 3)
+    long_ = BivariateSeries.from_counts(counts, 9)
+    assert short.first_difference(long_) is None and long_.first_difference(short) is None
+    # a zero count and a count past the truncation are not stored
+    assert BivariateSeries.from_counts({**counts, (3, 1): 0, (1, 10): 4}, 9).table == long_.table
+    # the two disagree at q^2 (x^1 against x^3) and at q^3; the lowest (q, x) is named
+    other = BivariateSeries.from_counts({(0, 0): 1, (1, 1): 1, (3, 2): 1, (2, 3): 2}, 9)
+    assert long_.first_difference(other) == (2, 1)
+    assert other.first_difference(short) == (2, 1)
+    # unequal only past the lower truncation
+    past = BivariateSeries.from_counts({**counts, (4, 5): 1}, 9)
+    assert short.first_difference(past) is None and long_.first_difference(past) == (5, 4)

@@ -3,7 +3,7 @@ import re
 from functools import lru_cache
 
 import pytest
-from tuple_multisum import tuple_multisum_lhs
+from tuple_multisum import collapse_x, tuple_multisum_lhs
 
 from ggkit import bailey, bijections, marking, partitions, series, verify
 from ggkit.partitions import (
@@ -122,7 +122,7 @@ def test_x_slice_counts():
 
 def test_bivariate_collapses_to_univariate_multisum():
     for tag in ("AG-X", "BRESSOUD-X", "OGG-X"):
-        flat = multisum_lhs(tag, 3, 2, 25, x_tracking=True).eval_x_one()
+        flat = collapse_x(multisum_lhs(tag, 3, 2, 25, x_tracking=True))
         assert flat == multisum_lhs(tag[:-2], 3, 2, 25)
 
 
@@ -181,6 +181,17 @@ def test_bivariate_report_names_the_first_difference():
     rep = verify_identity("AG-X", 2, 1, 5, counts={(0, 0): 1})
     assert not rep.ok
     assert rep.detail == "first difference at x^1 q^2: multisum=1, enumeration=0"
+
+
+@pytest.mark.parametrize("tag, counts", [
+    ("OGG-X", overpartition_ofh_tables(20, [(3, 2)])[("O", 3, 2)]),
+    ("AG-X", partition_family_tables(20, [(3, 2)], families="B")[("B", 3, 2)]),
+], ids=["ofh-table", "partition-table"])
+def test_bivariate_identity_refuses_a_count_table_short_of_T(tag, counts):
+    # past weight 20 the table reads zero: at T = 28 the verdict would be a false FAIL
+    with pytest.raises(ValueError, match=r"reaches n=20, short of T=28$"):
+        verify_identity(tag, 3, 2, 28, counts=counts)
+    assert verify_identity(tag, 3, 2, 20, counts=counts).ok
 
 
 def test_seed_beta_report_names_both_sides(cold_memos, monkeypatch):

@@ -4,6 +4,7 @@
 tuple (N_1, ..., N_{k-1}) whose lowest exponent is at most T, one bracket,
 shift and k - 1 multiplies per tuple.  It has the signature and return types
 of `verify.multisum_lhs`, which evaluates the same sum level by level.
+`collapse_x` sets x = 1 in a bivariate series.
 """
 
 from ggkit.series import BivariateSeries, LaurentSeries
@@ -33,8 +34,8 @@ def iter_tuples(tag: str, k: int, i: int, T: int):
 
 def tuple_multisum_lhs(tag: str, k: int, i: int, T: int, x_tracking: bool = False):
     skip_zero = tag in ("F-GF", "H-GF")
-    acc_bi = BivariateSeries(T) if x_tracking else None
-    acc = LaurentSeries.zero(T)
+    zero = LaurentSeries.zero(T)
+    rows: dict[int, LaurentSeries] = {}  # the sum of each x-degree's terms
     for tup in iter_tuples(tag, k, i, T):
         if tup[0] == 0:
             if skip_zero:
@@ -42,8 +43,14 @@ def tuple_multisum_lhs(tag: str, k: int, i: int, T: int, x_tracking: bool = Fals
             term = LaurentSeries.one(T)
         else:
             term = _profile_term(tag, tup, i, T)
-        if x_tracking:
-            acc_bi.add_series(sum(tup), term)
-        else:
-            acc = acc + term
-    return acc_bi if x_tracking else acc
+        d = sum(tup) if x_tracking else 0
+        rows[d] = rows.get(d, zero) + term
+    if x_tracking:
+        return BivariateSeries.from_rows(rows, T)
+    return rows.get(0, zero)
+
+
+def collapse_x(bs: BivariateSeries) -> LaurentSeries:
+    """The series in q that bs is at x = 1."""
+    return LaurentSeries.from_terms({e: sum(row.values()) for e, row in bs.table.items()},
+                                    bs.truncation)
