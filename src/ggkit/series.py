@@ -267,9 +267,6 @@ class LaurentSeries:
         j = _lead(self._num)
         return self._lo + j if j < len(self._num) else self._trunc + 1
 
-    def is_zero(self) -> bool:
-        return not any(self._num)
-
     def _window(self, lo: int, hi: int) -> list[int]:
         """Numerators for exponents lo..hi, for lo <= min_exponent and hi <= truncation."""
         n = hi - lo + 1

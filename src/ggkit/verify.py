@@ -712,9 +712,9 @@ def _object_from_key(key: str) -> Overpartition:
 def _object_checks(key: str) -> tuple[int, str | None]:
     """(checks made, failure message or None) of the sweep's checks that do not
     depend on (k, i), in the sweep's order, for the object encoded by key.  The
-    maps share one step table per object, dropped on return or raise."""
-    with _step_table():
-        return _map_checks(_object_from_key(key))
+    maps use the step table of the sweep that asks (see verify_bijection_pairs),
+    or none outside a sweep."""
+    return _map_checks(_object_from_key(key))
 
 
 def _map_checks(op: Overpartition) -> tuple[int, str | None]:
@@ -806,61 +806,92 @@ def _pair_checks(op: Overpartition, rows: tuple[int, ...], k: int, i: int,
 
 
 def verify_bijections(k: int, i: int, n_max: int) -> VerificationReport:
-    """Run every roundtrip and weight law over all O(k, i) members of weight <= n_max,
-    one weight at a time, up to the first weight that fails."""
+    """Run every roundtrip and weight law over all O(k, i) members of weight <= n_max
+    in one walk; the report is the failure at the lowest weight, or the checks
+    made, unless a check raised first (see _bijection_reports)."""
     _check_bound("n_max", n_max)
-    return _bijection_reports([(k, i)], n_max, lambda n: verify_bijection_pairs([(k, i)], n))[0]
+    by_weight = verify_bijection_pairs([(k, i)], 0, n_max)
+    return _bijection_reports([(k, i)], n_max, by_weight.__getitem__)[0]
 
 
-def verify_bijection_pairs(pairs, n: int) -> dict[tuple[int, int], tuple[int, str | None]]:
-    """The checks of verify_bijections at the one weight n, for every (k, i) in pairs:
-    (checks made, first failure message or None) per pair.
+def _outcome(check, *args) -> tuple[int, str | Exception | None]:
+    """check(*args), or (0, the Exception it raised)."""
+    try:
+        return check(*args)
+    except MemoryError:
+        raise
+    except Exception as exc:
+        return 0, exc
+
+
+def verify_bijection_pairs(pairs, n_min: int, n_max: int) -> dict[int, tuple[dict, dict]]:
+    """The checks of verify_bijections at every weight n_min <= n <= n_max, for
+    every (k, i) in pairs: n -> (checks made per pair, first event per pair in
+    walk order), where an event is a failure message or the Exception a check
+    raised.  A pair with an event at n is not checked further at n.
 
     One walk covers the smallest family that contains every pair, O(max k,
-    max i).  A member is checked for each pair whose O-family caps its stats meet
-    and that has not failed yet; its pair-free checks come from the object memo,
-    and are not made at all when no pair takes the member."""
-    _check_bound("n", n)
+    max i), exactly at n when the range is one weight, else every weight up to
+    n_max.  A member is checked for each pair whose O-family caps its stats meet;
+    its pair-free checks come from the object memo, and are not made at all when
+    no pair takes the member.  The maps share one bounded step table for the
+    whole walk (see ``bijections``)."""
+    _check_bound("n_min", n_min)
+    if n_max < n_min:
+        raise ValueError(f"n_max must be at least n_min, got n_min={n_min}, n_max={n_max}")
     if not pairs:
         raise ValueError("no pair (k, i) to check")
     caps = {}
     for k, i in pairs:
         _check_pair(k, i)
         caps[(k, i)] = _o_caps(k, i)
-    checks = dict.fromkeys(caps, 0)
-    failures: dict[tuple[int, int], str] = {}
+    results = {n: (dict.fromkeys(caps, 0), {}) for n in range(n_min, n_max + 1)}
     bound = tuple(map(max, zip(*caps.values())))
-    for op, rows, stats, _ in _walk(n, exact=True, o_caps=bound):
-        live = [pair for pair, pair_caps in caps.items()
-                if pair not in failures and _within(stats, pair_caps)]
-        if not live:
-            continue
-        pair_free = _object_checks(_object_key(op))
-        for k, i in live:
-            done, msg = _pair_checks(op, rows, k, i, pair_free)
-            checks[(k, i)] += done
-            if msg is not None:
-                failures[(k, i)] = msg
-    return {pair: (checks[pair], failures.get(pair)) for pair in caps}
+    with _step_table():
+        for op, rows, stats, (n, *_) in _walk(n_max, exact=n_min == n_max, o_caps=bound):
+            if n < n_min:
+                continue
+            checks, events = results[n]
+            live = [pair for pair, pair_caps in caps.items()
+                    if pair not in events and _within(stats, pair_caps)]
+            if not live:
+                continue
+            pair_free = _outcome(_object_checks, _object_key(op))
+            for pair in live:
+                # a raise in the pair-free checks comes before any per-pair check
+                done, event = (pair_free if isinstance(pair_free[1], Exception)
+                               else _outcome(_pair_checks, op, rows, *pair, pair_free))
+                checks[pair] += done
+                if event is not None:
+                    events[pair] = event
+    return results
 
 
 def _bijection_reports(pairs, n_max: int, at) -> list[VerificationReport]:
     """One BIJECTIONS report per pair over the weights 0..n_max, where at(n) is
-    verify_bijection_pairs' result at weight n: the failure at the lowest weight,
-    or the sum of the checks.  A pair reads no weight past its first failure."""
-    reports = []
-    for k, i in pairs:
-        params = {"k": k, "i": i, "n_max": n_max}
-        checks = 0
-        for n in range(n_max + 1):
-            done, msg = at(n)[(k, i)]
-            if msg is not None:
-                reports.append(VerificationReport("BIJECTIONS", params, None, False, msg))
-                break
-            checks += done
-        else:
-            reports.append(VerificationReport("BIJECTIONS", params, None, True, f"{checks} checks"))
-    return reports
+    verify_bijection_pairs' result at weight n.  The weights are read in
+    ascending order until every pair has its report.  At weight n the first
+    exception recorded there for a pair without a report is raised again;
+    otherwise each such pair with a failure message there fails with it.  A pair
+    that never fails passes with the sum of its checks."""
+    open_checks = dict.fromkeys(pairs, 0)
+    reports = {}
+    for n in range(n_max + 1):
+        if not open_checks:
+            break
+        checks, events = at(n)
+        failed = [(pair, event) for pair, event in events.items() if pair in open_checks]
+        raised = [event for _, event in failed if isinstance(event, Exception)]
+        if raised:
+            raise raised[0]
+        for pair, msg in failed:
+            del open_checks[pair]
+            reports[pair] = (False, msg)
+        for pair in open_checks:
+            open_checks[pair] += checks[pair]
+    reports.update((pair, (True, f"{checks} checks")) for pair, checks in open_checks.items())
+    return [VerificationReport("BIJECTIONS", {"k": k, "i": i, "n_max": n_max}, None,
+                               *reports[(k, i)]) for k, i in pairs]
 
 
 def verify_bailey(k: int, i: int, T: int = 40, n_depth: int = 6) -> list[VerificationReport]:
@@ -916,7 +947,7 @@ def _run_task(task):
         return _counting_reports(k, ii, n_max)
     if kind == "bijections":
         _, pairs, n = task
-        return verify_bijection_pairs(pairs, n)
+        return verify_bijection_pairs(pairs, n, n)
     if kind == "profile":
         _, profile, i, T = task
         return verify_profile(profile, i, T)
@@ -1024,13 +1055,14 @@ def _run_tasks(tasks: list[tuple], workers: int, in_parent=list) -> list[Verific
     by_weight = {}
     for task, result in zip(tasks, results):
         if task[0] == "bijections":
-            by_weight[task[2]] = result
+            pairs = task[1]
+            by_weight.update(result)
         elif task[0] in ("profile", "counting"):
             reports.extend(result)
         else:
             reports.append(result)
     if by_weight:
-        reports.extend(_bijection_reports(by_weight[0], max(by_weight), by_weight.__getitem__))
+        reports.extend(_bijection_reports(pairs, max(by_weight), by_weight.__getitem__))
     return reports
 
 

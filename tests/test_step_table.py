@@ -1,10 +1,12 @@
-"""The bijection sweep's per-object step table and the per-step facts it reads.
+"""The bijection sweep's step table and the per-step facts it reads.
 
-``verify._object_checks`` opens one ``bijections._step_table()`` per object: the
-checks it makes must not depend on it, it must be gone after every call, also
-when a step raises, and a traced call must bypass it.  The first-row and subcase
-facts a step reads come straight from the parts; the FrequencyTable versions
-they replaced are kept here as the oracle.
+Each sweep call (``verify.verify_bijection_pairs``) opens one
+``bijections._step_table()`` for its whole walk, cleared whenever it passes
+``bijections._STEP_TABLE_SIZE`` entries: the checks the sweep makes must not
+depend on it or on its bound, it must be gone after every sweep, also when a
+step raises, and a traced call must bypass it.  The first-row and subcase facts
+a step reads come straight from the parts; the FrequencyTable versions they
+replaced are kept here as the oracle.
 """
 
 import contextlib
@@ -12,7 +14,7 @@ import contextlib
 import pytest
 
 from ggkit import bijections, verify
-from ggkit.bijections import Trace, phi_full, phi_step, theta_full
+from ggkit.bijections import Trace, phi_full, phi_step
 from ggkit.marking import (
     PositionReport,
     PreconditionError,
@@ -31,24 +33,59 @@ from ggkit.partitions import Overpartition, ParseError, Part, enumerate_overpart
 
 SMALL = [op for n in range(11) for op in enumerate_overpartitions(n)]
 O33 = [op for n in range(13) for op, *_ in _walk(n, exact=True, o_caps=verify._o_caps(3, 3))]
+BOUNDS = (0, 16, bijections._STEP_TABLE_SIZE)
 
 
-def _checks(ops, table):
-    """(checks, message) of _object_checks' body per object, with the step table
-    or with the context helper replaced by a no-op."""
-    results = []
+def _sweep(pairs, n_max, table, bound=None, swallow=False):
+    """Every object check of one sweep over pairs up to n_max, in walk order, and
+    its per-weight result, with the step table at bound (the module's when None)
+    or with the context helper replaced by a no-op; the object memo is bypassed,
+    so every object is checked.  A check that raises RuntimeError is recorded as
+    its message; with swallow, it then counts as passing with no checks, so the
+    sweep goes on to check every object under the same table."""
+    checked = []
     with pytest.MonkeyPatch.context() as mp:
+        if bound is not None:
+            mp.setattr(bijections, "_STEP_TABLE_SIZE", bound)
         if not table:
             mp.setattr(verify, "_step_table", contextlib.nullcontext)
-        for op in ops:
-            results.append(verify._object_checks.__wrapped__(verify._object_key(op)))
-            assert bijections._table is None, op
-    return results
+        body = verify._object_checks.__wrapped__
+
+        def recorded(key):
+            try:
+                checked.append((key, body(key)))
+            except RuntimeError as exc:
+                checked.append((key, str(exc)))
+                if not swallow:
+                    raise
+                return 0, None
+            return checked[-1][1]
+
+        mp.setattr(verify, "_object_checks", recorded)
+        result = verify.verify_bijection_pairs(pairs, 0, n_max)
+    assert bijections._table is None
+    return checked, result
 
 
-@pytest.mark.parametrize("ops", [SMALL, O33], ids=["weight<=10", "O(3,3) weight<=12"])
-def test_step_table_leaves_every_object_check_unchanged(ops):
-    assert _checks(ops, table=True) == _checks(ops, table=False)
+# O(11, 11) holds every overpartition of weight <= 10
+@pytest.mark.parametrize("pairs, n_max, ops", [([(11, 11)], 10, SMALL), ([(3, 3)], 12, O33)],
+                         ids=["weight<=10", "O(3,3) weight<=12"])
+def test_step_table_leaves_every_object_check_unchanged(pairs, n_max, ops):
+    want = _sweep(pairs, n_max, table=False)
+    assert sorted(key for key, _ in want[0]) == sorted(map(verify._object_key, ops))
+    for bound in BOUNDS:
+        assert _sweep(pairs, n_max, table=True, bound=bound) == want, bound
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+def test_step_table_leaves_every_report_unchanged(bound):
+    pairs = [(k, i) for k in range(1, 5) for i in range(1, k + 1)]
+
+    def reports(table):
+        result = _sweep(pairs, 12, table, bound)[1]
+        return [rep.to_json() for rep in verify._bijection_reports(pairs, 12, result.__getitem__)]
+
+    assert reports(table=True) == reports(table=False)
 
 
 def _raising_lambda_cases(monkeypatch):
@@ -64,23 +101,50 @@ def _raising_lambda_cases(monkeypatch):
     monkeypatch.setattr(bijections, "_lambda_cases", broken)
 
 
-def _outcome(key):
+def _outcome(k, i, n_max):
     try:
-        return verify._object_checks.__wrapped__(key)
+        return verify.verify_bijections(k, i, n_max)
     except RuntimeError as exc:
         return str(exc)
+    finally:
+        assert bijections._table is None
+
+
+def _as_text(result):
+    return {n: (checks, {pair: str(event) for pair, event in events.items()})
+            for n, (checks, events) in result.items()}
 
 
 def test_a_step_raising_partway_leaves_no_table_behind(cold_memos, monkeypatch):
     _raising_lambda_cases(monkeypatch)
-    keys = [verify._object_key(op) for op in SMALL if is_reduced(op)]
+    # each object's outcome, the sweep going on past every raise under one table
+    for bound in BOUNDS:
+        want = _sweep([(11, 11)], 10, table=False, bound=bound, swallow=True)[0]
+        assert sorted(key for key, _ in want) == sorted(map(verify._object_key, SMALL))
+        assert any(isinstance(out, str) for _, out in want)
+        assert any(not isinstance(out, str) for key, out in want
+                   if is_reduced(verify._object_from_key(key)))
+        assert _sweep([(11, 11)], 10, table=True, bound=bound, swallow=True)[0] == want, bound
+    # the sweep's own events, each weight stopping at its first raise
+    checked, result = _sweep([(11, 11)], 10, table=True)
+    want_checked, want_result = _sweep([(11, 11)], 10, table=False)
+    assert checked == want_checked
+    assert _as_text(result) == _as_text(want_result)
+    assert any(isinstance(e, RuntimeError) for _, events in result.values() for e in events.values())
+    # and the whole-sweep outcomes, raised or not
+    runs = [(k, i, n) for k in range(1, 4) for i in range(1, k + 1) for n in (4, 10)]
     with_table = []
-    for key in keys:
-        with_table.append(_outcome(key))
-        assert bijections._table is None
+    for run in runs:
+        verify._object_checks.cache_clear()
+        with_table.append(_outcome(*run))
     assert any(isinstance(out, str) for out in with_table)
+    assert any(not isinstance(out, str) and out.ok for out in with_table)
     monkeypatch.setattr(verify, "_step_table", contextlib.nullcontext)
-    assert [_outcome(key) for key in keys] == with_table
+    without = []
+    for run in runs:
+        verify._object_checks.cache_clear()
+        without.append(_outcome(*run))
+    assert without == with_table
 
 
 def test_a_raising_step_is_not_stored():
@@ -93,18 +157,27 @@ def test_a_raising_step_is_not_stored():
     assert bijections._table is None
 
 
-@pytest.mark.parametrize("full, domain", [(phi_full, in_stable_class), (theta_full, is_reduced)])
-def test_traced_full_maps_bypass_the_table(full, domain):
-    for op in SMALL:
-        if not domain(op):
-            continue
+@pytest.mark.parametrize("full, domain", [("phi_full", in_stable_class), ("theta_full", is_reduced)])
+def test_traced_full_maps_bypass_the_table(cold_memos, monkeypatch, full, domain):
+    untraced, inside = getattr(verify, full), {}
+
+    def traced_too(op, trace=None):
+        out = untraced(op, trace)  # fills the sweep's table with every step of the path
+        assert bijections._table is not None
+        inside[op] = Trace()
+        assert untraced(op, inside[op]) == out
+        return out
+
+    monkeypatch.setattr(verify, full, traced_too)
+    # O(11, 11) holds every overpartition of weight <= 10
+    result = verify.verify_bijection_pairs([(11, 11)], 0, 10)
+    assert not any(events for _, events in result.values())
+    assert bijections._table is None
+    assert set(inside) == {op for op in SMALL if domain(op)}
+    for op, trace in inside.items():
         outside = Trace()
-        want = full(op, outside)
-        with bijections._step_table():
-            full(op)  # fills the table with every step of the path
-            inside = Trace()
-            assert full(op, inside) == want
-        assert inside == outside, op
+        untraced(op, outside)
+        assert trace == outside, op
 
 
 def test_outputs_are_interned_by_parts():
@@ -113,6 +186,29 @@ def test_outputs_are_interned_by_parts():
         signed, out = phi_full(op)
         assert bijections.psi_full(signed, out) is op
         assert phi_full(op)[1] is out
+
+
+def test_the_sweep_table_stays_within_its_bound(cold_memos, monkeypatch):
+    step, rewrite, sizes, computed = bijections._step, bijections._rewrite, [], [0]
+
+    def spied_step(*args):
+        sizes.append(len(bijections._table))
+        out = step(*args)
+        sizes.append(len(bijections._table))
+        return out
+
+    def counted_rewrite(*args):
+        computed[0] += 1
+        return rewrite(*args)
+
+    monkeypatch.setattr(bijections, "_step", spied_step)
+    monkeypatch.setattr(bijections, "_rewrite", counted_rewrite)
+    assert verify.verify_bijections(3, 3, 14).detail == "4968 checks"
+    assert bijections._table is None
+    assert max(sizes) <= bijections._STEP_TABLE_SIZE
+    # it filled up and was cleared, and still served steps across objects
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))
+    assert computed[0] < len(sizes) // 2
 
 
 # -- the per-step facts against the FrequencyTable versions they replaced ----

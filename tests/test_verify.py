@@ -464,8 +464,9 @@ def test_sweep_looks_up_each_inverse_at_call_time(cold_memos, monkeypatch, name,
 
 
 def test_per_pair_sweep_stops_at_its_first_failing_weight(cold_memos, monkeypatch):
-    # phi_full goes wrong at weight 5 and raises at weight 7: the weight-5 failure
-    # must come back, and no weight past it may be walked
+    # phi_full goes wrong at weight 5 and raises at weight 7: the one walk reaches
+    # weight 7 too, but the weight-5 failure must come back and the raise past it
+    # must not propagate
     full = verify.phi_full
 
     def broken(op, trace=None):
@@ -478,6 +479,30 @@ def test_per_pair_sweep_stops_at_its_first_failing_weight(cold_memos, monkeypatc
     rep = verify_bijections(2, 2, 8)
     assert not rep.ok
     assert Overpartition.from_text(rep.detail.split("'")[1]).weight() == 5
+
+
+@pytest.mark.parametrize("workers", [0, 1, 2])
+def test_a_raise_below_the_first_failing_weight_propagates(cold_memos, monkeypatch, workers):
+    # phi_full raises at weight 5 and goes wrong at weight 7: reading the weights in
+    # ascending order, the raise comes first, as the object the check raised
+    full, raised = verify.phi_full, []
+
+    def broken(op, trace=None):
+        if op.weight() == 5:
+            raised.append(RuntimeError(f"phi_full raised on {op!r}"))
+            raise raised[-1]
+        signed, out = full(op, trace)
+        return (signed, Overpartition(out.parts[:-1])) if op.weight() == 7 else (signed, out)
+
+    monkeypatch.setattr(verify, "phi_full", broken)
+    with pytest.raises(RuntimeError, match="phi_full raised on") as exc:
+        if workers:
+            verify._run_tasks(_weight_tasks(PAIRS4, 8), workers)
+        else:
+            verify_bijections(2, 2, 8)
+    if workers < 2:
+        assert exc.value is raised[0]
+    assert bijections._table is None
 
 
 def test_sweep_looks_up_the_classifiers_at_call_time(cold_memos, monkeypatch):
