@@ -11,15 +11,16 @@ gcd of the denominator and all numerators is 1).  Every operation works on
 the integers; ``fractions.Fraction`` appears only at the interface, when a
 caller passes one in or reads a non-integral coefficient out.
 
-Long products use Kronecker substitution: each numerator vector is packed
-into one bigint with a slot wide enough for any product coefficient, the
-two bigints are multiplied once by CPython (Karatsuba), and the coefficients
-the result keeps are read back out of the slots (Harvey, "Faster polynomial
-multiplication via multipoint Kronecker substitution", JSC 2009).  Short or
-sparse products use a schoolbook loop over ints.  A sum of products
-sum_j a_j b_j is one call, ``sum_of_products``: the dense products go into
-one bigint, unpacked once, and the sparse ones into the same integer window
-by slice passes, with no series built per term.
+Every product is formed by one kernel, ``_products``: ``a * b`` is a sum of
+one product at its own truncation, and ``sum_of_products`` sums every pair's
+product cut at T in one call, with no series built per term.  A product with
+a sparse side adds one slice pass of the other side per nonzero into one
+integer window.  The others use Kronecker substitution: each numerator vector
+is packed into one bigint with a slot wide enough for any coefficient of the
+sum, the bigints are multiplied by CPython (Karatsuba) and added into one,
+and the coefficients the result keeps are read back out of the slots once
+(Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", JSC 2009).
 
 The q-products are built once each, and each is memoized here alone.
 ``pochhammer_finite`` is a bounded ``lru_cache`` of immutable series, which
@@ -42,8 +43,9 @@ from typing import Iterable, Iterator, Sequence, Union
 
 Coeff = Union[int, Fraction]
 
-# Kronecker substitution beats the schoolbook loop once the sparser operand
-# has this many nonzero coefficients (see CHANGES.md for the measurement).
+# a product is packed (Kronecker substitution) once its sparser operand has this
+# many nonzero coefficients, else it takes the slice pass; CHANGES.md has the
+# crossover, measured against the schoolbook loop the slice pass replaced
 _KRONECKER_MIN_TERMS = 8
 
 # signed array typecodes for the slot widths (in bytes) packed at C speed
@@ -116,29 +118,6 @@ def _unpack(p: int, n: int, wb: int) -> list[int]:
         return array(tc, raw).tolist()
     return [int.from_bytes(raw[j:j + wb], "little", signed=True)
             for j in range(0, wb * n, wb)]
-
-
-def _mul_trunc(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
-    """The first n coefficients of a * b; both have a nonzero head and len <= n."""
-    nza = len(a) - a.count(0)
-    nzb = len(b) - b.count(0)
-    if min(nza, nzb) < _KRONECKER_MIN_TERMS:
-        if nza > nzb:
-            a, b = b, a
-        out = [0] * n
-        bnz = [(j, y) for j, y in enumerate(b) if y]
-        for i, x in enumerate(a):
-            if x:
-                room = n - i
-                for j, y in bnz:
-                    if j >= room:
-                        break
-                    out[i + j] += x * y
-        return out
-    alo, ahi, blo, bhi = min(a), max(a), min(b), max(b)
-    bound = min(len(a), len(b)) * max(ahi, -alo) * max(bhi, -blo)
-    wb = _slot_bytes(bound)
-    return _unpack(_pack(a, wb, alo < 0) * _pack(b, wb, blo < 0), n, wb)
 
 
 def _to_integers(coeffs: Sequence) -> tuple[tuple[int, ...], int]:
@@ -309,17 +288,8 @@ class LaurentSeries:
         return _series(self._lo + d, self._num, self._den, self._trunc + d)
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
-        a, b = self._num, other._num
-        ia, ib = _lead(a), _lead(b)
-        am = self._lo + ia if ia < len(a) else self._trunc + 1
-        bm = other._lo + ib if ib < len(b) else other._trunc + 1
-        trunc = min(self._trunc + bm, other._trunc + am)
-        lo = am + bm
-        if lo > trunc:
-            return LaurentSeries.zero(trunc)
-        n = trunc - lo + 1
-        out = _mul_trunc(a[ia:ia + n], b[ib:ib + n], n)
-        return _reduced(lo, out, self._den * other._den, trunc)
+        trunc, cut = _cut(self, other)
+        return _products([cut], trunc) if cut else LaurentSeries.zero(trunc)
 
     def inverse(self) -> "LaurentSeries":
         """Multiplicative inverse: self * self.inverse() == 1 up to truncation.
@@ -453,50 +423,47 @@ def substitute_power(a: LaurentSeries, m: int) -> LaurentSeries:
     return a.substitute_power(m)
 
 
-def sum_of_products(pairs: Sequence[tuple[LaurentSeries, LaurentSeries]],
-                    truncation: int) -> LaurentSeries:
-    """sum a * b over the pairs (a, b), cut at T = truncation: the series, to the
-    byte, that folding acc + (a * b).truncated(T) from LaurentSeries.zero(T) gives,
-    with the same TruncationError for a product valid below T.
+def _cut(a: LaurentSeries, b: LaurentSeries, T: int | None = None) -> tuple:
+    """(the truncation of a * b, the product's cut at T): (lead, a's numerators
+    from its lead, b's from its lead, denominator), with T the truncation by
+    default, and None when the product is zero to T."""
+    an, bn = a._num, b._num
+    ia, ib = _lead(an), _lead(bn)
+    am = a._lo + ia if ia < len(an) else a._trunc + 1
+    bm = b._lo + ib if ib < len(bn) else b._trunc + 1
+    trunc = min(a._trunc + bm, b._trunc + am)
+    n = (trunc if T is None else T) - am - bm + 1
+    if n <= 0:
+        return trunc, None
+    return trunc, (am + bm, an[ia:ia + n], bn[ib:ib + n], a._den * b._den)
 
-    One pair is (a * b).truncated(T).  Otherwise every product is put over the
-    lcm of the products' denominators and added into one window of integers from
-    the lowest product lead to T, which is brought to lowest terms once.  A
-    product whose sparser side has _KRONECKER_MIN_TERMS nonzeros or more is
-    packed and multiplied as in _mul_trunc, shifted by its offset in slots and
-    added into one bigint; a sparser one adds into the window one slice pass of
-    the denser side per nonzero of the sparser.  The bigint's slot is wide enough
-    for the summed bound of all its products and the sparse window, which it
-    takes in, and it is unpacked once.
+
+def _products(cuts: list[tuple], T: int) -> LaurentSeries:
+    """The sum of the cuts' products (see _cut) to T, the one place a product is
+    formed.  Every product is put over the lcm of the cuts' denominators and
+    added into one window of integers from the lowest lead to T, which is
+    brought to lowest terms once.  A product whose sparser side has fewer than
+    _KRONECKER_MIN_TERMS nonzeros adds into the window one slice pass of the
+    denser side per nonzero of the sparser.  The others are packed into bigints
+    with one slot per coefficient, multiplied once each, shifted by their offset
+    in slots and added into one bigint, whose slot is wide enough for their
+    summed bound and the window's, which it takes in; it is unpacked once.
     """
-    T = truncation
-    if len(pairs) == 1:
-        a, b = pairs[0]
-        return (a * b).truncated(T)
-    cut = []  # (lead, a's numerators, b's numerators, denominator) of each product
-    for a, b in pairs:
-        an, bn = a._num, b._num
-        ia, ib = _lead(an), _lead(bn)
-        am = a._lo + ia if ia < len(an) else a._trunc + 1
-        bm = b._lo + ib if ib < len(bn) else b._trunc + 1
-        trunc = min(a._trunc + bm, b._trunc + am)
-        if trunc < T:
-            raise TruncationError(f"cannot extend truncation {trunc} to {T}")
-        n = T - am - bm + 1
-        if n > 0:
-            cut.append((am + bm, an[ia:ia + n], bn[ib:ib + n], a._den * b._den))
-    if not cut:
+    if not cuts:
         return LaurentSeries.zero(T)
-    lo = min([c[0] for c in cut])
-    den = lcm(*[c[3] for c in cut])
+    leads, _, _, dens = zip(*cuts)
+    lo, den = min(leads), lcm(*dens)
     size = T - lo + 1
     out = [0] * size
     dense = []
-    for lead, x, y, d in cut:
+    bound = 0
+    for lead, x, y, d in cuts:
         off, f = lead - lo, den // d
         nzx, nzy = len(x) - x.count(0), len(y) - y.count(0)
         if min(nzx, nzy) >= _KRONECKER_MIN_TERMS:
-            dense.append((off, x, y, f))
+            xlo, ylo = min(x), min(y)
+            bound += min(len(x), len(y)) * max(max(x), -xlo) * max(max(y), -ylo) * f
+            dense.append((off, x, y, f, xlo < 0, ylo < 0))
             continue
         if nzx > nzy:
             x, y = y, x
@@ -513,19 +480,35 @@ def sum_of_products(pairs: Sequence[tuple[LaurentSeries, LaurentSeries]],
             else:
                 out[s:e] = map(add, out[s:e], map(mul, row, repeat(c)))
     if dense:
-        olo, ohi = min(out), max(out)
-        bound = max(ohi, -olo)
-        for _, x, y, f in dense:
-            bound += (min(len(x), len(y)) * max(max(x), -min(x))
-                      * max(max(y), -min(y)) * f)
-        wb = _slot_bytes(bound)
+        # the window is still all zeros when every product is packed
+        olo, ohi = (min(out), max(out)) if len(dense) < len(cuts) else (0, 0)
+        wb = _slot_bytes(bound + max(ohi, -olo))
         w = 8 * wb
         acc = _pack(out, wb, olo < 0) if olo or ohi else 0
-        for off, x, y, f in dense:
-            p = _pack(x, wb, min(x) < 0) * _pack(y, wb, min(y) < 0)
+        for off, x, y, f, xneg, yneg in dense:
+            p = _pack(x, wb, xneg) * _pack(y, wb, yneg)
             acc += (p * f if f != 1 else p) << (w * off)
         out = _unpack(acc, size, wb)
     return _reduced(lo, out, den, T)
+
+
+def sum_of_products(pairs: Sequence[tuple[LaurentSeries, LaurentSeries]],
+                    truncation: int) -> LaurentSeries:
+    """sum a * b over the pairs (a, b), cut at T = truncation: the series, to the
+    byte, that folding acc + (a * b).truncated(T) from LaurentSeries.zero(T) gives,
+    with the same TruncationError for a product valid below T.  Every pair's
+    product is cut at T and all of them are summed by one call to the kernel
+    that forms a * b as well.
+    """
+    T = truncation
+    cuts = []
+    for a, b in pairs:
+        trunc, cut = _cut(a, b, T)
+        if trunc < T:
+            raise TruncationError(f"cannot extend truncation {trunc} to {T}")
+        if cut:
+            cuts.append(cut)
+    return _products(cuts, T)
 
 
 # ---------------------------------------------------------------------------

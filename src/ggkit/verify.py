@@ -406,11 +406,6 @@ class ClassRecord(NamedTuple):
     reduced: bool
     doubled: bool
 
-    def in_class(self, cls: str, k: int, i: int) -> bool:
-        flag, caps = _class_rule(cls, k, i)
-        return _within((self.fb, self.mw, self.c3), caps) and (
-            self.stable, self.reduced, self.doubled)[flag]
-
 
 class ClassBucket(list):
     """The items of one marking profile in walk order (ClassRecords, or the
@@ -1073,7 +1068,8 @@ def run_suite(suite: str, k=None, i=None, n_max=None, T=None, profile=None,
     while the pool works on the other tasks (see ``_run_tasks``).
 
     Reports come back sorted by identity tag and parameters regardless of the
-    execution order.
+    execution order.  A profile's checks run at k = len(profile) + 1, so where
+    the suite reads the profile a given k other than that is refused.
     """
     if jobs is None:
         env = os.environ.get("GGKIT_JOBS", "1")
@@ -1087,6 +1083,10 @@ def run_suite(suite: str, k=None, i=None, n_max=None, T=None, profile=None,
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     _check_ceiling("k", k, _K_MAX)
     _check_ceiling("T", T, _T_MAX)
+    if profile is not None and k is not None and suite in ("identities", "all") \
+            and k != len(profile) + 1:
+        raise ValueError(f"profile {tuple(profile)} fixes k = len(profile) + 1 = "
+                         f"{len(profile) + 1}, got k={k}")
     chains: list[tuple[int, int]] = []
     if suite in ("bailey", "all"):
         # under "bailey" a pair given in full stays, so that verify_bailey rejects i >= k

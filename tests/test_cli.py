@@ -297,6 +297,8 @@ def test_verify_jobs_env_default(capsys, monkeypatch):
     ({}, ["bailey", "--k", "3", "--i", "1", "--n-max", "1001"]),
     ({}, ["verify", "--suite", "identities", "--profile", "1000", "--T", "10"]),
     ({}, ["verify", "--suite", "identities", "--profile", "5", "--T", "22"]),
+    ({}, ["verify", "--suite", "identities", "--profile", "2,1", "--k", "7", "--T", "10"]),
+    ({}, ["verify", "--suite", "all", "--profile", "2,1", "--k", "2"]),
     ({}, ["verify", "--suite", "counting", "--k", "2", "--i", "1", "--n-max", "100000"]),
     ({}, ["verify", "--suite", "counting", "--k", "2", "--i", "1", "--n-max", "1001"]),
     ({}, ["verify", "--suite", "identities", "--k", "2", "--i", "1", "--T", "100000"]),

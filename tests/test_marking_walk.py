@@ -23,7 +23,15 @@ from ggkit.partitions import (
     o_family_stats,
     satisfies_family,
 )
-from ggkit.verify import ClassRecord, _o_caps, collect_class_buckets
+from ggkit.verify import ClassRecord, _class_rule, _o_caps, _within, collect_class_buckets
+
+
+def in_class(rec: ClassRecord, cls: str, k: int, i: int) -> bool:
+    """The class membership rule applied to one record: its flag holds and its
+    (fb, mw, c3) is within the caps."""
+    flag, caps = _class_rule(cls, k, i)
+    return _within((rec.fb, rec.mw, rec.c3), caps) and (
+        rec.stable, rec.reduced, rec.doubled)[flag]
 
 
 def _slow_class_buckets(n1_max, rows_max, weight_max):
@@ -51,7 +59,7 @@ def test_bucket_tables_count_the_records_in_class():
         for k in range(1, 6):
             for i in range(1, k + 1):
                 for cls in "FGE":
-                    want = Counter(rec.weight for rec in bucket if rec.in_class(cls, k, i))
+                    want = Counter(rec.weight for rec in bucket if in_class(rec, cls, k, i))
                     assert bucket.histogram(cls, k, i) == want, (rows, cls, k, i)
 
 

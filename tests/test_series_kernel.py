@@ -1,11 +1,12 @@
 """Property tests for the integer LaurentSeries kernel.
 
 Products are compared with a plain Fraction schoolbook written here, on
-inputs that reach both the schoolbook and the Kronecker branch of the
-multiply: dense and sparse operands on both sides of the crossover, wide
-coefficients, mixed denominators, negative exponents, unequal truncations,
-leading zeros and the zero series.  ``sum_of_products`` is compared, to the
-stored numerators, with one multiply and one add per pair on the same inputs.
+inputs that reach both the slice pass and the Kronecker branch of the product
+kernel: dense and sparse operands on both sides of the crossover, long sparse
+operands, wide coefficients, mixed denominators, negative exponents, unequal
+truncations, leading zeros and the zero series.  ``sum_of_products`` is
+compared, to the stored numerators, with one multiply and one add per pair on
+the same inputs.
 """
 
 from fractions import Fraction
@@ -51,11 +52,23 @@ def reference_product(a: LaurentSeries, b: LaurentSeries) -> dict:
         for eb, cb in fb.items():
             if ea + eb <= trunc:
                 out[ea + eb] += ca * cb
-    return {"truncation": trunc, "coeffs": out}
+    return {"min_exponent": min(am + bm, trunc + 1), "truncation": trunc, "coeffs": out}
 
 
 def dense(n, c=1):
     return LaurentSeries(0, [c * (j % 5 - 2 or 1) for j in range(n)], n - 1)
+
+
+def sparse(n, spikes, lo=0):
+    """n slots from q^lo, zero but for the {slot: coefficient} spikes."""
+    coeffs = [0] * n
+    for j, c in spikes.items():
+        coeffs[j] = c
+    return LaurentSeries(lo, coeffs, lo + n - 1)
+
+
+# _KRONECKER_MIN_TERMS - 1 nonzeros spread over 200 slots, signs alternating
+NEAR_DENSE = {20 * j + 1: (-1) ** j * (j + 2) for j in range(_KRONECKER_MIN_TERMS - 1)}
 
 
 @settings(max_examples=300, deadline=None)
@@ -65,10 +78,16 @@ def dense(n, c=1):
 @example(dense(_KRONECKER_MIN_TERMS - 1), dense(_KRONECKER_MIN_TERMS - 1))
 @example(dense(_KRONECKER_MIN_TERMS), dense(_KRONECKER_MIN_TERMS).scale(Fraction(-2, 3)))
 @example(LaurentSeries.zero(5), dense(20))
+@example(sparse(250, {3: -2, 200: Fraction(-5, 3)}, lo=-4), sparse(220, {7: 1}))
+@example(sparse(300, {0: Fraction(7, 2)}), sparse(240, {5: -1, 239: 3}, lo=2))
+@example(sparse(210, {1: -(2 ** 70)}), dense(60, WIDE))
+@example(sparse(200, NEAR_DENSE), dense(60))
+@example(dense(60).scale(Fraction(-2, 3)), sparse(200, NEAR_DENSE, lo=-3))
 def test_mul_matches_fraction_schoolbook(a, b):
     ref = reference_product(a, b)
     got = a * b
     assert got.truncation == ref["truncation"]
+    assert got.min_exponent == ref["min_exponent"]
     for e in range(min(got.min_exponent, ref["truncation"] + 1) - 2, ref["truncation"] + 1):
         assert got.coefficient(e) == ref["coeffs"].get(e, 0), e
     assert b * a == got

@@ -3,6 +3,7 @@ import re
 from functools import lru_cache
 
 import pytest
+from test_marking_walk import in_class
 from tuple_multisum import collapse_x, tuple_multisum_lhs
 
 from ggkit import bailey, bijections, marking, partitions, series, verify
@@ -222,7 +223,7 @@ def test_class_gf_profile_examples(class_buckets, partition_class_buckets):
     rep = verify_class_gf((1,), 1, 30, "E", buckets=class_buckets)
     assert rep.ok, str(rep)
     # members of that class are the single plain even parts of size >= 4
-    members = [rec.op for rec in class_buckets[(1,)] if rec.in_class("E", 2, 1)]
+    members = [rec.op for rec in class_buckets[(1,)] if in_class(rec, "E", 2, 1)]
     assert sorted(op.weight() for op in members if op.weight() <= 10) == [4, 6, 8, 10]
 
 
