@@ -48,7 +48,7 @@ from .partitions import (
     enumerate_overpartitions,
     satisfies_family,
 )
-from .verify import _K_MAX, _T_MAX, _check_ceiling, run_suite
+from .verify import _K_MAX, _T_MAX, CLASS_TAGS, _check_ceiling, run_suite
 
 USAGE_EXIT = 2
 MISMATCH_EXIT = 1
@@ -295,6 +295,10 @@ def _cmd_verify(args) -> int:
     profile = _parse_int_list(args.profile, "--profile") if args.profile else None
     reports = run_suite(args.suite, k=args.k, i=args.i, n_max=args.n_max,
                         T=args.T, profile=profile, jobs=args.jobs)
+    checked = {r.truncation for r in reports if r.identity in CLASS_TAGS}
+    if args.T is not None and checked and checked != {args.T}:  # the suite capped T
+        print(f"ggkit: note: the profile checks ran at T={min(checked)}, the cap, "
+              f"not at the --T {args.T} asked for", file=sys.stderr)
     if args.format == "json":
         print(json.dumps([r.to_json() for r in reports]))
     else:

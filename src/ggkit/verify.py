@@ -966,15 +966,18 @@ _T_MAX = 1000
 # their stages up to the last shift and build the rest each, take 5.6-7.1 s at
 # k = 100 and 1.5-1.8 s at k = 40 (2-CPU Xeon)
 _K_MAX = 1000
+# the suite checks a profile's classes at T at most this, whatever T it is given
+_PROFILE_T_MAX = 30
 
 
 def build_tasks(suite: str, k=None, i=None, n_max=None, T=None, profile=None) -> list[tuple]:
-    """The suite's pool tasks, longest first: one bijection task per weight, from
+    """The suite's tasks, longest first: one bijection task per weight, from
     n_max (at most _SWEEP_N_MAX) down, for every selected pair at once, then the
     identity tasks, then one counting task per k for all its selected i (n_max at
-    most _COUNT_N_MAX).  A profile gives one task for its six class checks, at T
-    at most 30 and a bucket reach at most _PROFILE_REACH_MAX.  Under "all", a k
-    below 2 leaves the summed identities out."""
+    most _COUNT_N_MAX).  A profile gives one task for its six class checks, at
+    k = len(profile) + 1 (a given k other than that is refused), T at most
+    _PROFILE_T_MAX and a bucket reach at most _PROFILE_REACH_MAX.  Under "all",
+    a k below 2 leaves the summed identities out."""
     tasks: list[tuple] = []
     if suite in ("bijections", "all"):
         nm = n_max if n_max is not None else 12
@@ -985,7 +988,10 @@ def build_tasks(suite: str, k=None, i=None, n_max=None, T=None, profile=None) ->
     if suite in ("identities", "all"):
         t = T if T is not None else 40
         if profile is not None:
-            ii, tt = i if i is not None else 1, min(t, 30)
+            if k is not None and k != len(profile) + 1:
+                raise ValueError(f"profile {tuple(profile)} fixes k = len(profile) + 1 = "
+                                 f"{len(profile) + 1}, got k={k}")
+            ii, tt = i if i is not None else 1, min(t, _PROFILE_T_MAX)
             p, _ = _check_class_params(profile, ii, tt)
             reach = _lemma_reach(p[0] if p else 0, tt)
             _check_ceiling("class bucket reach", reach, _PROFILE_REACH_MAX)
@@ -1011,7 +1017,10 @@ def build_tasks(suite: str, k=None, i=None, n_max=None, T=None, profile=None) ->
 
 
 def _worker_count(jobs: int, tasks: int, cpus: int) -> int:
-    """Pool size for a run: never more workers than tasks or CPUs, at least one."""
+    """Worker processes for a run: never more than tasks or CPUs, at least one,
+    and one (this process alone) where ``os.fork`` does not exist."""
+    if not hasattr(os, "fork"):
+        return 1
     return max(1, min(jobs, tasks, cpus))
 
 
@@ -1024,26 +1033,18 @@ def _available_cpus() -> int:
 
 def _run_tasks(tasks: list[tuple], workers: int, in_parent=list) -> list[VerificationReport]:
     """The reports of ``in_parent()`` (none by default) followed by those of
-    build_tasks' tasks, run in order in a pool of workers processes (in this one
-    when workers is 1); a profile task gives six reports, a counting task three
-    per i, and the per-weight bijection results are merged into one report per
-    pair.
+    build_tasks' tasks, run in ``workers`` forked processes (in this one, in
+    order, when workers is 1); a profile task gives six reports, a counting
+    task three per i, and the per-weight bijection results are merged into one
+    report per pair.
 
-    With a pool, every task is submitted before ``in_parent`` runs, so it runs
-    here while the workers work, and the workers fork before it grows this
-    process's heap.  If it (or a task) raises, the tasks not yet started are
-    cancelled and the error propagates.  The pool module is imported only here."""
+    With workers, they fork before ``in_parent`` runs, so it runs here while
+    they work, and they fork before it grows this process's heap.  If it
+    raises, its error propagates; otherwise the first task in task order that
+    raised, or whose worker died before sending its result, raises.  Either way
+    every worker is killed and reaped before this returns (see ``_fan_out``)."""
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_task, t) for t in tasks]
-            try:
-                reports = in_parent()
-                results = [f.result() for f in futures]
-            finally:
-                for f in futures:
-                    f.cancel()
+        reports, results = _fan_out(tasks, workers, in_parent)
     else:
         reports = in_parent()
         results = [_run_task(t) for t in tasks]
@@ -1061,15 +1062,138 @@ def _run_tasks(tasks: list[tuple], workers: int, in_parent=list) -> list[Verific
     return reports
 
 
+# a task index on the shared pipe is _INDEX_BYTES wide and the parent writes at
+# most PIPE_BUF bytes at a time, which land whole, so each worker's read of
+# _INDEX_BYTES takes exactly one index; a result is a pickle behind its length
+_INDEX_BYTES = 4
+_LENGTH_BYTES = 8
+
+
+def _fan_out(tasks: list[tuple], workers: int, in_parent):
+    """``in_parent()`` and the results of ``_run_task`` on each task, in task
+    order, the tasks run in workers forked processes.
+
+    Each worker pulls the next task index from one shared pipe and sends back
+    the pickled (index, raised, result or exception) of each task over a pipe
+    of its own, and leaves only through ``os._exit``.  The parent writes the
+    indices after the fork, what the pipe takes before ``in_parent`` and the
+    rest while it collects, so no task count can block it.  ggkit starts no
+    thread, so the fork is safe unless the caller runs threads of its own."""
+    import pickle
+    import select
+    import signal
+
+    index_r, index_w = os.pipe()
+    fds = {index_r, index_w}
+    children = {}  # a worker's result pipe -> its pid
+    try:
+        for _ in range(workers):
+            r, w = os.pipe()
+            fds |= {r, w}
+            pid = os.fork()
+            if pid == 0:  # the worker: never return into the caller's frames
+                code = 1
+                try:
+                    os.close(index_w)
+                    os.close(r)
+                    _work(tasks, index_r, w)
+                    code = 0
+                finally:
+                    os._exit(code)
+            children[r] = pid
+            fds.remove(w)
+            os.close(w)
+        todo = memoryview(b"".join(j.to_bytes(_INDEX_BYTES, "little") for j in range(len(tasks))))
+        os.set_blocking(index_w, False)
+        todo = _feed(index_w, todo, fds)
+        reports = in_parent()
+        outcomes, received, first = {}, {r: bytearray() for r in children}, 0
+        while received:
+            readable, writable, _ = select.select(list(received), [index_w] if todo else [], [])
+            if writable:
+                todo = _feed(index_w, todo, fds)
+            for r in readable:
+                chunk = os.read(r, 1 << 16)
+                if not chunk:  # the worker has exited
+                    del received[r]
+                    continue
+                buf = received[r]
+                buf += chunk
+                while len(buf) >= _LENGTH_BYTES:
+                    end = _LENGTH_BYTES + int.from_bytes(buf[:_LENGTH_BYTES], "little")
+                    if len(buf) < end:
+                        break
+                    j, raised, value = pickle.loads(buf[_LENGTH_BYTES:end])
+                    outcomes[j] = raised, value
+                    del buf[:end]
+            while first in outcomes:
+                raised, value = outcomes[first]
+                if raised:
+                    raise value
+                first += 1
+        if first < len(tasks):
+            raise RuntimeError(f"a worker died before sending the result of task {first}, "
+                               f"{tasks[first]!r}")
+        return reports, [outcomes[j][1] for j in range(len(tasks))]
+    finally:
+        for pid in children.values():
+            os.kill(pid, signal.SIGKILL)
+        for pid in children.values():
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
+
+
+def _feed(fd: int, todo: memoryview, fds: set) -> memoryview:
+    """Write to the non-blocking pipe fd what it takes now of todo, PIPE_BUF
+    bytes at a time, and close it (the workers then read to its end and leave)
+    once todo is all written; return the rest."""
+    from select import PIPE_BUF
+
+    while todo:
+        try:
+            todo = todo[os.write(fd, todo[:PIPE_BUF]):]
+        except BlockingIOError:
+            return todo
+    fds.remove(fd)
+    os.close(fd)
+    return todo
+
+
+def _work(tasks: list[tuple], indices: int, out: int) -> None:
+    """A worker's loop: run each task whose index it reads until the pipe ends,
+    and write its outcome to out.  An outcome that cannot be pickled, or an
+    exception that cannot be unpickled, is sent as a RuntimeError naming it."""
+    import pickle
+
+    while raw := os.read(indices, _INDEX_BYTES):
+        j = int.from_bytes(raw, "little")
+        try:
+            outcome = (j, False, _run_task(tasks[j]))
+        except Exception as exc:
+            outcome = (j, True, exc)
+        try:
+            data = pickle.dumps(outcome)
+            if outcome[1]:
+                pickle.loads(data)
+        except Exception as exc:
+            data = pickle.dumps((j, True, RuntimeError(
+                f"task {j}, {tasks[j]!r}: {outcome[2]!r} cannot be sent back ({exc!r})")))
+        frame = memoryview(len(data).to_bytes(_LENGTH_BYTES, "little") + data)
+        while frame:
+            frame = frame[os.write(out, frame):]
+
+
 def run_suite(suite: str, k=None, i=None, n_max=None, T=None, profile=None,
               jobs: int | None = None) -> list[VerificationReport]:
     """Run a verification suite, optionally fanning tasks out across processes.
-    The Bailey chains run in this process: first when there is no pool, else
-    while the pool works on the other tasks (see ``_run_tasks``).
+    The Bailey chains run in this process: first when there are no workers,
+    else while the forked workers run the other tasks (see ``_run_tasks``).
+    No process pool is built, and no worker outlives the call.
 
     Reports come back sorted by identity tag and parameters regardless of the
-    execution order.  A profile's checks run at k = len(profile) + 1, so where
-    the suite reads the profile a given k other than that is refused.
+    execution order.  ``build_tasks`` refuses a profile beside a k other than
+    len(profile) + 1.
     """
     if jobs is None:
         env = os.environ.get("GGKIT_JOBS", "1")
@@ -1083,10 +1207,6 @@ def run_suite(suite: str, k=None, i=None, n_max=None, T=None, profile=None,
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     _check_ceiling("k", k, _K_MAX)
     _check_ceiling("T", T, _T_MAX)
-    if profile is not None and k is not None and suite in ("identities", "all") \
-            and k != len(profile) + 1:
-        raise ValueError(f"profile {tuple(profile)} fixes k = len(profile) + 1 = "
-                         f"{len(profile) + 1}, got k={k}")
     chains: list[tuple[int, int]] = []
     if suite in ("bailey", "all"):
         # under "bailey" a pair given in full stays, so that verify_bailey rejects i >= k

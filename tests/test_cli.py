@@ -221,6 +221,18 @@ def test_verify_profile_checks(capsys):
     assert "CLASS-F" in out and "LEM-N2" in out
 
 
+def test_verify_notes_a_capped_profile_T_on_stderr_only(capsys):
+    base = ["verify", "--suite", "identities", "--profile", "1", "--i", "1"]
+    for fmt in ("text", "json"):
+        capped = run(capsys, *base, "--T", "35", "--format", fmt)
+        at_cap = run(capsys, *base, "--T", "30", "--format", fmt)
+        assert capped[:2] == at_cap[:2] and capped[0] == 0
+        assert capped[2] == ("ggkit: note: the profile checks ran at T=30, the cap, "
+                             "not at the --T 35 asked for\n")
+        assert at_cap[2] == ""
+    assert run(capsys, *base)[2] == ""
+
+
 def test_verify_json_and_text_agree(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "counting", "--k", "2", "--n-max", "6",
                        "--format", "json")

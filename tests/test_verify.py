@@ -673,12 +673,22 @@ def test_build_tasks_refuses_a_profile_past_its_reach_ceiling(suite):
     # the reach is T + N_1^2 with T capped at 30; the ceiling of 46 admits
     # (4, ...) at T = 30 and (5,) up to T = 21
     for profile, T in (((4, 4, 4, 4, 4, 4), 40), ((5,), 21), ((), 40)):
-        (task,) = [t for t in build_tasks(suite, k=2, i=1, n_max=3, T=T, profile=profile)
+        k = len(profile) + 1
+        (task,) = [t for t in build_tasks(suite, k=k, i=1, n_max=3, T=T, profile=profile)
                    if t[0] == "profile"]
         assert task == ("profile", profile, 1, min(T, 30))
     for profile, T in (((5,), 22), ((5, 1), 40), ((1000,), 10), ((10**20,), 40)):
         with pytest.raises(ValueError, match="ceiling"):
-            build_tasks(suite, k=2, i=1, n_max=3, T=T, profile=profile)
+            build_tasks(suite, k=len(profile) + 1, i=1, n_max=3, T=T, profile=profile)
+
+
+@pytest.mark.parametrize("suite", ["identities", "all"])
+def test_build_tasks_refuses_a_k_other_than_the_profiles(suite):
+    assert [t for t in build_tasks(suite, n_max=3, T=20, profile=(2, 1))
+            if t[0] == "profile"] == [("profile", (2, 1), 1, 20)]
+    for k in (2, 4):
+        with pytest.raises(ValueError, match=r"fixes k = len\(profile\) \+ 1 = 3, got k="):
+            build_tasks(suite, k=k, n_max=3, T=20, profile=(2, 1))
 
 
 @pytest.mark.parametrize("call", [
@@ -793,23 +803,32 @@ def test_partition_bucket_tables_count_the_members_of_b():
         sum(h.values()) for b in buckets.values() for (h,) in b.table.values())
 
 
-# -- start-up footprint, the overlapped pool and the report records ----------
+# -- start-up footprint, the forked workers and the report records ----------
 
 
-def test_import_ggkit_loads_neither_the_pool_nor_dataclasses():
+def _python(code):
     import os
     import subprocess
     import sys
     from pathlib import Path
 
     src = str(Path(verify.__file__).resolve().parents[1])
-    code = ("import sys, ggkit; print(sorted(m for m in ('concurrent.futures', "
-            "'multiprocessing', 'dataclasses', 'inspect') if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_ggkit_loads_neither_the_pool_nor_dataclasses():
+    assert _python("import sys, ggkit; print(sorted(m for m in ('concurrent.futures', "
+                   "'multiprocessing', 'dataclasses', 'inspect') if m in sys.modules))") == "[]"
+    # a run over two workers forks them itself: no pool module is ever loaded
+    assert _python("import sys; from ggkit.verify import run_suite; "
+                   "reps = run_suite('all', T=10, n_max=6, jobs=2); "
+                   "assert reps and all(r.ok for r in reps); "
+                   "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+                   "if m in sys.modules))") == "[]"
 
 
 def test_run_suite_all_with_a_pool_equals_the_serial_run():
@@ -820,9 +839,28 @@ def test_run_suite_all_with_a_pool_equals_the_serial_run():
     assert any(rep.identity == "BIJECTIONS" for rep in par)
 
 
-def test_a_raising_chain_raises_the_same_error_with_and_without_a_pool(monkeypatch):
-    import multiprocessing
+@pytest.fixture
+def reaped():
+    """Fail a fan-out that hangs (SIGALRM after 60 s), and check that no child
+    of this process, running or exited, remains after it."""
+    import os
+    import signal
 
+    def hung(signum, frame):
+        raise TimeoutError("the fan-out hung")
+
+    old = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_raising_chain_raises_the_same_error_with_and_without_a_pool(reaped, monkeypatch):
     def broken(k, i, T=40, n_depth=6):
         raise bailey.LimitDiagnosticError(f"chain k={k} i={i} broke")
 
@@ -833,7 +871,101 @@ def test_a_raising_chain_raises_the_same_error_with_and_without_a_pool(monkeypat
             run_suite("all", T=20, n_max=8, jobs=jobs)
         errors.append((type(info.value), str(info.value)))
     assert errors[0] == errors[1] == (bailey.LimitDiagnosticError, "chain k=2 i=1 broke")
-    assert multiprocessing.active_children() == []  # the pool was shut down
+
+
+def _trivial_tasks(n):
+    return [("identity", j) for j in range(n)]
+
+
+def test_a_raising_in_parent_kills_the_workers_it_does_not_wait_for_them(reaped, monkeypatch):
+    import time
+
+    monkeypatch.setattr(verify, "_run_task", lambda task: time.sleep(60))
+
+    def in_parent():
+        raise bailey.LimitDiagnosticError("the chains broke")
+
+    start = time.monotonic()
+    with pytest.raises(bailey.LimitDiagnosticError, match="the chains broke"):
+        verify._run_tasks(_trivial_tasks(4), 2, in_parent)
+    assert time.monotonic() - start < 30
+
+
+def test_a_worker_killed_mid_task_raises_a_runtime_error_naming_the_task(reaped, monkeypatch):
+    import os
+    import signal
+
+    def task_kills_its_worker(task):
+        if task[1] == 3:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return task
+
+    monkeypatch.setattr(verify, "_run_task", task_kills_its_worker)
+    with pytest.raises(RuntimeError, match=r"died before sending the result of task 3, "
+                                           r"\('identity', 3\)"):
+        verify._run_tasks(_trivial_tasks(8), 2)
+
+
+def test_the_first_failing_task_in_task_order_raises(reaped, monkeypatch):
+    import time
+
+    def two_fail(task):
+        if task[1] == 1:
+            time.sleep(0.3)  # task 4 raises first in time
+            raise KeyError("task 1")
+        if task[1] == 4:
+            raise IndexError("task 4")
+        return task
+
+    monkeypatch.setattr(verify, "_run_task", two_fail)
+    with pytest.raises(KeyError, match="task 1"):
+        verify._run_tasks(_trivial_tasks(8), 2)
+
+
+def test_more_task_indices_than_a_pipe_holds_complete(reaped, monkeypatch):
+    import time
+
+    def slow_parent():  # the workers fill their result pipes meanwhile
+        time.sleep(0.2)
+        return []
+
+    tasks = _trivial_tasks(20_000)  # 80 000 bytes of indices, past a 64 KiB pipe
+    monkeypatch.setattr(verify, "_run_task", lambda task: task)
+    assert verify._run_tasks(tasks, 2, slow_parent) == tasks
+
+
+class _TwoArgError(Exception):
+    def __init__(self, a, b):  # pickles, but cannot be rebuilt from its args
+        super().__init__(f"{a} and {b}")
+
+
+def _with_a_lambda():
+    exc = ValueError("holds a lambda")
+    exc.hook = lambda: None  # pickle cannot send a lambda
+    return exc
+
+
+@pytest.mark.parametrize("make", [lambda: _TwoArgError("x", "y"), _with_a_lambda])
+def test_an_exception_that_cannot_be_pickled_comes_back_as_a_runtime_error(
+        reaped, monkeypatch, make):
+    def raises(task):
+        if task[1] == 2:
+            raise make()
+        return task
+
+    monkeypatch.setattr(verify, "_run_task", raises)
+    with pytest.raises(RuntimeError, match="cannot be sent back") as info:
+        verify._run_tasks(_trivial_tasks(4), 2)
+    assert repr(make()) in str(info.value)
+
+
+def test_no_fork_means_one_worker(monkeypatch):
+    import os
+
+    from ggkit.verify import _worker_count
+
+    monkeypatch.delattr(os, "fork")
+    assert _worker_count(4, 44, 8) == 1
 
 
 def test_records_pickle_and_compare_by_value():
