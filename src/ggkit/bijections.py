@@ -89,27 +89,21 @@ class TraceStep(NamedTuple):
         }
 
 
-class Trace:
-    """The steps a map took, in order; a fresh trace starts empty."""
+class Trace(list):
+    """The steps a map took, in order; a fresh trace starts empty, so a caller
+    tests ``trace is not None``, never its truth."""
 
-    __slots__ = ("steps",)
+    __slots__ = ()
 
-    def __init__(self, steps: list[TraceStep] | None = None):
-        self.steps = [] if steps is None else steps
-
-    def __eq__(self, other):  # defining it leaves the mutable trace unhashable
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.steps == other.steps
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(steps={self.steps!r})"
+    @property
+    def steps(self) -> Trace:
+        return self
 
     def record(self, name: str, before: Overpartition, after: Overpartition) -> None:
-        self.steps.append(TraceStep(name, before, after, after.weight() - before.weight()))
+        self.append(TraceStep(name, before, after, after.weight() - before.weight()))
 
     def to_json(self) -> list[dict]:
-        return [s.to_json() for s in self.steps]
+        return [s.to_json() for s in self]
 
 
 def _toggle_next(m: MarkedOverpartition, row1: list[int], p: int, repl: dict[int, Part]) -> None:

@@ -8,7 +8,9 @@ could finish in reasonable time and memory: a listing above weight 100, a part
 above 10**6, a Bailey dump past ``--n-max`` 1000, a profile whose class
 buckets reach past weight 46, and under ``verify`` and ``bailey`` a ``--T``
 above 1000, a ``--k`` above 1000 and a counting ``--n-max`` above 1000 (see
-``verify._T_MAX``, ``_K_MAX`` and ``_COUNT_N_MAX``).  Overlined parts are
+``verify._T_MAX``, ``_K_MAX`` and ``_COUNT_N_MAX``).  A reader that closes
+stdout early (``ggkit enumerate --n 30 | head -2``) ends the run with exit 1
+and nothing more printed.  Overlined parts are
 written with a trailing ``~`` in all text output; a combining overline is
 accepted on input.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .bailey import LimitDiagnosticError, PairFormError, run_chain
@@ -48,13 +51,15 @@ from .partitions import (
     enumerate_overpartitions,
     satisfies_family,
 )
-from .verify import _K_MAX, _T_MAX, CLASS_TAGS, _check_ceiling, run_suite
+from .verify import _K_MAX, _T_MAX, CLASS_TAGS, WorkerError, _check_ceiling, run_suite
 
 USAGE_EXIT = 2
 MISMATCH_EXIT = 1
 # errors of a check on the program's own work: no verdict can be trusted, but the
-# input was valid; under verify a map's PreconditionError joins them (see main)
-_INTERNAL = (WeightMismatchError, LimitDiagnosticError, CountOverflowError, PairFormError)
+# input was valid; under verify a map's PreconditionError joins them (see main),
+# and a worker that died or could not send a task's outcome back is one too
+_INTERNAL = (WeightMismatchError, LimitDiagnosticError, CountOverflowError, PairFormError,
+             WorkerError)
 # past this weight a listing could never finish (there are 5.3e10 overpartitions
 # of 100), and the enumeration nests one generator per part
 _ENUMERATE_N_MAX = 100
@@ -326,6 +331,9 @@ def main(argv=None) -> int:
         internal += (PreconditionError,)
     try:
         return _HANDLERS[args.command](args)
+    except BrokenPipeError:  # the reader is gone: the exit flush must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return MISMATCH_EXIT
     except internal as exc:  # a failed internal check: the input was valid
         message, code = str(exc), MISMATCH_EXIT
     except ValueError as exc:

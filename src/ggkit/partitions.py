@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from operator import le
 from typing import Iterator, NamedTuple
 
 from .series import _slot_bytes, _unpack
@@ -299,9 +300,17 @@ def o_family_stats(ft: FrequencyTable) -> tuple[int, int, int]:
     return fb, mw, c3
 
 
+def _o_caps(k: int, i: int) -> tuple[int, int, int]:
+    """The caps of O(k, i) on the O-family stats (fb, mw, c3) (see o_family_stats)."""
+    return i - 1, k - 1, k - 2
+
+
+def _within(stats: tuple[int, ...], caps: tuple[int, ...]) -> bool:
+    return all(map(le, stats, caps))
+
+
 def _in_family_O(stats: tuple[int, int, int], k: int, i: int) -> bool:
-    fb, mw, c3 = stats
-    return fb <= i - 1 and mw <= k - 1 and c3 <= k - 2
+    return _within(stats, _o_caps(k, i))
 
 
 def _in_family_P(ft: FrequencyTable, k: int, i: int) -> bool:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import os
 from collections import Counter
 from functools import lru_cache
-from operator import le
 from typing import NamedTuple
 
 from . import bailey as bailey_mod
@@ -60,7 +59,9 @@ from .partitions import (
     FamilySpec,
     Overpartition,
     _i_by_k,
+    _o_caps,
     _part_table,
+    _within,
     family_counts_by_n,
     iter_partitions_bounded,
     overpartition_ofh_tables,
@@ -95,31 +96,16 @@ class DegenerateIdentityError(ValueError):
     """A summed identity was requested with no summation variables (k = 1)."""
 
 
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """One verdict: what was compared (identity, params, truncation), whether
-    it held, and the first difference or the check count (detail)."""
+    it held, and the first difference or the check count (detail).  Its params
+    dict leaves it unhashable."""
 
-    __slots__ = ("identity", "params", "truncation", "ok", "detail")
-
-    def __init__(self, identity: str, params: dict, truncation: int | None, ok: bool,
-                 detail: str = ""):
-        self.identity = identity
-        self.params = params
-        self.truncation = truncation
-        self.ok = ok
-        self.detail = detail
-
-    def _astuple(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __eq__(self, other):  # defining it leaves the mutable report unhashable
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__slots__, self._astuple()))
-        return f"{type(self).__qualname__}({fields})"
+    identity: str
+    params: dict
+    truncation: int | None
+    ok: bool
+    detail: str = ""
 
     @property
     def verdict(self) -> str:
@@ -371,15 +357,6 @@ def product_rhs(tag: str, k: int, i: int, T: int) -> LaurentSeries:
 # ---------------------------------------------------------------------------
 # Profile-indexed class generating functions
 # ---------------------------------------------------------------------------
-
-
-def _o_caps(k: int, i: int) -> tuple[int, int, int]:
-    """The caps of O(k, i) on the O-family stats (fb, mw, c3) (see o_family_stats)."""
-    return i - 1, k - 1, k - 2
-
-
-def _within(stats: tuple[int, ...], caps: tuple[int, ...]) -> bool:
-    return all(map(le, stats, caps))
 
 
 _CLASS_FLAGS = {"F": 0, "G": 1, "E": 2, "B": 0}  # each class's flag in its bucket's table
@@ -906,7 +883,7 @@ def verify_bailey(k: int, i: int, T: int = 40, n_depth: int = 6) -> list[Verific
                    [inverse_pochhammer(seed.grid, n, seed.trunc) for n in depths],
                    ("beta", "1/(q;q)_n"))
     if not rep.ok:
-        rep.detail += bailey_mod._grid_note(seed.grid)
+        rep = rep._replace(detail=rep.detail + bailey_mod._grid_note(seed.grid))
     reports.append(rep)
     lhs, rhs = bailey_mod.limit_identity(chain, T)
     reports.append(_compare("LIMIT", params, T, lhs, rhs))
@@ -1040,9 +1017,11 @@ def _run_tasks(tasks: list[tuple], workers: int, in_parent=list) -> list[Verific
 
     With workers, they fork before ``in_parent`` runs, so it runs here while
     they work, and they fork before it grows this process's heap.  If it
-    raises, its error propagates; otherwise the first task in task order that
-    raised, or whose worker died before sending its result, raises.  Either way
-    every worker is killed and reaped before this returns (see ``_fan_out``)."""
+    raises, its error propagates; otherwise a task whose worker died before
+    sending its result raises a WorkerError naming it as soon as that worker is
+    seen gone, and else the first task in task order that raised raises.
+    Either way every worker is killed and reaped before this returns (see
+    ``_fan_out``)."""
     if workers > 1:
         reports, results = _fan_out(tasks, workers, in_parent)
     else:
@@ -1064,21 +1043,30 @@ def _run_tasks(tasks: list[tuple], workers: int, in_parent=list) -> list[Verific
 
 # a task index on the shared pipe is _INDEX_BYTES wide and the parent writes at
 # most PIPE_BUF bytes at a time, which land whole, so each worker's read of
-# _INDEX_BYTES takes exactly one index; a result is a pickle behind its length
+# _INDEX_BYTES takes exactly one index; a worker's frame for a task is that index,
+# written the moment it takes the task, then the pickled outcome behind its length
 _INDEX_BYTES = 4
 _LENGTH_BYTES = 8
+_HEAD_BYTES = _INDEX_BYTES + _LENGTH_BYTES
+
+
+class WorkerError(RuntimeError):
+    """A forked worker died holding a task, or a task's outcome could not be
+    sent back from its worker."""
 
 
 def _fan_out(tasks: list[tuple], workers: int, in_parent):
     """``in_parent()`` and the results of ``_run_task`` on each task, in task
     order, the tasks run in workers forked processes.
 
-    Each worker pulls the next task index from one shared pipe and sends back
-    the pickled (index, raised, result or exception) of each task over a pipe
-    of its own, and leaves only through ``os._exit``.  The parent writes the
-    indices after the fork, what the pipe takes before ``in_parent`` and the
-    rest while it collects, so no task count can block it.  ggkit starts no
-    thread, so the fork is safe unless the caller runs threads of its own."""
+    Each worker pulls the next task index from one shared pipe, sends it back at
+    once over a pipe of its own, then the pickled (raised, result or exception)
+    of the task, and leaves only through ``os._exit``.  A worker whose pipe
+    closes after it sent an index and before that task's outcome died holding
+    the task, and the parent raises a WorkerError naming it then.  The parent
+    writes the indices after the fork, what the pipe takes before ``in_parent``
+    and the rest while it collects, so no task count can block it.  ggkit starts
+    no thread, so the fork is safe unless the caller runs threads of its own."""
     import pickle
     import select
     import signal
@@ -1114,26 +1102,27 @@ def _fan_out(tasks: list[tuple], workers: int, in_parent):
                 todo = _feed(index_w, todo, fds)
             for r in readable:
                 chunk = os.read(r, 1 << 16)
+                buf = received[r]
                 if not chunk:  # the worker has exited
+                    if buf:  # inside a frame: it held the task at the frame's head
+                        raise _lost(tasks, int.from_bytes(buf[:_INDEX_BYTES], "little"))
                     del received[r]
                     continue
-                buf = received[r]
                 buf += chunk
-                while len(buf) >= _LENGTH_BYTES:
-                    end = _LENGTH_BYTES + int.from_bytes(buf[:_LENGTH_BYTES], "little")
+                while len(buf) >= _HEAD_BYTES:
+                    end = _HEAD_BYTES + int.from_bytes(buf[_INDEX_BYTES:_HEAD_BYTES], "little")
                     if len(buf) < end:
                         break
-                    j, raised, value = pickle.loads(buf[_LENGTH_BYTES:end])
-                    outcomes[j] = raised, value
+                    j = int.from_bytes(buf[:_INDEX_BYTES], "little")
+                    outcomes[j] = pickle.loads(buf[_HEAD_BYTES:end])
                     del buf[:end]
             while first in outcomes:
                 raised, value = outcomes[first]
                 if raised:
                     raise value
                 first += 1
-        if first < len(tasks):
-            raise RuntimeError(f"a worker died before sending the result of task {first}, "
-                               f"{tasks[first]!r}")
+        if first < len(tasks):  # an index lost before its worker sent it back
+            raise _lost(tasks, first)
         return reports, [outcomes[j][1] for j in range(len(tasks))]
     finally:
         for pid in children.values():
@@ -1142,6 +1131,10 @@ def _fan_out(tasks: list[tuple], workers: int, in_parent):
             os.waitpid(pid, 0)
         for fd in fds:
             os.close(fd)
+
+
+def _lost(tasks: list[tuple], j: int) -> WorkerError:
+    return WorkerError(f"a worker died before sending the result of task {j}, {tasks[j]!r}")
 
 
 def _feed(fd: int, todo: memoryview, fds: set) -> memoryview:
@@ -1161,24 +1154,27 @@ def _feed(fd: int, todo: memoryview, fds: set) -> memoryview:
 
 
 def _work(tasks: list[tuple], indices: int, out: int) -> None:
-    """A worker's loop: run each task whose index it reads until the pipe ends,
-    and write its outcome to out.  An outcome that cannot be pickled, or an
-    exception that cannot be unpickled, is sent as a RuntimeError naming it."""
+    """A worker's loop: for each task index it reads until the pipe ends, write
+    the index to out at once (fewer than PIPE_BUF bytes, so it lands whole),
+    run the task and write its outcome after.  An outcome that cannot be
+    pickled, or an exception that cannot be unpickled, is sent as a WorkerError
+    naming it."""
     import pickle
 
     while raw := os.read(indices, _INDEX_BYTES):
+        os.write(out, raw)
         j = int.from_bytes(raw, "little")
         try:
-            outcome = (j, False, _run_task(tasks[j]))
+            outcome = (False, _run_task(tasks[j]))
         except Exception as exc:
-            outcome = (j, True, exc)
+            outcome = (True, exc)
         try:
             data = pickle.dumps(outcome)
-            if outcome[1]:
+            if outcome[0]:
                 pickle.loads(data)
         except Exception as exc:
-            data = pickle.dumps((j, True, RuntimeError(
-                f"task {j}, {tasks[j]!r}: {outcome[2]!r} cannot be sent back ({exc!r})")))
+            data = pickle.dumps((True, WorkerError(
+                f"task {j}, {tasks[j]!r}: {outcome[1]!r} cannot be sent back ({exc!r})")))
         frame = memoryview(len(data).to_bytes(_LENGTH_BYTES, "little") + data)
         while frame:
             frame = frame[os.write(out, frame):]

@@ -513,17 +513,22 @@ def test_fuzzed_argv_keeps_the_exit_code_contract(argv):
         assert not verdicts, argv
 
 
-def _python_m_ggkit(*argv):
+def _ggkit_env() -> dict:
     import os
-    import subprocess
-    import sys
     from pathlib import Path
 
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     env = dict(os.environ, PYTHONPATH=path)
     env.pop("GGKIT_JOBS", None)
-    return subprocess.run([sys.executable, "-m", "ggkit", *argv], env=env,
+    return env
+
+
+def _python_m_ggkit(*argv):
+    import subprocess
+    import sys
+
+    return subprocess.run([sys.executable, "-m", "ggkit", *argv], env=_ggkit_env(),
                           capture_output=True, text=True, timeout=120)
 
 
@@ -538,3 +543,44 @@ def test_python_m_ggkit_keeps_the_usage_exit_code():
     assert proc.returncode == 2
     assert proc.stdout == "" and proc.stderr.startswith("ggkit: ")
     assert proc.stderr.count("\n") == 1
+
+
+def test_a_closed_stdout_is_exit_1_without_traceback():
+    import subprocess
+    import sys
+
+    proc = subprocess.Popen([sys.executable, "-m", "ggkit", "enumerate", "--n", "30"],
+                            env=_ggkit_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+    try:
+        assert proc.stdout.readline().count(",") == 29  # 1~ and twenty-nine 1s
+        proc.stdout.close()  # as `| head -1` does
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+def test_a_worker_killed_mid_task_is_exit_1_with_one_line(capsys, monkeypatch):
+    import os
+    import re
+    import signal
+
+    here = os.getpid()
+    run_task = verify._run_task
+
+    def kill_in_a_worker(task):  # never in this process, should a task run here
+        if os.getpid() != here:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run_task(task)
+
+    monkeypatch.setattr(verify, "_run_task", kill_in_a_worker)
+    monkeypatch.setattr(verify, "_available_cpus", lambda: 2)
+    code, out, err = run(capsys, "verify", "--suite", "counting", "--n-max", "6", "--jobs", "2")
+    assert code == 1 and out == ""
+    assert re.fullmatch(r"ggkit: a worker died before sending the result of task \d, "
+                        r"\('counting', .*\)\n", err), err
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)

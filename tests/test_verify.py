@@ -906,6 +906,25 @@ def test_a_worker_killed_mid_task_raises_a_runtime_error_naming_the_task(reaped,
         verify._run_tasks(_trivial_tasks(8), 2)
 
 
+def test_a_worker_killed_mid_task_fails_the_run_at_once(reaped, monkeypatch):
+    import os
+    import signal
+    import time
+
+    def task_0_kills_its_worker(task):  # the other worker sleeps through the rest
+        if task[1] == 0:
+            os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(30)
+        return task
+
+    monkeypatch.setattr(verify, "_run_task", task_0_kills_its_worker)
+    start = time.monotonic()
+    with pytest.raises(verify.WorkerError, match=r"died before sending the result of task 0, "
+                                                 r"\('identity', 0\)$"):
+        verify._run_tasks(_trivial_tasks(4), 2)
+    assert time.monotonic() - start < 10
+
+
 def test_the_first_failing_task_in_task_order_raises(reaped, monkeypatch):
     import time
 
