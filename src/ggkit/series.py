@@ -24,11 +24,15 @@ substitution", JSC 2009).
 
 The q-products are built once each, and each is memoized here alone.
 ``pochhammer_finite`` is a bounded ``lru_cache`` of immutable series, which
-``pochhammer_infinite`` reads with the factor count cut at the truncation.
-``inverse_pochhammer``, another, serves 1/(q^s; q^s)_m at T from one table per
-(s, cap), cap the next power of two >= T: an entry is grown from the nearest
-lower one already built, dividing by one factor (1 - q^{sm}) at a time in an
-O(cap) pass, so no Pochhammer inverse goes through ``inverse``.
+``pochhammer_infinite`` reads with the factor count cut at the truncation.  For
+a shift >= 0 it serves (c q^s; q^b)_m at T from one table per (c, s, b, T): a
+row is grown from the nearest shorter one already built, one factor
+(1 - c q^e) at a time in an O(T) pass, so a product asked for at every length
+in turn costs O(T) per factor, not per length.  ``inverse_pochhammer``, another,
+serves 1/(q^s; q^s)_m at T from one table per (s, cap), cap the next power of
+two >= T: an entry is grown from the nearest lower one already built, dividing
+by one factor (1 - q^{sm}) at a time in an O(cap) pass, so no Pochhammer
+inverse goes through ``inverse``.
 """
 
 from __future__ import annotations
@@ -526,7 +530,9 @@ def _axpy(x: list[int], y: list[int], f: int) -> list[int]:
 
 
 def _binomial_product(exponents: Iterable[int], factor_coeff: int, truncation: int) -> LaurentSeries:
-    """Product of (1 + factor_coeff * q**e) over the given exponents, to `truncation`.
+    """Product of (1 + factor_coeff * q**e) over the given exponents, to `truncation`,
+    built from scratch: pochhammer_finite's route for a negative shift, and the
+    reference its table is tested against.
 
     Intermediate arrays are kept no wider than the final answer needs: the cap
     starts at truncation plus the total negative shift still to be applied and
@@ -557,15 +563,30 @@ def _binomial_product(exponents: Iterable[int], factor_coeff: int, truncation: i
     return _series(lo, tuple(arr[: truncation - lo + 1]), 1, truncation)
 
 
-# pochhammer_infinite and verify._bracket read it; the test suite fills 1 788
-# entries, a series run 206, the identities at T = 1000 (k = 2, i = 1) 1 072
+# pochhammer_finite fills it; a series run makes 111 keys (so it never evicts one),
+# the test suite 923, and a Bailey or identities reach run at most a few dozen
+@lru_cache(maxsize=256)
+def _pochhammer_table(sign: int, shift: int, base: int, truncation: int) -> dict[int, tuple[int, ...]]:
+    """m -> the numerators of (sign*q**shift; q**base)_m to truncation, for every m
+    pochhammer_finite has built at (sign, shift >= 0, base, truncation); filled by it."""
+    return {0: (1,) + (0,) * truncation}
+
+
+# pochhammer_infinite and verify._bracket read it; a series run makes 200 keys,
+# the identities at T = 1000 (k = 2, i = 1) 1 042, and the test suite 4 409 (its
+# table checks ask for every length at every (sign, shift, base) and evict)
 @lru_cache(maxsize=4096)
 def pochhammer_finite(sign: int, shift: int, base: int, n: int, truncation: int) -> LaurentSeries:
     """The finite product (sign*q**shift; q**base)_n, truncated.
 
     sign=+1 gives factors (1 - q**(shift+t*base)), sign=-1 gives (1 + ...),
-    for t = 0..n-1.  Negative shifts are fine; the result is a genuine Laurent
-    polynomial cut at `truncation`.
+    for t = 0..n-1.  A negative shift gives a genuine Laurent polynomial cut at
+    `truncation`, built from scratch by _binomial_product.  For shift >= 0
+    every factor past the last exponent <= truncation is 1, so n is cut there,
+    and the row is read from the table at (sign, shift, base, truncation).  A row
+    not built yet is grown from the nearest shorter one that is, one factor at a
+    time: O(truncation) per factor, where the factor at exponent 0 doubles the
+    row (sign=-1) or zeroes it (sign=+1).
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -573,7 +594,24 @@ def pochhammer_finite(sign: int, shift: int, base: int, n: int, truncation: int)
         raise ValueError("base must be a positive integer")
     if n < 0:
         raise ValueError("length must be nonnegative")
-    return _binomial_product((shift + t * base for t in range(n)), -sign, truncation)
+    if shift < 0 or truncation < 0:
+        return _binomial_product((shift + t * base for t in range(n)), -sign, truncation)
+    n = min(n, max(0, (truncation - shift) // base + 1))
+    table = _pochhammer_table(sign, shift, base, truncation)
+    num = table.get(n)
+    if num is None:
+        below = max(j for j in table if j < n)
+        work = list(table[below])
+        for t in range(below, n):
+            e = shift + t * base
+            if e:
+                work[e:] = _axpy(work[e:], work[:-e], -sign)
+            else:
+                work = [(1 - sign) * c for c in work]
+        num = table[n] = tuple(work)
+    if not num[0]:  # the factor 1 - q**0 is zero
+        return LaurentSeries.zero(truncation)
+    return _series(0, num, 1, truncation)
 
 
 def pochhammer_infinite(sign: int, shift: int, base: int, truncation: int) -> LaurentSeries:

@@ -206,12 +206,14 @@ def _bracket_form(brackets: str, n1: int) -> tuple[int, tuple[int, int, int]]:
 
 def _bracket(g: int, brackets: str, n1: int, T: int) -> LaurentSeries:
     """q^{g N_1^2} brackets(N_1), truncated at T: the memoized positive Pochhammer
-    of _bracket_form to T less its lowest exponent, shifted up by that exponent."""
+    of _bracket_form, shifted up by its lowest exponent low and cut at T.  It is
+    read at T - min(low, 0), so every N_1 with low >= 0 (each N_1 of a summed
+    form's level 1) reads one row table, at T, grown one factor per N_1."""
     low, (shift, base, length) = _bracket_form(brackets, n1)
     low += g * n1 * n1
     if low > T:
         return LaurentSeries.zero(T)
-    return pochhammer_finite(-1, shift, base, length, T - low).shift(low)
+    return pochhammer_finite(-1, shift, base, length, T - min(low, 0)).shift(low).truncated(T)
 
 
 def _profile_term(form: str, profile: tuple[int, ...], i: int, T: int) -> LaurentSeries:

@@ -1,6 +1,8 @@
-"""Each q-product built once: the memoized Pochhammers, the inverse-Pochhammer
-table and the saturated level sums of the multisums, each against the route it
-replaced."""
+"""Each q-product built once: the memoized Pochhammers and their row tables, the
+inverse-Pochhammer table and the saturated level sums of the multisums, each
+against the route it replaced."""
+
+import itertools
 
 import pytest
 from tuple_multisum import tuple_multisum_lhs
@@ -168,6 +170,69 @@ def test_a_repeated_pochhammer_request_returns_the_memoized_build():
         assert first.to_json() == fresh.to_json()
     for memo in (pochhammer_finite, inverse_pochhammer, series._inverse_table):
         assert memo.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("T", [0, 1, 2, 64])
+def test_pochhammer_table_equals_the_binomial_product(T):
+    # every length up to two past the cap (the last factor at or below T), asked
+    # out of order, so a row grows from the nearest shorter one built, which is
+    # not always the one just below it; shift 0 covers the factor 1 -/+ q^0 that
+    # zeroes or doubles the row
+    pochhammer_finite.cache_clear()
+    series._pochhammer_table.cache_clear()
+    for sign in (1, -1):
+        for shift in range(6):
+            for base in range(1, 5):
+                cap = max(0, (T - shift) // base + 1)
+                for m in _shuffled(range(cap + 3)):
+                    want = _binomial_product((shift + t * base for t in range(m)), -sign, T)
+                    got = pochhammer_finite(sign, shift, base, m, T)
+                    assert got.to_json() == want.to_json(), (sign, shift, base, m, T)
+    assert series._pochhammer_table.cache_info().misses == 2 * 6 * 4
+
+
+@pytest.mark.parametrize("T", [0, 1, 7, 30, 61])
+def test_bracket_equals_the_product_built_at_its_own_truncation(T):
+    # the old route builds the positive Pochhammer from scratch at T - low and
+    # shifts it by low; N_1 runs until low passes T, or to 20 where low never
+    # grows (g = 1 with "o" or "oe", whose lows stay at or below 0)
+    for word in ("", "o", "e", "oe"):
+        for g in (1, 2):
+            for n1 in itertools.count():
+                low, (shift, base, length) = verify._bracket_form(word, n1)
+                low += g * n1 * n1
+                if low > T:
+                    want = LaurentSeries.zero(T)
+                else:
+                    exps = (shift + t * base for t in range(length))
+                    want = _binomial_product(exps, 1, T - low).shift(low)
+                got = verify._bracket(g, word, n1, T)
+                assert got.to_json() == want.to_json(), (word, g, n1, T)
+                if low > T or n1 == 20 and low <= 0:
+                    break
+
+
+def test_level_one_brackets_grow_one_table_one_factor_at_a_time(monkeypatch):
+    # every N_1 of OGG's level 1 asks for (-q; q)_{2N_1-1} at T itself, so the
+    # whole loop reads one row table and applies each of its T factors once
+    T = 60
+    pochhammer_finite.cache_clear()
+    series._pochhammer_table.cache_clear()
+    factors = []
+    real = series._axpy
+
+    def counted(x, y, f):
+        factors.append(f)
+        return real(x, y, f)
+
+    monkeypatch.setattr(series, "_axpy", counted)
+    got = multisum_lhs("OGG", 2, 1, T)
+    monkeypatch.undo()
+    assert series._pochhammer_table.cache_info().misses == 1
+    lengths = {0} | {min(2 * n - 1, T) for n in range(1, T + 1)}
+    assert sorted(series._pochhammer_table(-1, 1, 1, T)) == sorted(lengths)
+    assert factors == [1] * T
+    assert got == tuple_multisum_lhs("OGG", 2, 1, T)
 
 
 def _doctored_chain(run_chain, notes):
