@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from math import isqrt
 
 from .bailey import LimitDiagnosticError, PairFormError, run_chain
 from .bijections import (
@@ -66,8 +67,10 @@ _ENUMERATE_N_MAX = 100
 # mark and biject allocate and loop per size up to the largest part; at 10**6
 # the slowest command takes about 0.6 s and 63 MiB
 _PART_MAX = 10**6
-# the dump builds alpha_n and beta_n for every n <= --n-max, about 0.6 ms and
-# 7 KB each
+# the dump builds alpha_n and beta_n for every n <= --n-max, each longer as T
+# grows: at k = 2, i = 1 and --n-max 1000 it takes 0.5-0.7 s at T = 40, 1.8-1.9 s
+# at T = 100, 8.7-9.7 s at T = 200 and 71-78 s and 132 MiB at T = 400 (2-CPU
+# Xeon), so at the T ceiling this bound alone does not keep a dump short
 _BAILEY_N_MAX = 1000
 
 _MAPS = {
@@ -264,17 +267,18 @@ def _cmd_bailey(args) -> int:
     idx = args.stage if args.stage != -1 else len(chain.stages) - 1
     if idx >= len(chain.stages):
         raise ValueError(f"stage {idx} out of range 0..{len(chain.stages) - 1}")
-    # a stage's alpha_n and beta_n read the stages before it at indices <= n only,
-    # and each iterate and the base change read betas only up to the truncation in
-    # q (trunc // grid), with at most two shift or average stages between them;
-    # filling the earlier stages in chain order, alphas to --n-max and betas to
-    # that index, keeps every later evaluation a few stages deep, where the
-    # printed stage alone would recurse through every earlier one
+    # a stage's alpha_n and beta_n read the stages before it at indices <= n only:
+    # an iterate reads its source's betas only up to isqrt(trunc // grid), a shift
+    # or an average reads them at the same n, with at most two such stages before
+    # the next iterate, and the base change is always the last stage; filling the
+    # earlier stages in chain order, alphas to --n-max and betas to that square
+    # root, keeps every later evaluation a few stages deep, where the printed
+    # stage alone would recurse through every earlier one
     for earlier in chain.stages[:idx]:
         pair = earlier.pair
         for n in range(args.n_max + 1):
             pair.alpha(n)
-        for n in range(min(args.n_max, pair.trunc // pair.grid) + 1):
+        for n in range(min(args.n_max, isqrt(pair.trunc // pair.grid)) + 1):
             pair.beta(n)
     st = chain.stages[idx]
     payload = {

@@ -22,17 +22,20 @@ and the coefficients the result keeps are read back out of the slots once
 (Harvey, "Faster polynomial multiplication via multipoint Kronecker
 substitution", JSC 2009).
 
-The q-products are built once each, and each is memoized here alone.
-``pochhammer_finite`` is a bounded ``lru_cache`` of immutable series, which
-``pochhammer_infinite`` reads with the factor count cut at the truncation.  For
-a shift >= 0 it serves (c q^s; q^b)_m at T from one table per (c, s, b, T): a
-row is grown from the nearest shorter one already built, one factor
-(1 - c q^e) at a time in an O(T) pass, so a product asked for at every length
-in turn costs O(T) per factor, not per length.  ``inverse_pochhammer``, another,
-serves 1/(q^s; q^s)_m at T from one table per (s, cap), cap the next power of
-two >= T: an entry is grown from the nearest lower one already built, dividing
-by one factor (1 - q^{sm}) at a time in an O(cap) pass, so no Pochhammer
-inverse goes through ``inverse``.
+The q-products are built once each, and each is memoized here alone.  For a
+shift >= 0, ``pochhammer_finite`` serves (c q^s; q^b)_m at T from one table
+per (c, s, b, T), its only memo: a row is the immutable series itself,
+returned as stored, and a row not built yet is grown from the nearest shorter
+one already built, one factor (1 - c q^e) at a time in an O(T) pass, so a
+product asked for at every length in turn costs O(T) per factor, not per
+length.  ``pochhammer_infinite`` is the row whose length is cut at the
+truncation; a negative shift is built afresh.  ``inverse_pochhammer`` serves
+1/(q^s; q^s)_m at T from one table per (s, cap), cap the next power of two >=
+T: an entry is grown from the nearest lower one already built, dividing by one
+factor (1 - q^{sm}) at a time in an O(cap) pass, so no Pochhammer inverse goes
+through ``inverse``.  It keeps a memo of the entries cut at T beside its
+tables: a series run reads each entry about six times after building it, and a
+memo hit costs a fraction of a cut read of the table.
 """
 
 from __future__ import annotations
@@ -563,30 +566,28 @@ def _binomial_product(exponents: Iterable[int], factor_coeff: int, truncation: i
     return _series(lo, tuple(arr[: truncation - lo + 1]), 1, truncation)
 
 
-# pochhammer_finite fills it; a series run makes 111 keys (so it never evicts one),
-# the test suite 923, and a Bailey or identities reach run at most a few dozen
+# pochhammer_finite fills it, the only memo of a positive Pochhammer; a series run
+# makes 111 keys (so it never evicts one), the test suite 923, and a Bailey or
+# identities reach run at most a few dozen
 @lru_cache(maxsize=256)
-def _pochhammer_table(sign: int, shift: int, base: int, truncation: int) -> dict[int, tuple[int, ...]]:
-    """m -> the numerators of (sign*q**shift; q**base)_m to truncation, for every m
-    pochhammer_finite has built at (sign, shift >= 0, base, truncation); filled by it."""
-    return {0: (1,) + (0,) * truncation}
+def _pochhammer_table(sign: int, shift: int, base: int, truncation: int) -> dict[int, LaurentSeries]:
+    """m -> (sign*q**shift; q**base)_m to truncation, for every m pochhammer_finite
+    has built at (sign, shift >= 0, base, truncation); filled by it."""
+    return {0: LaurentSeries.one(truncation)}
 
 
-# pochhammer_infinite and verify._bracket read it; a series run makes 200 keys,
-# the identities at T = 1000 (k = 2, i = 1) 1 042, and the test suite 4 409 (its
-# table checks ask for every length at every (sign, shift, base) and evict)
-@lru_cache(maxsize=4096)
 def pochhammer_finite(sign: int, shift: int, base: int, n: int, truncation: int) -> LaurentSeries:
     """The finite product (sign*q**shift; q**base)_n, truncated.
 
     sign=+1 gives factors (1 - q**(shift+t*base)), sign=-1 gives (1 + ...),
     for t = 0..n-1.  A negative shift gives a genuine Laurent polynomial cut at
-    `truncation`, built from scratch by _binomial_product.  For shift >= 0
-    every factor past the last exponent <= truncation is 1, so n is cut there,
-    and the row is read from the table at (sign, shift, base, truncation).  A row
-    not built yet is grown from the nearest shorter one that is, one factor at a
-    time: O(truncation) per factor, where the factor at exponent 0 doubles the
-    row (sign=-1) or zeroes it (sign=+1).
+    `truncation`, built afresh by _binomial_product.  For shift >= 0 every
+    factor past the last exponent <= truncation is 1, so n is cut there, and the
+    product is the row of the table at (sign, shift, base, truncation), the same
+    series on every call.  A row not built yet is grown from the nearest shorter
+    one that is, one factor at a time: O(truncation) per factor, where the
+    factor at exponent 0 doubles the row (sign=-1) or zeroes it and every longer
+    row (sign=+1).
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -598,36 +599,34 @@ def pochhammer_finite(sign: int, shift: int, base: int, n: int, truncation: int)
         return _binomial_product((shift + t * base for t in range(n)), -sign, truncation)
     n = min(n, max(0, (truncation - shift) // base + 1))
     table = _pochhammer_table(sign, shift, base, truncation)
-    num = table.get(n)
-    if num is None:
+    row = table.get(n)
+    if row is None:
         below = max(j for j in table if j < n)
-        work = list(table[below])
+        work = list(table[below]._num)  # empty for a zero row
         for t in range(below, n):
             e = shift + t * base
             if e:
                 work[e:] = _axpy(work[e:], work[:-e], -sign)
+            elif sign == 1:  # the factor 1 - q**0 = 0
+                work = []
             else:
-                work = [(1 - sign) * c for c in work]
-        num = table[n] = tuple(work)
-    if not num[0]:  # the factor 1 - q**0 is zero
-        return LaurentSeries.zero(truncation)
-    return _series(0, num, 1, truncation)
+                work = [2 * c for c in work]
+        row = table[n] = _series(0, tuple(work), 1, truncation) if work else LaurentSeries.zero(truncation)
+    return row
 
 
 def pochhammer_infinite(sign: int, shift: int, base: int, truncation: int) -> LaurentSeries:
     """The infinite product (sign*q**shift; q**base)_oo, truncated.
 
-    Requires shift >= 1 so the factors converge in the formal topology;
-    factors beyond the truncation contribute the identity, so they are left out.
+    Requires shift >= 1 so the factors converge in the formal topology; at most
+    truncation + 1 factors reach the truncation, and pochhammer_finite cuts that
+    length at the last one that does.
     """
     if shift < 1:
         raise DivergentProductError(
             f"divergent formal product: leading exponent {shift} must be >= 1"
         )
-    if base < 1:
-        raise ValueError("base must be a positive integer")
-    count = max(0, (truncation - shift) // base + 1)
-    return pochhammer_finite(sign, shift, base, count, truncation)
+    return pochhammer_finite(sign, shift, base, max(truncation + 1, 0), truncation)
 
 
 def inverse_euler_product(truncation: int) -> LaurentSeries:

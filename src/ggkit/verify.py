@@ -205,8 +205,8 @@ def _bracket_form(brackets: str, n1: int) -> tuple[int, tuple[int, int, int]]:
 
 
 def _bracket(g: int, brackets: str, n1: int, T: int) -> LaurentSeries:
-    """q^{g N_1^2} brackets(N_1), truncated at T: the memoized positive Pochhammer
-    of _bracket_form, shifted up by its lowest exponent low and cut at T.  It is
+    """q^{g N_1^2} brackets(N_1), truncated at T: the positive Pochhammer row of
+    _bracket_form, shifted up by its lowest exponent low and cut at T.  It is
     read at T - min(low, 0), so every N_1 with low >= 0 (each N_1 of a summed
     form's level 1) reads one row table, at T, grown one factor per N_1."""
     low, (shift, base, length) = _bracket_form(brackets, n1)
@@ -785,7 +785,7 @@ def verify_bijections(k: int, i: int, n_max: int) -> VerificationReport:
     made, unless a check raised first (see _bijection_reports)."""
     _check_bound("n_max", n_max)
     by_weight = verify_bijection_pairs([(k, i)], 0, n_max)
-    return _bijection_reports([(k, i)], n_max, by_weight.__getitem__)[0]
+    return _bijection_reports([(k, i)], by_weight)[0]
 
 
 def _outcome(check, *args) -> tuple[int, str | Exception | None]:
@@ -841,19 +841,20 @@ def verify_bijection_pairs(pairs, n_min: int, n_max: int) -> dict[int, tuple[dic
     return results
 
 
-def _bijection_reports(pairs, n_max: int, at) -> list[VerificationReport]:
-    """One BIJECTIONS report per pair over the weights 0..n_max, where at(n) is
-    verify_bijection_pairs' result at weight n.  The weights are read in
-    ascending order until every pair has its report.  At weight n the first
-    exception recorded there for a pair without a report is raised again;
-    otherwise each such pair with a failure message there fails with it.  A pair
-    that never fails passes with the sum of its checks."""
+def _bijection_reports(pairs, by_weight: dict[int, tuple[dict, dict]]) -> list[VerificationReport]:
+    """One BIJECTIONS report per pair over the weights 0..n_max, from
+    verify_bijection_pairs' results by weight, n_max the largest weight there.
+    The weights are read in ascending order until every pair has its report.  At
+    weight n the first exception recorded there for a pair without a report is
+    raised again; otherwise each such pair with a failure message there fails
+    with it.  A pair that never fails passes with the sum of its checks."""
+    n_max = max(by_weight)
     open_checks = dict.fromkeys(pairs, 0)
     reports = {}
     for n in range(n_max + 1):
         if not open_checks:
             break
-        checks, events = at(n)
+        checks, events = by_weight[n]
         failed = [(pair, event) for pair, event in events.items() if pair in open_checks]
         raised = [event for _, event in failed if isinstance(event, Exception)]
         if raised:
@@ -914,8 +915,8 @@ def _default_pairs(k, i, kmax):
 def _run_task(task):
     kind = task[0]
     if kind == "identity":
-        _, tag, k, i, T, profile = task
-        return verify_identity(tag, k, i, T, profile=profile)
+        _, tag, k, i, T = task
+        return verify_identity(tag, k, i, T)
     if kind == "counting":
         _, k, ii, n_max = task
         return _counting_reports(k, ii, n_max)
@@ -983,8 +984,8 @@ def build_tasks(suite: str, k=None, i=None, n_max=None, T=None, profile=None) ->
                             "degenerate form: summed identities need k >= 2")
                     continue
                 for tag in ("AG", "BRESSOUD", "OGG"):
-                    tasks.append(("identity", tag, kk, ii, t, None))
-                tasks.append(("identity", "JTP", kk, ii, t, None))
+                    tasks.append(("identity", tag, kk, ii, t))
+                tasks.append(("identity", "JTP", kk, ii, t))
     if suite in ("counting", "all"):
         nm = n_max if n_max is not None else 15
         _check_ceiling("n_max", nm, _COUNT_N_MAX)
@@ -1039,7 +1040,7 @@ def _run_tasks(tasks: list[tuple], workers: int, in_parent=list) -> list[Verific
         else:
             reports.append(result)
     if by_weight:
-        reports.extend(_bijection_reports(pairs, max(by_weight), by_weight.__getitem__))
+        reports.extend(_bijection_reports(pairs, by_weight))
     return reports
 
 

@@ -446,6 +446,26 @@ def test_bailey_dump_of_a_deep_chain_evaluates_the_stages_in_order(capsys, stage
     assert data["note"] == note and len(data["beta"]) == len(data["alpha"]) == int(n_max) + 1
 
 
+def test_bailey_dump_fills_earlier_betas_only_as_far_as_an_iterate_reads(capsys, cold_memos,
+                                                                         monkeypatch):
+    # the stage after the seed is a shift, which reads the seed's betas at its own
+    # n, filled to isqrt(T) = 6 alone; beta_30 of the final stage reaches the seed
+    # only through an iterate, which stops there too
+    chains = []
+    real = cli.run_chain
+
+    def recorded(*args):
+        chains.append(real(*args))
+        return chains[-1]
+
+    monkeypatch.setattr(cli, "run_chain", recorded)
+    code, out, err = run(capsys, "bailey", "--k", "3", "--i", "1", "--T", "40", "--n-max", "30")
+    assert code == 0, err
+    assert len(json.loads(out)["beta"]) == 31
+    seed = chains[0].stage_by_note("seed").pair
+    assert seed._beta.cache_info().currsize == 7  # beta_0 .. beta_6
+
+
 # -- argv fuzz of the exit-code contract ------------------------------------
 
 _INT = st.integers(-1, 5).map(str)

@@ -1,4 +1,4 @@
-"""Each q-product built once: the memoized Pochhammers and their row tables, the
+"""Each q-product built once: the Pochhammer row tables, the
 inverse-Pochhammer table and the saturated level sums of the multisums, each
 against the route it replaced."""
 
@@ -9,6 +9,7 @@ from tuple_multisum import tuple_multisum_lhs
 
 from ggkit import bailey, series, verify
 from ggkit.series import (
+    DivergentProductError,
     LaurentSeries,
     _binomial_product,
     inverse_pochhammer,
@@ -159,7 +160,10 @@ def test_a_repeated_pochhammer_request_returns_the_memoized_build():
     for sign, shift, base, n, T in ((-1, 1, 2, 5, 30), (1, -3, 1, 4, 12), (1, 2, 2, 0, 9),
                                     (-1, 0, 2, 6, 20)):
         first = pochhammer_finite(sign, shift, base, n, T)
-        assert pochhammer_finite(sign, shift, base, n, T) is first
+        if shift >= 0:
+            assert pochhammer_finite(sign, shift, base, n, T) is first
+        else:  # built afresh on every call
+            assert pochhammer_finite(sign, shift, base, n, T) == first
         fresh = _binomial_product((shift + t * base for t in range(n)), -sign, T)
         assert first.to_json() == fresh.to_json()
     for sign, shift, base, T in ((1, 1, 1, 40), (-1, 1, 2, 25), (1, 3, 7, 0)):
@@ -168,7 +172,7 @@ def test_a_repeated_pochhammer_request_returns_the_memoized_build():
         count = max(0, (T - shift) // base + 1)
         fresh = _binomial_product((shift + t * base for t in range(count)), -sign, T)
         assert first.to_json() == fresh.to_json()
-    for memo in (pochhammer_finite, inverse_pochhammer, series._inverse_table):
+    for memo in (series._pochhammer_table, inverse_pochhammer, series._inverse_table):
         assert memo.cache_info().maxsize is not None
 
 
@@ -178,7 +182,6 @@ def test_pochhammer_table_equals_the_binomial_product(T):
     # out of order, so a row grows from the nearest shorter one built, which is
     # not always the one just below it; shift 0 covers the factor 1 -/+ q^0 that
     # zeroes or doubles the row
-    pochhammer_finite.cache_clear()
     series._pochhammer_table.cache_clear()
     for sign in (1, -1):
         for shift in range(6):
@@ -189,6 +192,31 @@ def test_pochhammer_table_equals_the_binomial_product(T):
                     got = pochhammer_finite(sign, shift, base, m, T)
                     assert got.to_json() == want.to_json(), (sign, shift, base, m, T)
     assert series._pochhammer_table.cache_info().misses == 2 * 6 * 4
+
+
+def test_zero_factor_rows_are_the_zero_series():
+    # (q^0; q^b)_m vanishes for every m >= 1: its rows are stored as the zero
+    # series like any other row, and a row grown from one stays zero
+    series._pochhammer_table.cache_clear()
+    for T in (0, 3, 20):
+        rows = {m: pochhammer_finite(1, 0, 2, m, T) for m in (3, 1, 2, 40)}
+        assert all(r.to_json() == LaurentSeries.zero(T).to_json() for r in rows.values())
+        assert all(pochhammer_finite(1, 0, 2, m, T) is r for m, r in rows.items())
+        assert pochhammer_finite(1, 0, 2, 10**6, T) is rows[40]  # both cut at the last factor
+        assert pochhammer_finite(1, 0, 2, 0, T).to_json() == LaurentSeries.one(T).to_json()
+    assert series._pochhammer_table.cache_info().misses == 3
+
+
+def test_infinite_product_checks_only_divergence_itself():
+    # the base is checked, and the length cut, by pochhammer_finite alone
+    for shift in (0, -2):
+        with pytest.raises(DivergentProductError, match=f"leading exponent {shift} must be >= 1"):
+            pochhammer_infinite(1, shift, 0, 5)
+    for base in (0, -3):
+        with pytest.raises(ValueError, match="base must be a positive integer"):
+            pochhammer_infinite(-1, 2, base, 5)
+    assert pochhammer_infinite(1, 1, 1, -1).to_json() == LaurentSeries.zero(-1).to_json()
+    assert pochhammer_infinite(-1, 2, 3, 30) is pochhammer_finite(-1, 2, 3, 10**6, 30)
 
 
 @pytest.mark.parametrize("T", [0, 1, 7, 30, 61])
@@ -216,7 +244,6 @@ def test_level_one_brackets_grow_one_table_one_factor_at_a_time(monkeypatch):
     # every N_1 of OGG's level 1 asks for (-q; q)_{2N_1-1} at T itself, so the
     # whole loop reads one row table and applies each of its T factors once
     T = 60
-    pochhammer_finite.cache_clear()
     series._pochhammer_table.cache_clear()
     factors = []
     real = series._axpy

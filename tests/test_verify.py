@@ -542,7 +542,7 @@ def test_every_module_level_cache_is_bounded():
     # series owns every q-product memo; bailey keeps only the product of two of
     # them, and the chain stages shared by every chain at one truncation
     assert {fn.__name__ for fn in cached} == {
-        "pochhammer_finite", "_pochhammer_table", "inverse_pochhammer", "_inverse_table",
+        "_pochhammer_table", "inverse_pochhammer", "_inverse_table",
         "_relation_kernel", "_chain_prefix", "_object_checks", "_count_slot_bytes"}
     assert all(fn.cache_info().maxsize is not None for fn in cached)
     assert not [name for mod in mods for name in vars(mod) if name.endswith("_CACHE")]
