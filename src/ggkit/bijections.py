@@ -12,13 +12,18 @@ reduced overpartition) and one inverse (``_inverse_full``).  The public maps
 wrap them: each step passes its classifier and its case analysis
 (``_phi_cases`` ... ``_lambda_cases``), each full map keeps its domain check.
 ``halve``/``double`` convert all-plain-even overpartitions to ordinary
-partitions and back.  A rewrite builds a new Overpartition in part order: it
-copies the input's parts, substitutes the replacements, sorts by rank and checks
-only the replaced parts (a positive size, no second overlined part of a size),
-since the parts it keeps were valid already; then it wraps the list without
-the constructor's full check.  The new object's marking ``gg_mark`` derives
-from its parts (once, then memoized on the object); no mark is carried across
-a rewrite.
+partitions and back.  The case functions take their replacement Parts from the
+interned rank table (``partitions._part``), not the Part constructor.  A
+rewrite builds a new Overpartition in part order: it copies the input's parts,
+substitutes the replacements, sorts by rank and checks only the replaced parts
+(a positive size, no second overlined part of a size), since the parts it kept
+were valid already; then it wraps the list without the constructor's full
+check.  The F -> H toggle and its inverse build their output in part order the
+same way, from interned Parts, because flipping the smallest part's overline and
+moving every size by 2 keep the order.  The new object's weight is summed from
+its own parts, and its marking and first-row flags are derived from them by
+``gg_mark`` (once, then memoized on the object); nothing is carried across a
+map.
 
 The sweep checks each object by several maps that walk the same path: the full
 map and its inverse, then a step and a chain from the pending position and
@@ -59,6 +64,7 @@ from .partitions import (
     ParseError,
     Part,
     Partition,
+    _part,
     _rank,
     satisfies_family,
 )
@@ -111,7 +117,7 @@ def _toggle_next(m: MarkedOverpartition, row1: list[int], p: int, repl: dict[int
     if p < len(row1):
         idx = row1[p]
         part = m.base.parts[idx]
-        repl[idx] = Part(part.size, not part.overlined)
+        repl[idx] = _part(part.size, not part.overlined)
 
 
 def _common_mark(m: MarkedOverpartition, low_size: int, high_size: int) -> int | None:
@@ -192,48 +198,50 @@ def _step(red: _Reduction, forward: bool, classify, cases, op: Overpartition, p:
 def _rewrite(parts: tuple[Part, ...], repl: dict[int, Part]) -> Overpartition:
     """parts with parts[idx] replaced by repl[idx], in part order.  Only the
     replaced parts are checked, with the messages of the Overpartition
-    constructor: parts the input already held were valid, and every part below
-    size 1 sorts before the rest, so the first error found is the one the
-    constructor would report."""
+    constructor and its precedence: parts the input already held were valid, and
+    a part below size 1 sorts before every other part, so the first part of the
+    output is the least such size when there is one."""
     out = list(parts)
     for idx, new in repl.items():
         out[idx] = new
     out.sort(key=_rank)
-    low = [new.size for new in repl.values() if new.size < 1]
-    if low:
-        raise ParseError(f"part size must be positive, got {min(low)}")
-    twice = [new.size for new in repl.values() if new.overlined and out.count(new) > 1]
+    if out[0].size < 1:
+        raise ParseError(f"part size must be positive, got {out[0].size}")
+    twice = 0  # the least size of a replaced overlined part held twice
+    for new in repl.values():
+        if new.overlined and (not twice or new.size < twice) and out.count(new) > 1:
+            twice = new.size
     if twice:
-        raise ParseError(f"duplicate overlined part of size {min(twice)}")
+        raise ParseError(f"duplicate overlined part of size {twice}")
     return Overpartition._from_ordered(tuple(out))
 
 
 def _phi_cases(m: MarkedOverpartition, row1: list[int], p: int, part: Part, l: int):
     repl: dict[int, Part] = {}
     if l == 1:
-        repl[row1[p - 1]] = Part(part.size + 2, True)
+        repl[row1[p - 1]] = _part(part.size + 2, True)
     elif l == 2:
         r = _common_mark(m, part.size - 1, part.size + 1)
         if r is None:
             r = max(m.marks_at_size(part.size + 1, overlined=False))
-        repl[row1[p - 1]] = Part(part.size + 1, False)
-        repl[m.find(part.size + 1, False, r)] = Part(part.size + 2, True)
+        repl[row1[p - 1]] = _part(part.size + 1, False)
+        repl[m.find(part.size + 1, False, r)] = _part(part.size + 2, True)
     elif l == 3:
         r = _reuse_index(m, row1, p, part.size)
         if r == 1:
-            repl[row1[p - 1]] = Part(part.size + 2, False)
+            repl[row1[p - 1]] = _part(part.size + 2, False)
         else:
-            repl[row1[p - 1]] = Part(part.size, False)
-            repl[m.find(part.size, False, r)] = Part(part.size + 2, False)
+            repl[row1[p - 1]] = _part(part.size, False)
+            repl[m.find(part.size, False, r)] = _part(part.size + 2, False)
     else:
         s = min(m.marks_at_size(part.size + 1, overlined=True))
         r = _reuse_index(m, row1, p, part.size)
         if r == 1:
-            repl[row1[p - 1]] = Part(part.size + 1, True)
+            repl[row1[p - 1]] = _part(part.size + 1, True)
         else:
-            repl[row1[p - 1]] = Part(part.size, False)
-            repl[m.find(part.size, False, r)] = Part(part.size + 1, True)
-        repl[m.find(part.size + 1, True, s)] = Part(part.size + 2, False)
+            repl[row1[p - 1]] = _part(part.size, False)
+            repl[m.find(part.size, False, r)] = _part(part.size + 1, True)
+        repl[m.find(part.size + 1, True, s)] = _part(part.size + 2, False)
     _toggle_next(m, row1, p, repl)
     return l, repl
 
@@ -246,32 +254,32 @@ def phi_step(op: Overpartition, p: int, trace: Trace | None = None) -> Overparti
 def _psi_cases(m: MarkedOverpartition, row1: list[int], p: int, part: Part, l: int):
     repl: dict[int, Part] = {}
     if l == 1:
-        repl[row1[p - 1]] = Part(part.size - 2, False)
+        repl[row1[p - 1]] = _part(part.size - 2, False)
     elif l == 2:
         r = min(m.marks_at_size(part.size + 1, overlined=True))
-        repl[row1[p - 1]] = Part(part.size - 1, False)
-        repl[m.find(part.size + 1, True, r)] = Part(part.size, False)
+        repl[row1[p - 1]] = _part(part.size - 1, False)
+        repl[m.find(part.size + 1, True, r)] = _part(part.size, False)
     elif l == 3:
         nxt = m.base.parts[row1[p]].size if p < len(row1) else None
         if (nxt is not None and nxt <= part.size + 2) or not m.marks_at_size(
             part.size + 2, overlined=False
         ):
-            repl[row1[p - 1]] = Part(part.size - 2, True)
+            repl[row1[p - 1]] = _part(part.size - 2, True)
         else:
             r = min(m.marks_at_size(part.size + 2, overlined=False))
-            repl[m.find(part.size + 2, False, r)] = Part(part.size, False)
-            repl[row1[p - 1]] = Part(part.size, True)
+            repl[m.find(part.size + 2, False, r)] = _part(part.size, False)
+            repl[row1[p - 1]] = _part(part.size, True)
     else:
         if part.overlined:
             s = min(m.marks_at_size(part.size + 1, overlined=False))
-            repl[row1[p - 1]] = Part(part.size - 1, True)
-            repl[m.find(part.size + 1, False, s)] = Part(part.size, True)
+            repl[row1[p - 1]] = _part(part.size - 1, True)
+            repl[m.find(part.size + 1, False, s)] = _part(part.size, True)
         else:
             r = min(m.marks_at_size(part.size + 1, overlined=True))
             s = min(m.marks_at_size(part.size + 2, overlined=False))
-            repl[row1[p - 1]] = Part(part.size, True)
-            repl[m.find(part.size + 1, True, r)] = Part(part.size, False)
-            repl[m.find(part.size + 2, False, s)] = Part(part.size + 1, True)
+            repl[row1[p - 1]] = _part(part.size, True)
+            repl[m.find(part.size + 1, True, r)] = _part(part.size, False)
+            repl[m.find(part.size + 2, False, s)] = _part(part.size + 1, True)
     _toggle_next(m, row1, p, repl)
     return l, repl
 
@@ -365,27 +373,27 @@ def _theta_cases(m: MarkedOverpartition, row1: list[int], p: int, part: Part, _)
         if part.overlined:
             t2 = part.size + 1  # 2t+2
             if nxt.size == part.size + 3:
-                repl[row1[p - 1]] = Part(t2, False)
-                repl[row1[p]] = Part(nxt.size + 1, True)
+                repl[row1[p - 1]] = _part(t2, False)
+                repl[row1[p]] = _part(nxt.size + 1, True)
                 return "1.1", repl
             r = max(m.marks_at_size(nxt.size, overlined=False))
-            repl[row1[p - 1]] = Part(t2, False)
-            repl[m.find(nxt.size, False, r)] = Part(nxt.size + 1, True)
+            repl[row1[p - 1]] = _part(t2, False)
+            repl[m.find(nxt.size, False, r)] = _part(nxt.size + 1, True)
             return "1.2", repl
         s = min(m.marks_at_size(part.size + 1, overlined=True))
         if s in m.marks_at_size(part.size + 4, overlined=False):
-            repl[m.find(part.size + 1, True, s)] = Part(part.size + 2, False)
-            repl[m.find(part.size + 4, False, s)] = Part(part.size + 5, True)
+            repl[m.find(part.size + 1, True, s)] = _part(part.size + 2, False)
+            repl[m.find(part.size + 4, False, s)] = _part(part.size + 5, True)
             return "2.1", repl
         r = max(m.marks_at_size(nxt.size, overlined=False))
-        repl[m.find(part.size + 1, True, s)] = Part(part.size + 2, False)
-        repl[m.find(nxt.size, False, r)] = Part(nxt.size + 1, True)
+        repl[m.find(part.size + 1, True, s)] = _part(part.size + 2, False)
+        repl[m.find(nxt.size, False, r)] = _part(nxt.size + 1, True)
         return "2.2", repl
     if part.overlined:  # at the top position N1
-        repl[row1[p - 1]] = Part(part.size + 1, False)
+        repl[row1[p - 1]] = _part(part.size + 1, False)
         return "3.1", repl
     s = min(m.marks_at_size(part.size + 1, overlined=True))
-    repl[m.find(part.size + 1, True, s)] = Part(part.size + 2, False)
+    repl[m.find(part.size + 1, True, s)] = _part(part.size + 2, False)
     return "3.2", repl
 
 
@@ -405,32 +413,32 @@ def _lambda_cases(m: MarkedOverpartition, row1: list[int], p: int, part: Part, _
             if t > b - 1:
                 raise PreconditionError("first-row sizes out of order for the inverse step")
             if t == b - 1:
-                repl[row1[p]] = Part(nxt.size - 1, False)
-                repl[row1[p - 1]] = Part(part.size - 1, True)
+                repl[row1[p]] = _part(nxt.size - 1, False)
+                repl[row1[p - 1]] = _part(part.size - 1, True)
                 return "1.1", repl
             if not m.marks_at_size(2 * t + 4, overlined=False):
-                repl[row1[p - 1]] = Part(2 * t + 1, True)
-                repl[row1[p]] = Part(nxt.size - 1, False)
+                repl[row1[p - 1]] = _part(2 * t + 1, True)
+                repl[row1[p]] = _part(nxt.size - 1, False)
                 return "1.2", repl
             sp = min(m.marks_at_size(2 * t + 4, overlined=False))
-            repl[row1[p]] = Part(nxt.size - 1, False)
-            repl[m.find(2 * t + 4, False, sp)] = Part(2 * t + 3, True)
+            repl[row1[p]] = _part(nxt.size - 1, False)
+            repl[m.find(2 * t + 4, False, sp)] = _part(2 * t + 3, True)
             return "1.3", repl
         # plain even 2b+2 of type O via an overlined 2b+3
         rp = min(m.marks_at_size(nxt.size + 1, overlined=True))
         if not m.marks_at_size(2 * t + 4, overlined=False):
-            repl[m.find(nxt.size + 1, True, rp)] = Part(nxt.size, False)
-            repl[row1[p - 1]] = Part(2 * t + 1, True)
+            repl[m.find(nxt.size + 1, True, rp)] = _part(nxt.size, False)
+            repl[row1[p - 1]] = _part(2 * t + 1, True)
             return "2.1", repl
         sp = min(m.marks_at_size(2 * t + 4, overlined=False))
-        repl[m.find(nxt.size + 1, True, rp)] = Part(nxt.size, False)
-        repl[m.find(2 * t + 4, False, sp)] = Part(2 * t + 3, True)
+        repl[m.find(nxt.size + 1, True, rp)] = _part(nxt.size, False)
+        repl[m.find(2 * t + 4, False, sp)] = _part(2 * t + 3, True)
         return "2.2", repl
     if not m.marks_at_size(2 * t + 4, overlined=False):  # at the top position N1
-        repl[row1[p - 1]] = Part(2 * t + 1, True)
+        repl[row1[p - 1]] = _part(2 * t + 1, True)
         return "3.1", repl
     sp = min(m.marks_at_size(2 * t + 4, overlined=False))
-    repl[m.find(2 * t + 4, False, sp)] = Part(2 * t + 3, True)
+    repl[m.find(2 * t + 4, False, sp)] = _part(2 * t + 3, True)
     return "3.2", repl
 
 
@@ -475,12 +483,16 @@ def fh_toggle(op: Overpartition, k: int, i: int, trace: Trace | None = None) -> 
     if not satisfies_family(op, FamilySpec("F", k, i)):
         raise PreconditionError(f"input is not in the F family for k={k}, i={i}")
     small = op.smallest()
-    parts = [Part(small.size, not small.overlined)] + list(op.parts[1:])
+    parts = [_part(small.size, not small.overlined)] + list(op.parts[1:])
     if i == 1:
         if any(p.size <= 2 for p in op.parts):
             raise PreconditionError("the i=1 toggle needs every part size above 2")
-        parts = [Part(p.size - 2, p.overlined) for p in parts]
-    out = Overpartition(parts)
+        parts = [_part(p.size - 2, p.overlined) for p in parts]
+    # built in part order without the constructor's sort and checks: no part
+    # precedes the smallest, so flipping its overline keeps the order and leaves
+    # no second overlined part of its size, and lowering every size by 2 above 2
+    # keeps both
+    out = Overpartition._from_ordered(tuple(parts))
     if trace is not None:
         trace.record(f"toggle[{k},{i}]", op, out)
     return out
@@ -496,10 +508,12 @@ def fh_untoggle(op: Overpartition, k: int, i: int, trace: Trace | None = None) -
         )
     parts = list(op.parts)
     if i == 1:
-        parts = [Part(p.size + 2, p.overlined) for p in parts]
+        parts = [_part(p.size + 2, p.overlined) for p in parts]
     small = parts[0]
-    parts[0] = Part(small.size, not small.overlined)
-    out = Overpartition(parts)
+    parts[0] = _part(small.size, not small.overlined)
+    # in part order for the reasons fh_toggle gives: raising every size by 2
+    # keeps the order, and so does flipping the smallest part's overline
+    out = Overpartition._from_ordered(tuple(parts))
     if trace is not None:
         trace.record(f"untoggle[{k},{i}]", op, out)
     return out

@@ -5,7 +5,8 @@ check failed, 2 usage or parse errors.  A handler returns 0 or 1 from its
 verdicts and raises for anything else; ``main`` alone turns an error into one
 ``ggkit: ...`` line and its code.  Fixed ceilings refuse with 2 what no run
 could finish in reasonable time and memory: a listing above weight 100, a part
-above 10**6, a Bailey dump past ``--n-max`` 1000, a profile whose class
+above 10**6, a Bailey dump past ``--n-max`` 1000 or past the ``--n-max`` its
+``--T`` allows (``_bailey_n_max``), a profile whose class
 buckets reach past weight 46, and under ``verify`` and ``bailey`` a ``--T``
 above 1000, a ``--k`` above 1000 and a counting ``--n-max`` above 1000 (see
 ``verify._T_MAX``, ``_K_MAX`` and ``_COUNT_N_MAX``).  A reader that closes
@@ -69,9 +70,20 @@ _ENUMERATE_N_MAX = 100
 _PART_MAX = 10**6
 # the dump builds alpha_n and beta_n for every n <= --n-max, each longer as T
 # grows: at k = 2, i = 1 and --n-max 1000 it takes 0.5-0.7 s at T = 40, 1.8-1.9 s
-# at T = 100, 8.7-9.7 s at T = 200 and 71-78 s and 132 MiB at T = 400 (2-CPU
-# Xeon), so at the T ceiling this bound alone does not keep a dump short
+# at T = 100, 8.7-9.7 s at T = 200 and 71-78 s and 132 MiB at T = 400, and at a
+# fixed T the time rises about as n_max**2.  n_max * T <= 40 000 still let
+# --n-max 100 at T = 400 take 10.7-13.5 s, so the bound is n_max**2 * T**3 <=
+# 1000**2 * 40**3 (n_max * T**1.5 <= 1000 * 40**1.5): 1 000 up to T = 40, 252 at
+# T = 100, 89 at T = 200 (2.9 s), 31 at T = 400 (1.3 s) and 8 at T = 1 000
+# (0.4 s) (k = 2, i = 1, 2-CPU Xeon)
 _BAILEY_N_MAX = 1000
+_BAILEY_DUMP_WORK = _BAILEY_N_MAX**2 * 40**3
+
+
+def _bailey_n_max(T: int) -> int:
+    """The largest --n-max a Bailey dump at this --T may ask for."""
+    return min(_BAILEY_N_MAX, isqrt(_BAILEY_DUMP_WORK // max(T, 1) ** 3))
+
 
 _MAPS = {
     "phi-p": (phi_step, "p"),
@@ -126,7 +138,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int, default=40)
     p.add_argument("--stage", type=int, default=-1,
                    help="stage index, or -1 for the final stage (default)")
-    p.add_argument("--n-max", type=int, default=4)
+    p.add_argument("--n-max", type=int, default=4,
+                   help="last n dumped: at most 1000, and n_max**2 * T**3 at most "
+                        "1000**2 * 40**3 (252 at --T 100, 31 at --T 400, 8 at --T 1000)")
     p.add_argument("--format", choices=("text", "json"), default="json")
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -257,12 +271,14 @@ def _cmd_biject(args) -> int:
 
 
 def _cmd_bailey(args) -> int:
-    if not 0 <= args.n_max <= _BAILEY_N_MAX:
-        raise ValueError(f"--n-max must be in 0..{_BAILEY_N_MAX}, got {args.n_max}")
-    if args.stage < -1:
-        raise ValueError(f"--stage must be a stage index or -1 (final), got {args.stage}")
     _check_ceiling("k", args.k, _K_MAX)
     _check_ceiling("T", args.T, _T_MAX)
+    n_max = _bailey_n_max(args.T)
+    if not 0 <= args.n_max <= n_max:
+        raise ValueError(f"--n-max must be in 0..{n_max} at --T {args.T} "
+                         f"(n_max**2 * T**3 at most {_BAILEY_DUMP_WORK}), got {args.n_max}")
+    if args.stage < -1:
+        raise ValueError(f"--stage must be a stage index or -1 (final), got {args.stage}")
     chain = run_chain(args.k, args.i, args.T)
     idx = args.stage if args.stage != -1 else len(chain.stages) - 1
     if idx >= len(chain.stages):

@@ -39,14 +39,17 @@ def _mex(used) -> int:
 
 class MarkedOverpartition:
     """An overpartition with one mark per part, in part order.  Immutable;
-    row1, when given, must be row_indices(1) of these marks."""
+    row1, when given, must be row_indices(1) of these marks, and clearable, when
+    given, is_clearable of each of those parts."""
 
-    __slots__ = ("base", "marks", "_row1")
+    __slots__ = ("base", "marks", "_row1", "_clear")
 
-    def __init__(self, base: Overpartition, marks: tuple[int, ...], row1: list[int] | None = None):
+    def __init__(self, base: Overpartition, marks: tuple[int, ...], row1: list[int] | None = None,
+                 clearable: list[bool] | None = None):
         self.base = base
         self.marks = marks
         self._row1 = row1
+        self._clear = clearable
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -89,6 +92,16 @@ class MarkedOverpartition:
         if self._row1 is None:
             self._row1 = self.row_indices(1)
         return self._row1
+
+    def _clearable(self) -> list[bool]:
+        """is_clearable of each first-row part, in position order: the flags of the
+        phi/psi reduction.  gg_mark records them as it marks, so a step, its
+        classifier and the sweep read one list per object.  Callers must not
+        mutate it."""
+        if self._clear is None:
+            parts = self.base.parts
+            self._clear = [is_clearable(parts[j]) for j in self._first_row()]
+        return self._clear
 
     def find(self, size: int, overlined: bool, mark: int) -> int:
         """Index of the part with this size, overline flag and mark."""
@@ -159,9 +172,11 @@ _NO_MARKS: frozenset[int] = frozenset()
 
 def gg_mark(op: Overpartition) -> MarkedOverpartition:
     """Mark an overpartition; the marking is a deterministic function of the parts,
-    computed once per object and memoized on it as (marks, first-row indices), so
-    every wrapper shares one first-row scan and the object and its marking form
-    no reference cycle."""
+    computed once per object and memoized on it as (marks, first-row indices,
+    is_clearable of each first-row part), so every wrapper shares one first-row
+    scan and one list of phi/psi flags, and the object and its marking form no
+    reference cycle.  All three come from the object's own parts: nothing is
+    carried over from the object a map rewrote."""
     if op._marking is not None:
         return MarkedOverpartition(op, *op._marking)
     top = op.parts[-1].size if op.parts else 0
@@ -175,14 +190,16 @@ def gg_mark(op: Overpartition) -> MarkedOverpartition:
             by_size[s] = set()
     marks: list[int] = []
     row1: list[int] = []
+    clearable: list[bool] = []
     mk = 0
     for j, (s, ov) in enumerate(op.parts):
         mk = _mark_step(by_size, mk, s, ov, plain, over)
         marks.append(mk)
         if mk == 1:
             row1.append(j)
+            clearable.append(ov == (s % 2 == 0))  # as is_clearable
         by_size[s].add(mk)
-    op._marking = (tuple(marks), row1)
+    op._marking = (tuple(marks), row1, clearable)
     return MarkedOverpartition(op, *op._marking)
 
 
@@ -371,7 +388,7 @@ class _Reduction(NamedTuple):
 
 
 _PHI = _Reduction("phi", "psi", "classify_f", in_stable_class, is_reduced,
-                  lambda m: [is_clearable(m.base.parts[j]) for j in m._first_row()],
+                  MarkedOverpartition._clearable,
                   lambda m: m.sub_overpartition(1), 0, "full reduction", "",
                   ("the last plain-odd/overlined-even part",
                    "a stable part followed by the part to restore"))
@@ -452,7 +469,7 @@ def classify_f(m: MarkedOverpartition, p: int) -> PositionReport:
     """Positional classification of a stable-class overpartition at first-row p."""
     if not in_stable_class(m.base):
         raise PreconditionError("smallest part must be overlined odd or plain even")
-    # the flags scan the first row once (m._first_row()); the subcases reuse it
+    # the flags come with the marking (m._clearable()); the subcases reuse its first row
     pending, advanced, cleared = _positions(_PHI.flags(m), p)
     sub = None
     if pending:

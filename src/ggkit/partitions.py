@@ -46,6 +46,18 @@ def _part_table(max_size: int) -> list:
     return _PARTS
 
 
+def _part(size: int, overlined: bool) -> Part:
+    """The interned Part of this size and kind: a list read, where ``Part(...)``
+    runs a Python-level ``__new__``.  A size below 1 has no rank and is built
+    anew, so a check on it reports the Overpartition constructor's message."""
+    if size < 1:
+        return Part(size, overlined)
+    try:
+        return _PARTS[2 * size - overlined]
+    except IndexError:
+        return _part_table(size)[2 * size - overlined]
+
+
 def part_text(p: Part) -> str:
     return f"{p.size}~" if p.overlined else str(p.size)
 
@@ -88,8 +100,9 @@ class Overpartition:
     """An overpartition: parts nondecreasing in the part order defined above.
 
     Immutable, with two memo slots filled on first use: ``_marking`` holds the
-    marks of the Göllnitz-Gordon marking and the indices of the 1-marked parts
-    (``marking.gg_mark``), ``_o_stats`` the O-family stats (fb, mw, c3) of
+    marks of the Göllnitz-Gordon marking, the indices of the 1-marked parts and
+    whether each of those parts is clearable (``marking.gg_mark``), ``_o_stats``
+    the O-family stats (fb, mw, c3) of
     ``o_family_stats`` (``satisfies_family``, or the marking walk that computes
     them anyway)."""
 

@@ -597,7 +597,8 @@ def pochhammer_finite(sign: int, shift: int, base: int, n: int, truncation: int)
         raise ValueError("length must be nonnegative")
     if shift < 0 or truncation < 0:
         return _binomial_product((shift + t * base for t in range(n)), -sign, truncation)
-    n = min(n, max(0, (truncation - shift) // base + 1))
+    if shift + (n - 1) * base > truncation:  # the last factor is 1 to the truncation
+        n = max(0, (truncation - shift) // base + 1)
     table = _pochhammer_table(sign, shift, base, truncation)
     row = table.get(n)
     if row is None:

@@ -172,6 +172,20 @@ def test_bailey_equal_parameters_usage_error(capsys):
     assert code == 2 and "chain undefined" in err
 
 
+def test_bailey_n_max_ceiling_falls_as_T_grows(capsys):
+    assert [cli._bailey_n_max(T) for T in (30, 40, 41, 100, 200, 400)] == [1000, 1000, 963, 252,
+                                                                            89, 31]
+    T, last = 1000, 8
+    code, out, err = run(capsys, "bailey", "--k", "2", "--i", "1", "--T", str(T),
+                         "--n-max", str(last + 1))
+    assert code == 2 and out == ""
+    assert err == (f"ggkit: --n-max must be in 0..{last} at --T {T} "
+                   f"(n_max**2 * T**3 at most 64000000000), got {last + 1}\n")
+    code, out, _ = run(capsys, "bailey", "--k", "2", "--i", "1", "--T", str(T),
+                       "--n-max", str(last))
+    assert code == 0 and len(json.loads(out)["beta"]) == last + 1
+
+
 def test_verify_counting_pass(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "counting", "--k", "2", "--i", "2",
                        "--n-max", "8")
