@@ -10,7 +10,6 @@ from .series import (
     pochhammer_finite,
     pochhammer_infinite,
     product_triple,
-    substitute_power,
     theta_bressoud_sum,
 )
 from .partitions import (
@@ -33,8 +32,6 @@ from .marking import (
     gg_mark,
     gordon_mark,
     part_type,
-    row_counts,
-    sub_overpartition,
 )
 from .bijections import (
     Trace,

@@ -14,14 +14,15 @@ can see; a stage several chains read also keeps the right side of its relation
 at each n.  Each beta sum over 1/(q^g; q^g)_{n-m}, here and in the multisum
 levels of ``verify``, goes through ``_inv_poch_sum``, and is one
 ``series.sum_of_products``, as is each right side of the pair relation.  Its
-inverse Pochhammers come from ``series.inverse_pochhammer``, which owns their
-memo and tables; no series inverse is taken.  Two memos are kept here:
-``_relation_kernel``, the product of two inverse Pochhammers, and
-``_chain_prefix``, the stages every chain at one truncation starts with (values
-only: each chain still checks every stage it reads).  The theta terms (the seed
-pair's alpha, the shift transform's closed form) come from
-``series.theta_term``.  Transforms take no label: each names its output after
-its input, and ``run_chain`` names every stage by its position.
+inverse Pochhammers are the rows of ``series.inverse_pochhammer``'s tables, its
+one memo; each row is exact to its table's cap, past the truncation, so every
+product of rows is formed at the truncation, and no series inverse is taken.
+Two memos are kept here: ``_relation_kernel``, the product of two inverse
+Pochhammers, and ``_chain_prefix``, the stages every chain at one truncation
+starts with (values only: each chain still checks every stage it reads).  The
+theta terms (the seed pair's alpha, the shift transform's closed form) come
+from ``series.theta_term``.  Transforms take no label: each names its output
+after its input, and ``run_chain`` names every stage by its position.
 """
 
 from __future__ import annotations
@@ -87,8 +88,10 @@ def _inv_poch_sum(step: int, terms: Iterable[tuple[int, LaurentSeries]], n: int,
 def _relation_kernel(step: int, a: int, b: int, trunc: int) -> LaurentSeries:
     """1/((q**step; q**step)_a (q**step; q**step)_b), truncated: the factor of
     alpha_r in the relation at n with (a, b) = (n - r, n + r), shared by every
-    pair on the same grid and truncation."""
-    return inverse_pochhammer(step, a, trunc) * inverse_pochhammer(step, b, trunc)
+    pair on the same grid and truncation, formed at trunc: both rows reach
+    their table's cap."""
+    rows = (inverse_pochhammer(step, a, trunc), inverse_pochhammer(step, b, trunc))
+    return sum_of_products([rows], trunc)
 
 
 class BaileyPair:

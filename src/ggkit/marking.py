@@ -303,14 +303,6 @@ def gordon_row_counts(parts: Partition) -> tuple[int, ...]:
     return _row_counts(gordon_mark(parts))
 
 
-def row_counts(m: MarkedOverpartition) -> tuple[int, ...]:
-    return m.row_counts()
-
-
-def sub_overpartition(m: MarkedOverpartition, r: int) -> tuple[Part, ...]:
-    return m.sub_overpartition(r)
-
-
 # ---------------------------------------------------------------------------
 # Part kinds and positional classifiers
 # ---------------------------------------------------------------------------

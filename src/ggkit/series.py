@@ -22,20 +22,19 @@ and the coefficients the result keeps are read back out of the slots once
 (Harvey, "Faster polynomial multiplication via multipoint Kronecker
 substitution", JSC 2009).
 
-The q-products are built once each, and each is memoized here alone.  For a
-shift >= 0, ``pochhammer_finite`` serves (c q^s; q^b)_m at T from one table
-per (c, s, b, T), its only memo: a row is the immutable series itself,
-returned as stored, and a row not built yet is grown from the nearest shorter
-one already built, one factor (1 - c q^e) at a time in an O(T) pass, so a
-product asked for at every length in turn costs O(T) per factor, not per
-length.  ``pochhammer_infinite`` is the row whose length is cut at the
-truncation; a negative shift is built afresh.  ``inverse_pochhammer`` serves
-1/(q^s; q^s)_m at T from one table per (s, cap), cap the next power of two >=
-T: an entry is grown from the nearest lower one already built, dividing by one
-factor (1 - q^{sm}) at a time in an O(cap) pass, so no Pochhammer inverse goes
-through ``inverse``.  It keeps a memo of the entries cut at T beside its
-tables: a series run reads each entry about six times after building it, and a
-memo hit costs a fraction of a cut read of the table.
+The q-products are built once each, and each builder keeps one memo here: a
+table of rows, each row the immutable series itself, returned as stored.
+``pochhammer_finite`` serves (c q^s; q^b)_m at T (s >= 0) from one table per
+(c, s, b, T); a row not built yet is grown from the nearest shorter one already
+built, one factor (1 - c q^e) at a time in an O(T) pass, so a product asked for
+at every length in turn costs O(T) per factor, not per length.
+``pochhammer_infinite`` is the row whose length is cut at the truncation.
+``inverse_pochhammer`` serves 1/(q^s; q^s)_m from one table per (s, cap), cap
+the next power of two >= T, and every row is exact to the cap: an entry is
+grown from the nearest lower one already built, dividing by one factor
+(1 - q^{sm}) at a time in an O(cap) pass, so no Pochhammer inverse goes through
+``inverse``.  A product of rows is formed at the truncation its caller needs,
+by ``sum_of_products`` or against a factor known only to T.
 """
 
 from __future__ import annotations
@@ -426,10 +425,6 @@ class LaurentSeries:
                    data["truncation"])
 
 
-def substitute_power(a: LaurentSeries, m: int) -> LaurentSeries:
-    return a.substitute_power(m)
-
-
 def _cut(a: LaurentSeries, b: LaurentSeries, T: int | None = None) -> tuple:
     """(the truncation of a * b, the product's cut at T): (lead, a's numerators
     from its lead, b's from its lead, denominator), with T the truncation by
@@ -532,40 +527,6 @@ def _axpy(x: list[int], y: list[int], f: int) -> list[int]:
     return [a + f * b for a, b in zip(x, y)]
 
 
-def _binomial_product(exponents: Iterable[int], factor_coeff: int, truncation: int) -> LaurentSeries:
-    """Product of (1 + factor_coeff * q**e) over the given exponents, to `truncation`,
-    built from scratch: pochhammer_finite's route for a negative shift, and the
-    reference its table is tested against.
-
-    Intermediate arrays are kept no wider than the final answer needs: the cap
-    starts at truncation plus the total negative shift still to be applied and
-    shrinks as negative-exponent factors are absorbed.
-    """
-    exps = list(exponents)
-    neg = sum(-e for e in exps if e < 0)
-    lo = 0
-    cap = truncation + neg
-    if cap < 0:
-        return LaurentSeries.zero(truncation)
-    arr = [0] * (cap - lo + 1)
-    arr[0] = 1
-    for e in exps:
-        if e == 0:
-            if factor_coeff == -1:
-                return LaurentSeries.zero(truncation)
-            arr = [(1 + factor_coeff) * c for c in arr]
-        elif e > 0:
-            # window [lo, cap] unchanged: arr[x] += f * arr[x - e]
-            arr[e:] = _axpy(arr[e:], arr[:-e], factor_coeff)
-        else:
-            # window moves down by -e: new[x] = arr[x] + f * arr[x - e]
-            arr = _axpy([0] * -e + arr[:e], arr, factor_coeff)
-            lo, cap = lo + e, cap + e
-    if truncation < lo:
-        return LaurentSeries.zero(truncation)
-    return _series(lo, tuple(arr[: truncation - lo + 1]), 1, truncation)
-
-
 # pochhammer_finite fills it, the only memo of a positive Pochhammer; a series run
 # makes 111 keys (so it never evicts one), the test suite 923, and a Bailey or
 # identities reach run at most a few dozen
@@ -577,26 +538,25 @@ def _pochhammer_table(sign: int, shift: int, base: int, truncation: int) -> dict
 
 
 def pochhammer_finite(sign: int, shift: int, base: int, n: int, truncation: int) -> LaurentSeries:
-    """The finite product (sign*q**shift; q**base)_n, truncated.
+    """The finite product (sign*q**shift; q**base)_n, truncated (shift >= 0).
 
     sign=+1 gives factors (1 - q**(shift+t*base)), sign=-1 gives (1 + ...),
-    for t = 0..n-1.  A negative shift gives a genuine Laurent polynomial cut at
-    `truncation`, built afresh by _binomial_product.  For shift >= 0 every
-    factor past the last exponent <= truncation is 1, so n is cut there, and the
-    product is the row of the table at (sign, shift, base, truncation), the same
-    series on every call.  A row not built yet is grown from the nearest shorter
-    one that is, one factor at a time: O(truncation) per factor, where the
-    factor at exponent 0 doubles the row (sign=-1) or zeroes it and every longer
-    row (sign=+1).
+    for t = 0..n-1.  Every factor past the last exponent <= truncation is 1, so
+    n is cut there, and the product is the row of the table at (sign, shift,
+    base, truncation), the same series on every call; a negative truncation
+    reads the table's zero row.  A row not built yet is grown from the nearest
+    shorter one that is, one factor at a time: O(truncation) per factor, where
+    the factor at exponent 0 doubles the row (sign=-1) or zeroes it and every
+    longer row (sign=+1).
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    if shift < 0:
+        raise ValueError("shift must be nonnegative")
     if base < 1:
         raise ValueError("base must be a positive integer")
     if n < 0:
         raise ValueError("length must be nonnegative")
-    if shift < 0 or truncation < 0:
-        return _binomial_product((shift + t * base for t in range(n)), -sign, truncation)
     if shift + (n - 1) * base > truncation:  # the last factor is 1 to the truncation
         n = max(0, (truncation - shift) // base + 1)
     table = _pochhammer_table(sign, shift, base, truncation)
@@ -631,8 +591,10 @@ def pochhammer_infinite(sign: int, shift: int, base: int, truncation: int) -> La
 
 
 def inverse_euler_product(truncation: int) -> LaurentSeries:
-    """1/(q; q)_oo, the partition generating function."""
-    return inverse_pochhammer(1, truncation, truncation)
+    """1/(q; q)_oo, the partition generating function, truncated: the row of
+    length truncation, which equals the infinite product up to there only, so
+    it is cut there."""
+    return inverse_pochhammer(1, truncation, truncation).truncated(truncation)
 
 
 def _divide_binomial(num: list[int], e: int) -> None:
@@ -649,22 +611,21 @@ def _divide_binomial(num: list[int], e: int) -> None:
 
 
 @lru_cache(maxsize=64)  # the test suite fills 18 tables, a series run 12
-def _inverse_table(step: int, cap: int) -> dict[int, tuple[int, ...]]:
-    """m -> the numerators of 1/(q**step; q**step)_m to cap, for every m
-    inverse_pochhammer has built at (step, cap); filled by it."""
-    return {0: (1,) + (0,) * cap}
+def _inverse_table(step: int, cap: int) -> dict[int, LaurentSeries]:
+    """m -> 1/(q**step; q**step)_m to cap, for every m inverse_pochhammer has
+    built at (step, cap); filled by it."""
+    return {0: LaurentSeries.one(cap)}
 
 
-@lru_cache(maxsize=4096)  # the test suite fills 800 entries, a series run 314
 def inverse_pochhammer(step: int, m: int, truncation: int) -> LaurentSeries:
-    """1/(q**step; q**step)_m, truncated (step >= 1, m >= 0, truncation >= 0).
+    """1/(q**step; q**step)_m, exact to cap (step >= 1, m >= 0, truncation >= 0).
 
-    Every factor past m = truncation // step is 1 up to the truncation, so m is
-    cut there.  The entry is read from the table at (step, cap), cap the next
-    power of two >= truncation, and cut at the truncation.  An entry not built
-    yet there is grown from the nearest lower one that is, one factor
-    (1 - q**(step t)) at a time: O(cap) per factor, with no product and no
-    series inverse.
+    cap is the next power of two >= truncation, and the product is the row of
+    the table at (step, cap), returned as stored: the same series on every call,
+    whose truncation is cap, not truncation.  Every factor past m = cap // step
+    is 1 up to the cap, so m is cut there.  A row not built yet is grown from the
+    nearest lower one that is, one factor (1 - q**(step t)) at a time: O(cap)
+    per factor, with no product and no series inverse.
     """
     if step < 1:
         raise ValueError("base must be a positive integer")
@@ -672,16 +633,18 @@ def inverse_pochhammer(step: int, m: int, truncation: int) -> LaurentSeries:
         raise ValueError("length must be nonnegative")
     if truncation < 0:
         raise ValueError(f"truncation must be >= 0, got {truncation}")
-    m = min(m, truncation // step)
-    table = _inverse_table(step, 1 << (truncation - 1).bit_length())
-    num = table.get(m)
-    if num is None:
+    cap = 1 << (truncation - 1).bit_length()
+    table = _inverse_table(step, cap)
+    if m * step > cap:
+        m = cap // step
+    row = table.get(m)
+    if row is None:
         below = max(j for j in table if j < m)
-        work = list(table[below])
+        work = list(table[below]._num)
         for t in range(below + 1, m + 1):
             _divide_binomial(work, step * t)
-        num = table[m] = tuple(work)
-    return _series(0, num[:truncation + 1], 1, truncation)
+        row = table[m] = _series(0, tuple(work), 1, cap)
+    return row
 
 
 # ---------------------------------------------------------------------------

@@ -883,7 +883,7 @@ def verify_bailey(k: int, i: int, T: int = 40, n_depth: int = 6) -> list[Verific
     seed = chain.stage_by_note("seed").pair
     depths = range(n_depth + 1)
     rep = _compare("SEED-BETA", params, T, [seed.beta(n) for n in depths],
-                   [inverse_pochhammer(seed.grid, n, seed.trunc) for n in depths],
+                   [inverse_pochhammer(seed.grid, n, seed.trunc).truncated(seed.trunc) for n in depths],
                    ("beta", "1/(q;q)_n"))
     if not rep.ok:
         rep = rep._replace(detail=rep.detail + bailey_mod._grid_note(seed.grid))

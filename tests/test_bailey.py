@@ -194,7 +194,7 @@ def test_cached_inverse_pochhammer_is_read_only():
     with pytest.raises(AttributeError):
         cached.truncation = 3
     assert inverse_pochhammer(2, 3, 20) is cached
-    fresh = pochhammer_finite(1, 2, 2, 3, 20).inverse()
+    fresh = pochhammer_finite(1, 2, 2, 3, 32).inverse()  # the row is exact to its cap, 32
     assert cached == fresh
     assert cached.to_json() == fresh.to_json()
 
@@ -205,14 +205,27 @@ def test_inverse_pochhammer_cut_from_a_coarser_build_equals_a_fresh_one():
     for step in (1, 2, 4):
         for m in range(7):
             for trunc in (0, 1, 5, 17, 33, 64):
-                fresh = pochhammer_finite(1, step, step, m, trunc).inverse()
+                cap = 1 << (trunc - 1).bit_length()
+                fresh = pochhammer_finite(1, step, step, m, cap).inverse()
                 got = inverse_pochhammer(step, m, trunc)
                 assert got.to_json() == fresh.to_json(), (step, m, trunc)
-    inverse_pochhammer.cache_clear()
     series._inverse_table.cache_clear()
     for trunc in (33, 50, 64):  # one table, at cap 64, serves all three
         inverse_pochhammer(3, 5, trunc)
     assert series._inverse_table.cache_info().misses == 1
+
+
+def test_relation_kernel_is_formed_at_its_truncation_not_at_the_cap():
+    from ggkit.series import pochhammer_finite
+
+    for step in (1, 2):
+        for trunc in (0, 5, 33, 100):  # caps 2, 8, 64 and 128
+            for a, b in ((0, 0), (0, 3), (2, 7), (5, 40)):
+                got = bailey._relation_kernel(step, a, b, trunc)
+                want = (pochhammer_finite(1, step, step, a, trunc).inverse()
+                        * pochhammer_finite(1, step, step, b, trunc).inverse())
+                assert got.truncation == trunc, (step, a, b, trunc)
+                assert got.to_json() == want.to_json(), (step, a, b, trunc)
 
 
 def test_base_change_builds_each_summand_once(monkeypatch):
@@ -315,7 +328,6 @@ def test_inverse_pochhammer_sum_asks_for_its_inverses_shortest_first(step, monke
         divides.append(e)
         real(num, e)
 
-    series.inverse_pochhammer.cache_clear()
     series._inverse_table.cache_clear()
     monkeypatch.setattr(series, "_divide_binomial", counted)
     got = bailey._inv_poch_sum(step, terms, n, trunc)

@@ -5,13 +5,13 @@ against the route it replaced."""
 import itertools
 
 import pytest
+from q_product_oracle import binomial_product
 from tuple_multisum import tuple_multisum_lhs
 
 from ggkit import bailey, series, verify
 from ggkit.series import (
     DivergentProductError,
     LaurentSeries,
-    _binomial_product,
     inverse_pochhammer,
     pochhammer_finite,
     pochhammer_infinite,
@@ -130,7 +130,6 @@ def _shuffled(ms):
 @pytest.mark.parametrize("cap", [1, 2, 64])
 @pytest.mark.parametrize("step", [1, 2, 4])
 def test_inverse_table_equals_the_inverted_pochhammer(step, cap):
-    inverse_pochhammer.cache_clear()
     series._inverse_table.cache_clear()
     for m in _shuffled(range(cap // step + 1)):
         want = pochhammer_finite(1, step, step, m, cap).inverse()
@@ -141,13 +140,26 @@ def test_inverse_table_equals_the_inverted_pochhammer(step, cap):
 
 
 def test_inverse_table_builds_a_deep_entry_in_one_pass():
-    inverse_pochhammer.cache_clear()
     series._inverse_table.cache_clear()
     got = inverse_pochhammer(1, 1024, 1024)  # 1 024 factors, none of them recursive
     want = pochhammer_finite(1, 1, 1, 1024, 1024).inverse()
     assert got.to_json() == want.to_json()
     assert got.coefficient(100) == 190569292  # p(100)
     assert len(series._inverse_table(1, 1024)) == 2  # the seed entry and this one
+
+
+def test_every_inverse_row_is_exact_to_its_cap():
+    # the row is returned as stored, so it must hold 1/(q^s; q^s)_m itself to the
+    # cap, not only to T: m is cut at cap // s, past which every factor is 1
+    for s in range(1, 5):
+        for T in (0, 1, 5, 64, 100):
+            cap = 1 << (T - 1).bit_length()
+            for m in _shuffled(range(cap // s + 3)):
+                row = inverse_pochhammer(s, m, T)
+                assert row.truncation == cap, (s, m, T)
+                want = pochhammer_finite(1, s, s, m, cap).inverse()
+                assert row.to_json() == want.to_json(), (s, m, T)
+                assert inverse_pochhammer(s, m, T) is row
 
 
 def test_inverse_table_refuses_bad_arguments():
@@ -157,22 +169,20 @@ def test_inverse_table_refuses_bad_arguments():
 
 
 def test_a_repeated_pochhammer_request_returns_the_memoized_build():
-    for sign, shift, base, n, T in ((-1, 1, 2, 5, 30), (1, -3, 1, 4, 12), (1, 2, 2, 0, 9),
-                                    (-1, 0, 2, 6, 20)):
+    for sign, shift, base, n, T in ((-1, 1, 2, 5, 30), (1, 2, 2, 0, 9), (-1, 0, 2, 6, 20)):
         first = pochhammer_finite(sign, shift, base, n, T)
-        if shift >= 0:
-            assert pochhammer_finite(sign, shift, base, n, T) is first
-        else:  # built afresh on every call
-            assert pochhammer_finite(sign, shift, base, n, T) == first
-        fresh = _binomial_product((shift + t * base for t in range(n)), -sign, T)
+        assert pochhammer_finite(sign, shift, base, n, T) is first
+        fresh = binomial_product((shift + t * base for t in range(n)), -sign, T)
         assert first.to_json() == fresh.to_json()
+    with pytest.raises(ValueError, match="shift must be nonnegative"):  # no route builds one
+        pochhammer_finite(1, -3, 1, 4, 12)
     for sign, shift, base, T in ((1, 1, 1, 40), (-1, 1, 2, 25), (1, 3, 7, 0)):
         first = pochhammer_infinite(sign, shift, base, T)
         assert pochhammer_infinite(sign, shift, base, T) is first
         count = max(0, (T - shift) // base + 1)
-        fresh = _binomial_product((shift + t * base for t in range(count)), -sign, T)
+        fresh = binomial_product((shift + t * base for t in range(count)), -sign, T)
         assert first.to_json() == fresh.to_json()
-    for memo in (series._pochhammer_table, inverse_pochhammer, series._inverse_table):
+    for memo in (series._pochhammer_table, series._inverse_table):
         assert memo.cache_info().maxsize is not None
 
 
@@ -188,7 +198,7 @@ def test_pochhammer_table_equals_the_binomial_product(T):
             for base in range(1, 5):
                 cap = max(0, (T - shift) // base + 1)
                 for m in _shuffled(range(cap + 3)):
-                    want = _binomial_product((shift + t * base for t in range(m)), -sign, T)
+                    want = binomial_product((shift + t * base for t in range(m)), -sign, T)
                     got = pochhammer_finite(sign, shift, base, m, T)
                     assert got.to_json() == want.to_json(), (sign, shift, base, m, T)
     assert series._pochhammer_table.cache_info().misses == 2 * 6 * 4
@@ -233,7 +243,7 @@ def test_bracket_equals_the_product_built_at_its_own_truncation(T):
                     want = LaurentSeries.zero(T)
                 else:
                     exps = (shift + t * base for t in range(length))
-                    want = _binomial_product(exps, 1, T - low).shift(low)
+                    want = binomial_product(exps, 1, T - low).shift(low)
                 got = verify._bracket(g, word, n1, T)
                 assert got.to_json() == want.to_json(), (word, g, n1, T)
                 if low > T or n1 == 20 and low <= 0:

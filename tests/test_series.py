@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from q_product_oracle import pochhammer
 from tuple_multisum import collapse_x
 
 from ggkit.partitions import enumerate_overpartitions
@@ -15,7 +16,6 @@ from ggkit.series import (
     pochhammer_finite,
     pochhammer_infinite,
     product_triple,
-    substitute_power,
     theta_bressoud_sum,
     theta_term,
     triple_product,
@@ -73,7 +73,13 @@ def test_strict_truncation_read():
 
 def test_pochhammer_single_negative_factor():
     # one factor with exponent -1
-    assert pochhammer_finite(-1, -1, 2, 1, 5) == poly({-1: 1, 0: 1}, 5)
+    assert pochhammer(-1, -1, 2, 1, 5) == poly({-1: 1, 0: 1}, 5)
+
+
+def test_pochhammer_refuses_a_negative_shift():
+    for sign, shift, n, T in ((-1, -1, 1, 5), (1, -3, 4, 12), (-1, -2, 0, 0)):
+        with pytest.raises(ValueError, match="shift must be nonnegative"):
+            pochhammer_finite(sign, shift, 2, n, T)
 
 
 def test_pochhammer_two_factors():
@@ -85,8 +91,8 @@ def test_negative_shift_rewrite_identity(n1):
     # (-q^{2-2a};q^2)_{a-1} (-q^{1-2a};q^2)_a q^{2a^2} equals (-q;q)_{2a-1} q^a,
     # exactly, as Laurent polynomials
     T = 2 * n1 * n1
-    lhs = pochhammer_finite(-1, 2 - 2 * n1, 2, n1 - 1, T)
-    lhs = lhs * pochhammer_finite(-1, 1 - 2 * n1, 2, n1, T - 0)
+    lhs = pochhammer(-1, 2 - 2 * n1, 2, n1 - 1, T)
+    lhs = lhs * pochhammer(-1, 1 - 2 * n1, 2, n1, T - 0)
     lhs = lhs.shift(2 * n1 * n1).truncated(T)
     rhs = pochhammer_finite(-1, 1, 1, 2 * n1 - 1, T - n1).shift(n1)
     assert lhs == rhs
@@ -125,7 +131,7 @@ def test_substitute_power():
     assert s.substitute_power(1) is s
     inv3 = pochhammer_finite(1, 1, 1, 3, 15).inverse()
     target = pochhammer_finite(1, 2, 2, 3, 12).inverse()
-    assert substitute_power(inv3, 2).first_difference(target) is None
+    assert inv3.substitute_power(2).first_difference(target) is None
 
 
 def test_theta_sum_collapses_at_equal_parameters():
@@ -223,8 +229,9 @@ def test_pochhammer_telescoping_random():
         sign = rng.choice((1, -1))
         j, b = rng.randint(-3, 4), rng.randint(1, 3)
         T = 25
-        whole = pochhammer_finite(sign, j, b, m + n, T)
-        split = pochhammer_finite(sign, j, b, m, T) * pochhammer_finite(sign, j + m * b, b, n, T)
+        poch = pochhammer_finite if j >= 0 else pochhammer  # the builder takes no negative shift
+        whole = poch(sign, j, b, m + n, T)
+        split = poch(sign, j, b, m, T) * poch(sign, j + m * b, b, n, T)
         assert whole.first_difference(split) is None
 
 

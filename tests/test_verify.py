@@ -3,6 +3,7 @@ import re
 from functools import lru_cache
 
 import pytest
+from q_product_oracle import pochhammer
 from test_marking_walk import in_class
 from tuple_multisum import collapse_x, tuple_multisum_lhs
 
@@ -16,7 +17,7 @@ from ggkit.partitions import (
     overpartition_p_counts,
     partition_family_tables,
 )
-from ggkit.series import LaurentSeries, pochhammer_finite
+from ggkit.series import LaurentSeries
 from ggkit.verify import (
     SUMMED_TAGS,
     DegenerateIdentityError,
@@ -310,7 +311,7 @@ def test_bracket_equals_the_negative_shift_product(name):
             wide = T - low
             want = LaurentSeries.monomial(g * n1 * n1, wide)
             for shift, length in factors:
-                want = want * pochhammer_finite(-1, shift, 2, length, wide)
+                want = want * pochhammer(-1, shift, 2, length, wide)
             want = want.truncated(T)
             got = verify._bracket(g, brackets, n1, T)
             assert (got.coeffs, got.min_exponent, got.truncation) == (
@@ -539,11 +540,12 @@ def test_object_memo_is_bounded(cold_memos, monkeypatch):
 def test_every_module_level_cache_is_bounded():
     mods = (bailey, bijections, marking, partitions, series, verify)
     cached = [fn for mod in mods for fn in vars(mod).values() if hasattr(fn, "cache_info")]
-    # series owns every q-product memo; bailey keeps only the product of two of
-    # them, and the chain stages shared by every chain at one truncation
+    # series owns every q-product memo, one row table per builder; bailey keeps
+    # only the product of two inverse rows, and the chain stages shared by every
+    # chain at one truncation
     assert {fn.__name__ for fn in cached} == {
-        "_pochhammer_table", "inverse_pochhammer", "_inverse_table",
-        "_relation_kernel", "_chain_prefix", "_object_checks", "_count_slot_bytes"}
+        "_pochhammer_table", "_inverse_table", "_relation_kernel", "_chain_prefix",
+        "_object_checks", "_count_slot_bytes"}
     assert all(fn.cache_info().maxsize is not None for fn in cached)
     assert not [name for mod in mods for name in vars(mod) if name.endswith("_CACHE")]
 
