@@ -18,8 +18,6 @@ from .partitions import (
     Overpartition,
     ParseError,
     Part,
-    count_family,
-    count_family_bivariate,
     enumerate_overpartitions,
     enumerate_partitions,
     satisfies_family,

@@ -400,27 +400,6 @@ def satisfies_family(obj, spec: FamilySpec) -> bool:
     return _in_family_D(ft, spec.k, spec.i)
 
 
-def count_family(spec: FamilySpec, n: int) -> int:
-    """Exhaustive filter-and-count over all objects of weight n."""
-    if spec.family in OVERPARTITION_FAMILIES:
-        return sum(1 for op in enumerate_overpartitions(n) if satisfies_family(op, spec))
-    return sum(1 for p in enumerate_partitions(n) if satisfies_family(p, spec))
-
-
-def count_family_bivariate(spec: FamilySpec, n: int) -> dict[int, int]:
-    """Counts of weight-n family members per number of parts m."""
-    out: dict[int, int] = {}
-    if spec.family in OVERPARTITION_FAMILIES:
-        objs: Iterator = enumerate_overpartitions(n)
-    else:
-        objs = enumerate_partitions(n)
-    for obj in objs:
-        if satisfies_family(obj, spec):
-            m = len(obj)
-            out[m] = out.get(m, 0) + 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Count tables by a size-by-size DP (exhaustive oracles for the verifier)
 #

@@ -8,8 +8,10 @@ _compare, whose failure detail is one line,
     first difference at <where>: <name>=<value>, <name>=<value>
 
 where <where> is q^e for two q-series, x^m q^n for two bivariate series and
-n=<n> for two sequences indexed by n.  A bound below zero, which would compare
-nothing, is refused with a ValueError.
+n=<n> for two sequences indexed by n.  The one exception is PAIR-RELATION, whose
+detail comes from bailey.verify_pair_relation.  A bound below zero, which would
+compare nothing, is refused with a ValueError, and so is a prebuilt count table
+or bucket mapping that does not reach the weight a verdict reads.
 """
 
 from __future__ import annotations
@@ -374,16 +376,11 @@ def _class_rule(cls: str, k: int, i: int) -> tuple[int, tuple[int, ...]]:
 
 
 class ClassRecord(NamedTuple):
-    """One bucketed overpartition with the statistics class membership reads."""
+    """One bucketed overpartition.  A verdict reads only its bucket's table; the
+    record keeps the object for readers of the items (perfbench/workloads.py
+    reads rec.op.to_text())."""
 
     op: Overpartition
-    weight: int
-    fb: int
-    mw: int
-    c3: int
-    stable: bool
-    reduced: bool
-    doubled: bool
 
 
 class ClassBucket(list):
@@ -422,30 +419,35 @@ class ClassBucket(list):
         return out
 
 
-def collect_class_buckets(n1_max: int, rows_max: int, weight_max: int
-                          ) -> dict[tuple[int, ...], ClassBucket]:
-    """All overpartitions of weight <= weight_max bucketed by marking profile,
-    restricted to at most rows_max rows of width at most n1_max.
+class ClassBuckets(dict):
+    """Marking profile -> ClassBucket, complete for every weight <= n_max, the
+    reach a verdict checks as it checks a CountTable's."""
 
-    Buckets reused for verify_class_lemma at truncation T must reach weight
-    T + n1_max**2: the shifted comparison reads the inner class that far.
-    """
-    buckets: dict[tuple[int, ...], ClassBucket] = {}
+    __slots__ = ("n_max",)
+
+    def __init__(self, n_max: int):
+        super().__init__()
+        self.n_max = n_max
+
+
+def collect_class_buckets(n1_max: int, rows_max: int, weight_max: int) -> ClassBuckets:
+    """All overpartitions of weight <= weight_max bucketed by marking profile,
+    restricted to at most rows_max rows of width at most n1_max."""
+    buckets = ClassBuckets(weight_max)
     for op, rows, stats, (weight, stable, reduced, doubled) in _walk(
             weight_max, row1_max=n1_max, rows_max=rows_max):
         bucket = buckets.get(rows)
         if bucket is None:
             bucket = buckets[rows] = ClassBucket()
-        bucket.add(ClassRecord(op, weight, *stats, stable, reduced, doubled),
-                   stats, weight, stable, reduced, doubled)
+        bucket.add(ClassRecord(op), stats, weight, stable, reduced, doubled)
     return buckets
 
 
-def collect_partition_buckets(n1_max: int, rows_max: int, weight_max: int
-                              ) -> dict[tuple[int, ...], ClassBucket]:
+def collect_partition_buckets(n1_max: int, rows_max: int, weight_max: int) -> ClassBuckets:
     """Ordinary partitions bucketed by their greedy-marking profile, each keyed
     for CLASS-B by (f(1), the largest f(t) + f(t+1))."""
-    buckets = {(): ClassBucket()}
+    buckets = ClassBuckets(weight_max)
+    buckets[()] = ClassBucket()
     buckets[()].add((), (0, 0), 0, True)
     for parts in iter_partitions_bounded(weight_max, n1_max * rows_max):
         if not parts:
@@ -461,13 +463,6 @@ def collect_partition_buckets(n1_max: int, rows_max: int, weight_max: int
     return buckets
 
 
-def _trim(profile) -> tuple[int, ...]:
-    p = tuple(profile)
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
 def _check_class_params(profile, i: int, T: int) -> tuple[tuple[int, ...], int]:
     """The validated profile and its k for a profile-indexed check."""
     p = tuple(int(x) for x in profile)
@@ -480,38 +475,46 @@ def _check_class_params(profile, i: int, T: int) -> tuple[tuple[int, ...], int]:
     return p, k
 
 
+# class buckets walk every overpartition up to their reach, T for a class form and
+# T + N_1^2 for a lemma, nesting one generator per part; at 46
+# (--profile 4,4,4,4,4,4) a profile task takes 15 s, at 55 (--profile 5,1) 34 s
+# and 1.2 GiB, and at 10^6 the walk overflows the stack (2-CPU Xeon)
+_PROFILE_REACH_MAX = 46
+
+
+def _buckets(buckets, collect, profile: tuple[int, ...], reach: int, T: int) -> ClassBuckets:
+    """The buckets a check of the validated profile at truncation T reads to
+    weight reach: the given ones, refused when they record a shorter reach (or
+    none), or else collect's, built for the profile's first-row width and rows."""
+    if buckets is None:
+        _check_ceiling("class bucket reach", reach, _PROFILE_REACH_MAX)
+        return collect(max(profile[0] if profile else 0, 1), max(len(profile), 1), reach)
+    _check_reach("class bucket", buckets, f"T{reach - T:+d}" if reach != T else "T", reach)
+    return buckets
+
+
 def _class_histogram(buckets, profile: tuple[int, ...], cls: str, k: int, i: int) -> Counter:
-    bucket = buckets.get(_trim(profile))
+    bucket = buckets.get(profile[:len(profile) - profile.count(0)])  # the nonzero rows
     return bucket.histogram(cls, k, i) if bucket is not None else Counter()
 
 
 def verify_class_gf(profile, i: int, T: int, cls: str,
                     buckets=None, partition_buckets=None) -> VerificationReport:
     """Compare the enumerated weight series of a profile-indexed class with its
-    closed form (cls in F/G/E/B), at truncation T."""
+    closed form (cls in F/G/E/B), at truncation T.  Prebuilt buckets must reach
+    weight T."""
     profile, k = _check_class_params(profile, i, T)
-    n1 = profile[0] if profile else 0
-    params = {"profile": profile, "k": k, "i": i}
     if cls == "B":
-        buckets = partition_buckets
-    if buckets is None:
-        _check_ceiling("class bucket reach", T, _PROFILE_REACH_MAX)
-        collect = collect_partition_buckets if cls == "B" else collect_class_buckets
-        buckets = collect(max(n1, 1), max(k - 1, 1), T)
+        buckets = _buckets(partition_buckets, collect_partition_buckets, profile, T, T)
+    else:
+        buckets = _buckets(buckets, collect_class_buckets, profile, T, T)
     lhs = LaurentSeries.from_terms(_class_histogram(buckets, profile, cls, k, i), T)
     rhs = _profile_term(cls, profile, i, T)
-    return _compare(f"CLASS-{cls}", params, T, lhs, rhs)
+    return _compare(f"CLASS-{cls}", {"profile": profile, "k": k, "i": i}, T, lhs, rhs)
 
 
 # each reduction law: (its Pochhammer bracket, the inner class, the outer class)
 _LEMMAS = {"LEM-N1": ("e", "G", "F"), "LEM-N2": ("o", "E", "G")}
-
-
-# class buckets walk every overpartition up to their reach, T for a class form and
-# T + N_1^2 for a lemma, nesting one generator per part; at 46
-# (--profile 4,4,4,4,4,4) a profile task takes 15 s, at 55 (--profile 5,1) 34 s
-# and 1.2 GiB, and at 10^6 the walk overflows the stack (2-CPU Xeon)
-_PROFILE_REACH_MAX = 46
 
 
 def _lemma_reach(n1: int, T: int) -> int:
@@ -525,40 +528,34 @@ def verify_class_lemma(which: str, profile, i: int, T: int,
     """The two profile-level reduction laws: the F-class series equals a finite
     even Pochhammer times the G-class series (LEM-N1), and the G-class series
     equals a finite odd Pochhammer times the E-class series (LEM-N2).  That
-    Pochhammer is a bracket, q^low times a positive one (_bracket_form), so the
-    right side is the positive Pochhammer times the inner class series, both to
-    T - low, shifted up by low."""
+    Pochhammer is a bracket (_bracket at g = 0) whose lowest exponent low is at
+    most 0, so the inner class series is read to T - low, the weight prebuilt
+    buckets must reach."""
     profile, k = _check_class_params(profile, i, T)
-    n1 = profile[0] if profile else 0
     if which not in _LEMMAS:
         raise ValueError(which)
     word, lo_cls, hi_cls = _LEMMAS[which]
-    low, (shift, base, length) = _bracket_form(word, n1)
-    reach = T - low
-    if buckets is None:
-        _check_ceiling("class bucket reach", reach, _PROFILE_REACH_MAX)
-        buckets = collect_class_buckets(max(n1, 1), max(k - 1, 1), reach)
+    n1 = profile[0] if profile else 0
+    reach = T - _bracket_form(word, n1)[0]
+    buckets = _buckets(buckets, collect_class_buckets, profile, reach, T)
     lo = _class_histogram(buckets, profile, lo_cls, k, i)
     hi = _class_histogram(buckets, profile, hi_cls, k, i)
     lhs = LaurentSeries.from_terms(hi, T)
-    poch = pochhammer_finite(-1, shift, base, length, reach)
-    rhs = (poch * LaurentSeries.from_terms(lo, reach)).shift(low)
-    params = {"profile": profile, "k": k, "i": i}
-    return _compare(which, params, T, lhs, rhs)
+    rhs = _bracket(0, word, n1, T) * LaurentSeries.from_terms(lo, reach)
+    return _compare(which, {"profile": profile, "k": k, "i": i}, T, lhs, rhs)
 
 
 def verify_profile(profile, i: int, T: int) -> list[VerificationReport]:
     """The six checks of one profile (CLASS-B/E/G/F, LEM-N1/N2) at truncation T,
-    as six verify_identity calls give them, from one class bucket build at the
-    furthest reach they need (a lemma's) and one partition bucket build."""
-    profile, k = _check_class_params(profile, i, T)
-    n1 = profile[0] if profile else 0
-    reach = _lemma_reach(n1, T)
-    _check_ceiling("class bucket reach", reach, _PROFILE_REACH_MAX)
-    buckets = collect_class_buckets(max(n1, 1), max(k - 1, 1), reach)
-    partition_buckets = collect_partition_buckets(max(n1, 1), max(k - 1, 1), T)
-    return [verify_identity(tag, None, i, T, profile=profile, buckets=buckets,
-                            partition_buckets=partition_buckets) for tag in CLASS_TAGS]
+    in CLASS_TAGS order, from one class bucket build at the furthest reach they
+    need (a lemma's) and one partition bucket build."""
+    profile, _ = _check_class_params(profile, i, T)
+    buckets = _buckets(None, collect_class_buckets, profile,
+                       _lemma_reach(profile[0] if profile else 0, T), T)
+    partition_buckets = _buckets(None, collect_partition_buckets, profile, T, T)
+    return [verify_class_lemma(tag, profile, i, T, buckets) if tag in _LEMMAS
+            else verify_class_gf(profile, i, T, tag[-1], buckets, partition_buckets)
+            for tag in CLASS_TAGS]
 
 
 # ---------------------------------------------------------------------------
@@ -571,20 +568,20 @@ def verify_identity(tag: str, k: int | None = None, i: int | None = None,
                     buckets=None, partition_buckets=None) -> VerificationReport:
     """Verify one tagged identity; failures come back as reports, not errors.
 
-    A bivariate identity reads counts, a {(m, n): count} table, when given; a
-    sweep's CountTable that reaches only a weight below T is refused with a
-    ValueError."""
+    A bivariate identity reads counts, an (m, n) CountTable, when given; one
+    whose reach is below T, or a table that records no reach, is refused with a
+    ValueError (see _check_reach)."""
     if tag not in IDENTITY_TAGS:
         raise ValueError(f"unknown identity tag {tag!r}")
     _check_bound("T", T)
     if tag == "JTP":
         return _compare(tag, {"k": k, "i": i}, T,
                         theta_bressoud_sum(k, i, T), product_triple(k, i, T))
-    if tag in ("CLASS-F", "CLASS-G", "CLASS-E", "CLASS-B"):
+    if tag in _LEMMAS:
+        return verify_class_lemma(tag, profile, i, T, buckets=buckets)
+    if tag in CLASS_TAGS:
         return verify_class_gf(profile, i, T, tag[-1],
                                buckets=buckets, partition_buckets=partition_buckets)
-    if tag in ("LEM-N1", "LEM-N2"):
-        return verify_class_lemma(tag, profile, i, T, buckets=buckets)
     params = {"k": k, "i": i}
     if tag in ("AG", "BRESSOUD", "OGG"):
         return _compare(tag, params, T, multisum_lhs(tag, k, i, T), product_rhs(tag, k, i, T))
@@ -596,31 +593,37 @@ def verify_identity(tag: str, k: int | None = None, i: int | None = None,
             counts = partition_family_tables(T, [(k, i)], families=fam)[(fam, k, i)]
         else:
             counts = overpartition_ofh_tables(T, [(k, i)])[(fam, k, i)]
-    _check_reach(fam, getattr(counts, "n_max", T), "T", T)
+    _check_reach(fam, counts, "T", T)
     return _compare(tag, params, T, lhs, BivariateSeries.from_counts(counts, T),
                     ("multisum", "enumeration"))
 
 
-def _check_reach(name: str, reach: int, bound: str, value: int) -> None:
-    """Refuse a count table that stops at weight reach, short of the bound it is
-    read to: past its reach every count reads zero, so a verdict there is wrong."""
+def _check_reach(name: str, table, bound: str, value: int) -> None:
+    """Refuse a prebuilt table that does not reach the weight value (named bound)
+    it is read to: past its reach every count reads zero, so a verdict there is
+    wrong.  A per-weight list reaches its last index, a CountTable or ClassBuckets
+    the n_max it records; any other table, such as a plain dict, records none."""
+    reach = len(table) - 1 if isinstance(table, list) else getattr(table, "n_max", None)
+    if reach is None:
+        raise ValueError(f"the {name} table records no reach (n_max), so it may "
+                         f"read zero where it stopped")
     if reach < value:
         raise ValueError(f"the {name} table reaches n={reach}, short of {bound}={value}")
 
 
 def _per_weight(table, n_max: int, name: str) -> list[int]:
-    """The per-n counts, n <= n_max, of a per-weight list or an (m, n) table.  A
-    list, or a sweep's CountTable, that stops short of n_max is refused."""
-    reach = len(table) - 1 if isinstance(table, list) else getattr(table, "n_max", n_max)
-    _check_reach(name, reach, "n_max", n_max)
+    """The per-n counts, n <= n_max, of a per-weight list or an (m, n) CountTable,
+    refused when it stops short of n_max (see _check_reach)."""
+    _check_reach(name, table, "n_max", n_max)
     return table[:n_max + 1] if isinstance(table, list) else family_counts_by_n(table, n_max)
 
 
 def verify_counting(theorem: str, k: int, i: int, n_max: int,
                     ofh_tables=None, p_counts=None, partition_tables=None) -> VerificationReport:
     """Exhaustive equality of the paired counting families up to n_max.  The
-    tables not given are built per weight; a given table may be per weight or
-    (m, n), and one that stops short of n_max is refused with a ValueError."""
+    tables not given are built per weight; a given table may be a per-weight list
+    or an (m, n) CountTable, and one that stops short of n_max, or records no
+    reach, is refused with a ValueError."""
     _check_pair(k, i)
     _check_bound("n_max", n_max)
     if theorem == "T1.5":

@@ -23,26 +23,39 @@ from ggkit.partitions import (
     o_family_stats,
     satisfies_family,
 )
-from ggkit.verify import ClassRecord, _class_rule, _o_caps, _within, collect_class_buckets
+from ggkit.verify import (
+    ClassBucket,
+    ClassRecord,
+    _class_rule,
+    _o_caps,
+    _within,
+    collect_class_buckets,
+)
 
 
 def in_class(rec: ClassRecord, cls: str, k: int, i: int) -> bool:
-    """The class membership rule applied to one record: its flag holds and its
-    (fb, mw, c3) is within the caps."""
+    """The class membership rule applied to one record, its statistics and flags
+    computed from the object: its flag holds and its (fb, mw, c3) is within the
+    caps."""
     flag, caps = _class_rule(cls, k, i)
-    return _within((rec.fb, rec.mw, rec.c3), caps) and (
-        rec.stable, rec.reduced, rec.doubled)[flag]
+    op = rec.op
+    return _within(o_family_stats(op.freq_table()), caps) and (
+        in_stable_class(op), is_reduced(op), is_doubled(op))[flag]
 
 
 def _slow_class_buckets(n1_max, rows_max, weight_max):
+    """The buckets by enumerate, mark and filter, each counted into its table
+    with the statistics and flags computed from the object."""
     buckets = {}
     for op in iter_overpartitions_bounded(weight_max, n1_max * rows_max):
         rows = gg_mark(op).row_counts()
         if op.parts and (len(rows) > rows_max or rows[0] > n1_max):
             continue
-        fb, mw, c3 = o_family_stats(op.freq_table())
-        buckets.setdefault(rows, []).append(ClassRecord(
-            op, op.weight(), fb, mw, c3, in_stable_class(op), is_reduced(op), is_doubled(op)))
+        bucket = buckets.get(rows)
+        if bucket is None:
+            bucket = buckets[rows] = ClassBucket()
+        bucket.add(ClassRecord(op), o_family_stats(op.freq_table()), op.weight(),
+                   in_stable_class(op), is_reduced(op), is_doubled(op))
     return buckets
 
 
@@ -51,6 +64,7 @@ def test_class_buckets_match_enumerate_and_filter(n1_max, rows_max, weight_max):
     fast = collect_class_buckets(n1_max, rows_max, weight_max)
     slow = _slow_class_buckets(n1_max, rows_max, weight_max)
     assert list(fast.items()) == list(slow.items())
+    assert [b.table for b in fast.values()] == [b.table for b in slow.values()]
 
 
 def test_bucket_tables_count_the_records_in_class():
@@ -59,7 +73,7 @@ def test_bucket_tables_count_the_records_in_class():
         for k in range(1, 6):
             for i in range(1, k + 1):
                 for cls in "FGE":
-                    want = Counter(rec.weight for rec in bucket if in_class(rec, cls, k, i))
+                    want = Counter(rec.op.weight() for rec in bucket if in_class(rec, cls, k, i))
                     assert bucket.histogram(cls, k, i) == want, (rows, cls, k, i)
 
 

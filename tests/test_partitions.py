@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from family_count_oracle import count_family, count_family_bivariate
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -10,8 +11,6 @@ from ggkit.partitions import (
     Overpartition,
     ParseError,
     Part,
-    count_family,
-    count_family_bivariate,
     enumerate_overpartitions,
     enumerate_partitions,
     family_counts_by_n,

@@ -1,23 +1,25 @@
+import itertools
 import json
 import re
 from functools import lru_cache
 
 import pytest
+from family_count_oracle import count_family, count_family_bivariate
 from q_product_oracle import pochhammer
 from test_marking_walk import in_class
 from tuple_multisum import collapse_x, tuple_multisum_lhs
 
 from ggkit import bailey, bijections, marking, partitions, series, verify
 from ggkit.partitions import (
+    CountTable,
     FamilySpec,
     Overpartition,
-    count_family,
     enumerate_overpartitions,
     overpartition_ofh_tables,
     overpartition_p_counts,
     partition_family_tables,
 )
-from ggkit.series import LaurentSeries
+from ggkit.series import LaurentSeries, pochhammer_finite
 from ggkit.verify import (
     SUMMED_TAGS,
     DegenerateIdentityError,
@@ -114,8 +116,6 @@ def test_bivariate_identity_small():
 
 def test_x_slice_counts():
     lhs = multisum_lhs("OGG-X", 2, 2, 8, x_tracking=True)
-    from ggkit.partitions import count_family_bivariate
-
     for n in range(9):
         want = count_family_bivariate(FamilySpec("O", 2, 2), n)
         got = {m: c for m, c in lhs.coefficient(n).items() if c}
@@ -143,7 +143,7 @@ def test_counting_reports():
 
 def test_counting_report_names_witness():
     # doctored tables must surface the first differing cell, not raise
-    tables = {("O", 2, 2): {(0, 0): 1, (1, 3): 99}}
+    tables = {("O", 2, 2): CountTable(3, {(0, 0): 1, (1, 3): 99})}
     pc = {(2, 2): [1, 0, 0, 0]}
     rep = verify_counting("T1.5", 2, 2, 3, ofh_tables=tables, p_counts=pc)
     assert not rep.ok and rep.detail == "first difference at n=3: O=99, P=0"
@@ -160,6 +160,14 @@ def test_counting_refuses_a_table_short_of_n_max(theorem, tables, reach):
     # past weight 10 both sides would read zero, and the verdict would pass
     with pytest.raises(ValueError, match=rf"reaches n={reach}, short of n_max=30$"):
         verify_counting(theorem, 2, 1, 30, **tables)
+
+
+def test_counting_refuses_a_table_that_records_no_reach():
+    # plain dicts of (m, n) tables built to n = 10: read to n_max = 20 as they
+    # are, both sides are zero past 10 and the verdict would pass
+    tables = partition_family_tables(10, [(2, 1)], families="BA")
+    with pytest.raises(ValueError, match="table records no reach"):
+        verify_counting("T1.2", 2, 1, 20, partition_tables={key: dict(t) for key, t in tables.items()})
 
 
 def test_counting_reads_any_table_that_reaches_n_max():
@@ -180,7 +188,7 @@ def test_series_report_names_the_first_difference(monkeypatch):
 
 def test_bivariate_report_names_the_first_difference():
     # an enumeration holding only the empty partition misses B_{2,1}(1, 2) = 1
-    rep = verify_identity("AG-X", 2, 1, 5, counts={(0, 0): 1})
+    rep = verify_identity("AG-X", 2, 1, 5, counts=CountTable(5, {(0, 0): 1}))
     assert not rep.ok
     assert rep.detail == "first difference at x^1 q^2: multisum=1, enumeration=0"
 
@@ -194,6 +202,15 @@ def test_bivariate_identity_refuses_a_count_table_short_of_T(tag, counts):
     with pytest.raises(ValueError, match=r"reaches n=20, short of T=28$"):
         verify_identity(tag, 3, 2, 28, counts=counts)
     assert verify_identity(tag, 3, 2, 20, counts=counts).ok
+
+
+def test_bivariate_identity_refuses_a_count_table_that_records_no_reach():
+    # a plain dict of the B table to n = 10: read to T = 20 as it is, the
+    # verdict would be a false FAIL at x^1 q^11
+    table = partition_family_tables(10, [(2, 1)], families="B")[("B", 2, 1)]
+    with pytest.raises(ValueError, match="B table records no reach"):
+        verify_identity("AG-X", 2, 1, 20, counts=dict(table))
+    assert verify_identity("AG-X", 2, 1, 10, counts=table).ok
 
 
 def test_seed_beta_report_names_both_sides(cold_memos, monkeypatch):
@@ -713,6 +730,53 @@ def test_library_admits_the_reach_ceiling_and_any_prebuilt_buckets():
     buckets = verify.collect_class_buckets(1, 1, 50)
     assert verify_class_gf((1,), 1, 50, "E", buckets=buckets).ok
     assert verify_class_lemma("LEM-N2", (1,), 1, 49, buckets=buckets).ok
+
+
+def test_class_verdicts_refuse_buckets_short_of_the_weight_they_read():
+    # buckets to weight 10 read at T = 20 as they are: CLASS-E would be a false
+    # FAIL at q^12
+    buckets = verify.collect_class_buckets(1, 1, 10)
+    assert buckets.n_max == 10
+    with pytest.raises(ValueError, match=r"reaches n=10, short of T=20$"):
+        verify_class_gf((1,), 1, 20, "E", buckets=buckets)
+    # LEM-N2 at N_1 = 1 reads its inner class to T + 1
+    with pytest.raises(ValueError, match=r"reaches n=10, short of T\+1=11$"):
+        verify_class_lemma("LEM-N2", (1,), 1, 10, buckets=buckets)
+    partition_buckets = verify.collect_partition_buckets(1, 1, 10)
+    with pytest.raises(ValueError, match=r"reaches n=10, short of T=11$"):
+        verify_class_gf((1,), 1, 11, "B", partition_buckets=partition_buckets)
+    with pytest.raises(ValueError, match="records no reach"):
+        verify_class_gf((1,), 1, 10, "E", buckets=dict(buckets))
+    assert verify_class_gf((1,), 1, 10, "E", buckets=buckets).ok
+    assert verify_class_lemma("LEM-N2", (1,), 1, 9, buckets=buckets).ok
+    assert verify_class_gf((1,), 1, 10, "B", partition_buckets=partition_buckets).ok
+
+
+def test_lemma_right_side_equals_the_shifted_pochhammer_product(class_buckets, monkeypatch):
+    # the right side through _bracket against the route it replaced: the
+    # positive Pochhammer times the inner class series, both to T - low, shifted
+    # up by low; the same coefficients over the same range
+    sides = []
+    monkeypatch.setattr(verify, "_compare", lambda tag, params, T, lhs, rhs, *rest: sides.append(rhs))
+    cases = 0
+    for rows in range(1, 4):
+        for profile in itertools.combinations_with_replacement(range(3, -1, -1), rows):
+            k = rows + 1
+            nonzero = profile[:rows - profile.count(0)]
+            for i in range(1, k + 1):
+                for T in (0, 5, 14, 21):
+                    for which, (word, lo_cls, _) in verify._LEMMAS.items():
+                        verify_class_lemma(which, profile, i, T, buckets=class_buckets)
+                        low, (shift, base, length) = verify._bracket_form(word, profile[0])
+                        bucket = class_buckets.get(nonzero)
+                        lo = bucket.histogram(lo_cls, k, i) if bucket is not None else {}
+                        want = (pochhammer_finite(-1, shift, base, length, T - low)
+                                * LaurentSeries.from_terms(lo, T - low)).shift(low)
+                        got = sides.pop()
+                        assert (got.coeffs, got.min_exponent, got.truncation) == (
+                            want.coeffs, want.min_exponent, want.truncation), (which, profile, i, T)
+                        cases += 1
+    assert cases == 944
 
 
 def test_profile_suite_builds_the_class_buckets_once(monkeypatch):
